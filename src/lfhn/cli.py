@@ -1,6 +1,7 @@
 """Command line front end: gen-data | train | eval | gradcheck | shapes.
 
-Exit codes: 0 success, 1 check failure, 2 usage or config error, 3 data/model
+Exit codes: 0 success, 1 check failure (a failed gradcheck, or training that
+diverged to a non-finite loss), 2 usage or config error, 3 data/model
 mismatch. Heavy modules are imported inside the command handlers so that
 --threads can pin the BLAS thread pools before numpy loads.
 """
@@ -21,63 +22,28 @@ class ConfigError(ValueError):
     pass
 
 
-def _parse_bool(text):
-    value = text.strip().lower()
-    if value in ("true", "1", "yes", "on"):
-        return True
-    if value in ("false", "0", "no", "off"):
-        return False
-    raise ValueError(f"expected a boolean, got {text!r}")
+# config file keys that name files rather than model or training fields
+PATH_KEYS = ("data", "out", "log", "root_weights")
 
 
-def _parse_streams(text):
-    return tuple(tuple(int(w) for w in part.split(",")) for part in text.split("|"))
+def _config_schema():
+    """{key: type} of every key a run config file may contain.
 
+    The keys are the fields of LfhnConfig and TrainConfig plus PATH_KEYS.
+    Building it imports numpy, so call it only after --threads took effect.
+    """
+    from .graph import LfhnConfig, field_types
+    from .train import TrainConfig
 
-# every key a run config file may contain
-CONFIG_SCHEMA = {
-    "input_height": int,
-    "input_width": int,
-    "input_channels": int,
-    "root_kernel": int,
-    "root_channels": int,
-    "root_stride": int,
-    "streams": _parse_streams,
-    "post_concat_channels": int,
-    "fc_hidden": int,
-    "num_classes": int,
-    "relu_after_1x1": _parse_bool,
-    "relu_after_hidden": _parse_bool,
-    "lrn_size": int,
-    "lrn_k": float,
-    "lrn_alpha": float,
-    "lrn_beta": float,
-    "lr": float,
-    "momentum": float,
-    "batch_size": int,
-    "epochs": int,
-    "seed": int,
-    "freeze_root": _parse_bool,
-    "augment": _parse_bool,
-    "lr_decay_every": int,
-    "lr_decay_factor": float,
-    "data": str,
-    "out": str,
-    "log": str,
-    "root_weights": str,
-}
-
-MODEL_KEYS = (
-    "input_height", "input_width", "input_channels", "root_kernel",
-    "root_channels", "root_stride", "streams", "post_concat_channels",
-    "fc_hidden", "num_classes", "relu_after_1x1", "relu_after_hidden",
-)
-TRAIN_KEYS = ("lr", "momentum", "batch_size", "epochs", "seed", "freeze_root",
-              "augment", "lr_decay_every", "lr_decay_factor")
+    return {**field_types(LfhnConfig), **field_types(TrainConfig),
+            **dict.fromkeys(PATH_KEYS, str)}
 
 
 def parse_config_file(path):
     """Read `key = value` lines; `#` starts a comment, unknown keys are errors."""
+    from .graph import parse_value
+
+    schema = _config_schema()
     values = {}
     with open(path, "r", encoding="utf-8") as fh:
         for lineno, raw in enumerate(fh, start=1):
@@ -88,10 +54,10 @@ def parse_config_file(path):
             if not sep:
                 raise ConfigError(f"{path}:{lineno}: expected key = value, got {raw!r}")
             key = key.strip()
-            if key not in CONFIG_SCHEMA:
+            if key not in schema:
                 raise ConfigError(f"{path}:{lineno}: unknown config key {key!r}")
             try:
-                values[key] = CONFIG_SCHEMA[key](value.strip())
+                values[key] = parse_value(schema[key], value.strip())
             except ValueError as err:
                 raise ConfigError(f"{path}:{lineno}: bad value for {key}: {err}") from err
     return values
@@ -115,22 +81,22 @@ def resolve_seed(flag_seed, file_seed=None):
 def _merged_config(args):
     values = parse_config_file(args.config) if getattr(args, "config", None) else {}
     # command line overrides win over the file
-    for key in CONFIG_SCHEMA:
+    for key in _config_schema():
         flag = getattr(args, key, None)
         if flag is not None:
             values[key] = flag
     return values
 
 
-def _build_model_config(values, graph_mod, sample=None):
-    from .layers import LrnParams
+def _fields_in(values, cls):
+    """The entries of values that are fields of the config dataclass cls."""
+    from .graph import field_types
 
-    kwargs = {k: values[k] for k in MODEL_KEYS if k in values}
-    lrn_keys = {"lrn_size": "size", "lrn_k": "k", "lrn_alpha": "alpha", "lrn_beta": "beta"}
-    if any(k in values for k in lrn_keys):
-        defaults = LrnParams()
-        kwargs["lrn"] = LrnParams(*(values.get(src, getattr(defaults, dst))
-                                    for src, dst in lrn_keys.items()))
+    return {k: values[k] for k in field_types(cls) if k in values}
+
+
+def _build_model_config(values, graph_mod, sample=None):
+    kwargs = _fields_in(values, graph_mod.LfhnConfig)
     if sample is not None:
         h, w, c = sample.image.shape
         kwargs.setdefault("input_height", h)
@@ -186,9 +152,8 @@ def cmd_train(args):
     seed = resolve_seed(args.seed, values.get("seed"))
     try:
         cfg = _build_model_config(values, graph, sample=samples[0])
-        tcfg = train_mod.TrainConfig(
-            **{k: values[k] for k in TRAIN_KEYS if k in values and k != "seed"},
-            seed=seed)
+        tcfg = train_mod.TrainConfig(**{**_fields_in(values, train_mod.TrainConfig),
+                                        "seed": seed})
         net = graph.build_lfhn(cfg, seed=seed)
     except (ValueError, graph.GraphConfigError) as err:
         return _error(str(err), EXIT_USAGE)
@@ -206,6 +171,8 @@ def cmd_train(args):
     try:
         _, log = train_mod.train(net, samples, tcfg, log_path=log_path)
         graph.save_checkpoint(net, args.out)
+    except train_mod.TrainingDiverged as err:
+        return _error(f"{err}; no checkpoint written", EXIT_CHECK_FAILED)
     except ValueError as err:
         return _error(str(err), EXIT_MISMATCH)
     if log:

@@ -12,7 +12,8 @@ from __future__ import annotations
 
 import io
 import struct
-from dataclasses import dataclass, field, replace
+import typing
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -49,7 +50,10 @@ class LfhnConfig:
     num_classes: int = 337
     relu_after_1x1: bool = True
     relu_after_hidden: bool = True
-    lrn: LrnParams = field(default_factory=LrnParams)
+    lrn_size: int = 5
+    lrn_k: float = 2.0
+    lrn_alpha: float = 1e-4
+    lrn_beta: float = 0.75
 
     def __post_init__(self):
         extents = (self.input_height, self.input_width, self.input_channels,
@@ -63,6 +67,11 @@ class LfhnConfig:
             raise ValueError("stream widths must be >= 1")
         object.__setattr__(self, "streams", tuple(tuple(int(w) for w in s)
                                                   for s in self.streams))
+        _ = self.lrn  # LrnParams rejects bad constants
+
+    @property
+    def lrn(self) -> LrnParams:
+        return LrnParams(self.lrn_size, self.lrn_k, self.lrn_alpha, self.lrn_beta)
 
     @property
     def concat_channels(self) -> int:
@@ -81,7 +90,7 @@ def tiny_config(num_classes: int = 3) -> LfhnConfig:
         root_kernel=2, root_channels=4, root_stride=1,
         streams=((4, 6), (5,)), post_concat_channels=5,
         fc_hidden=8, num_classes=num_classes,
-        lrn=LrnParams(size=3, k=2.0, alpha=1e-2, beta=0.75),
+        lrn_size=3, lrn_k=2.0, lrn_alpha=1e-2, lrn_beta=0.75,
     )
 
 
@@ -287,11 +296,7 @@ def forward(net: NetworkGraph, batch):
     for node in net.nodes[1:]:
         inputs = [cache[name] for name in node.inputs]
         if node.kind == "conv":
-            p = _conv_params(net, node)
-            if node.attrs["kernel_hw"] == (1, 1):
-                out = layers.conv1x1_forward(inputs[0], p)
-            else:
-                out = layers.conv_forward(inputs[0], p)
+            out = layers.conv_forward(inputs[0], _conv_params(net, node))
         elif node.kind == "relu":
             out = layers.relu(inputs[0])
         elif node.kind == "maxpool":
@@ -369,29 +374,38 @@ def backward(net: NetworkGraph, cache, grad_logits):
     return param_grads
 
 
-def _config_items(cfg: LfhnConfig):
-    streams = "|".join(",".join(str(w) for w in s) for s in cfg.streams)
-    return [
-        ("input_height", cfg.input_height),
-        ("input_width", cfg.input_width),
-        ("input_channels", cfg.input_channels),
-        ("root_kernel", cfg.root_kernel),
-        ("root_channels", cfg.root_channels),
-        ("root_stride", cfg.root_stride),
-        ("streams", streams),
-        ("post_concat_channels", cfg.post_concat_channels),
-        ("fc_hidden", cfg.fc_hidden),
-        ("num_classes", cfg.num_classes),
-        ("relu_after_1x1", "true" if cfg.relu_after_1x1 else "false"),
-        ("relu_after_hidden", "true" if cfg.relu_after_hidden else "false"),
-        ("lrn_size", cfg.lrn.size),
-        ("lrn_k", repr(cfg.lrn.k)),
-        ("lrn_alpha", repr(cfg.lrn.alpha)),
-        ("lrn_beta", repr(cfg.lrn.beta)),
-    ]
+def field_types(cls) -> dict:
+    """{field name: type} of a config dataclass, in field order."""
+    hints = typing.get_type_hints(cls)
+    return {f.name: hints[f.name] for f in fields(cls)}
 
 
-def _config_from_text(text: str):
+def format_value(kind, value) -> str:
+    """Text form of a config value; parse_value(kind, ...) reads it back."""
+    if kind is bool:
+        return "true" if value else "false"
+    if kind is float:
+        return repr(value)
+    if kind is tuple:
+        return "|".join(",".join(str(w) for w in s) for s in value)
+    return str(value)
+
+
+def parse_value(kind, text):
+    """Read a config value: tuples are stream widths such as 200,400|300."""
+    if kind is bool:
+        value = text.strip().lower()
+        if value in ("true", "1", "yes", "on"):
+            return True
+        if value in ("false", "0", "no", "off"):
+            return False
+        raise ValueError(f"expected a boolean, got {text!r}")
+    if kind is tuple:
+        return tuple(tuple(int(w) for w in part.split(",")) for part in text.split("|"))
+    return kind(text)
+
+
+def _config_from_block(text: str):
     values = {}
     for line in text.splitlines():
         if not line:
@@ -400,26 +414,17 @@ def _config_from_text(text: str):
         if not sep:
             raise CheckpointError(f"malformed config line {line!r}")
         values[key] = value
+    kwargs = {}
+    for key, kind in field_types(LfhnConfig).items():
+        if key not in values:
+            raise CheckpointError(f"invalid config block: missing key {key!r}")
+        try:
+            kwargs[key] = parse_value(kind, values[key])
+        except ValueError as err:
+            raise CheckpointError(f"invalid config block: {key}: {err}") from err
     try:
-        streams = tuple(tuple(int(w) for w in part.split(","))
-                        for part in values["streams"].split("|"))
-        cfg = LfhnConfig(
-            input_height=int(values["input_height"]),
-            input_width=int(values["input_width"]),
-            input_channels=int(values["input_channels"]),
-            root_kernel=int(values["root_kernel"]),
-            root_channels=int(values["root_channels"]),
-            root_stride=int(values["root_stride"]),
-            streams=streams,
-            post_concat_channels=int(values["post_concat_channels"]),
-            fc_hidden=int(values["fc_hidden"]),
-            num_classes=int(values["num_classes"]),
-            relu_after_1x1=values["relu_after_1x1"] == "true",
-            relu_after_hidden=values["relu_after_hidden"] == "true",
-            lrn=LrnParams(int(values["lrn_size"]), float(values["lrn_k"]),
-                          float(values["lrn_alpha"]), float(values["lrn_beta"])),
-        )
-    except (KeyError, ValueError) as err:
+        cfg = LfhnConfig(**kwargs)
+    except ValueError as err:
         raise CheckpointError(f"invalid config block: {err}") from err
     frozen = tuple(n for n in values.get("frozen", "").split(",") if n)
     return cfg, frozen
@@ -430,8 +435,10 @@ def save_checkpoint(net: NetworkGraph, path):
     buf = io.BytesIO()
     buf.write(CHECKPOINT_MAGIC)
     buf.write(struct.pack("<I", CHECKPOINT_VERSION))
-    items = _config_items(net.config) + [("frozen", ",".join(sorted(net.frozen)))]
-    config_blob = "\n".join(f"{k}={v}" for k, v in items).encode("utf-8")
+    lines = [f"{key}={format_value(kind, getattr(net.config, key))}"
+             for key, kind in field_types(LfhnConfig).items()]
+    lines.append(f"frozen={','.join(sorted(net.frozen))}")
+    config_blob = "\n".join(lines).encode("utf-8")
     buf.write(struct.pack("<I", len(config_blob)))
     buf.write(config_blob)
     buf.write(struct.pack("<I", len(net.params)))
@@ -465,7 +472,7 @@ def load_checkpoint(path, num_classes=None) -> NetworkGraph:
     if version != CHECKPOINT_VERSION:
         raise CheckpointError(f"unsupported checkpoint version {version}")
     (config_len,) = struct.unpack("<I", take(4, "config length"))
-    cfg, frozen = _config_from_text(take(config_len, "config").decode("utf-8"))
+    cfg, frozen = _config_from_block(take(config_len, "config").decode("utf-8"))
     if num_classes is not None and cfg.num_classes != num_classes:
         raise CheckpointError(
             f"shape disagreement: checkpoint was built for {cfg.num_classes} "
@@ -517,7 +524,3 @@ def load_root_weights(net: NetworkGraph, path):
     net.params["conv1.bias"] = np.ascontiguousarray(
         raw[kernel.size:], dtype=DTYPE)
 
-
-def clone_config(cfg: LfhnConfig, **overrides) -> LfhnConfig:
-    """Convenience wrapper around dataclasses.replace."""
-    return replace(cfg, **overrides)

@@ -79,6 +79,23 @@ class PoolIndexMap:
     stride: int
 
 
+def _pointwise(p: ConvParams) -> bool:
+    """A 1x1 kernel at stride 1 and pad 0 reads every pixel exactly once."""
+    return p.kernel.shape[:2] == (1, 1) and p.stride == 1 and p.pad == 0
+
+
+def _rows(x, p: ConvParams, ho, wo) -> np.ndarray:
+    """The input as one matrix row per output position, (n*ho*wo, kh*kw*cin).
+
+    A pointwise kernel needs no window gather: the rows are a reshape of x.
+    """
+    n, _, _, cin = x.shape
+    kh, kw = p.kernel.shape[:2]
+    if _pointwise(p):
+        return x.reshape(n * ho * wo, cin)
+    return tensor.im2col(x, kh, kw, p.stride, p.pad).reshape(n * ho * wo, kh * kw * cin)
+
+
 def conv_forward(x, p: ConvParams) -> np.ndarray:
     """Convolve (n, h, w, cin) with p.kernel and add the bias."""
     x = np.asarray(x, dtype=DTYPE)
@@ -88,28 +105,11 @@ def conv_forward(x, p: ConvParams) -> np.ndarray:
     kh, kw, kcin, cout = p.kernel.shape
     if cin != kcin:
         raise ValueError(f"input has {cin} channels but kernel expects {kcin}")
-    cols = tensor.im2col(x, kh, kw, p.stride, p.pad)
     ho = tensor.conv_extent(h, kh, p.stride, p.pad)
     wo = tensor.conv_extent(w, kw, p.stride, p.pad)
-    out = tensor.matmul(cols.reshape(n * ho * wo, kh * kw * cin), p.kernel.reshape(-1, cout))
+    out = _rows(x, p, ho, wo) @ p.kernel.reshape(-1, cout)
     out += p.bias
     return out.reshape(n, ho, wo, cout)
-
-
-def conv1x1_forward(x, p: ConvParams) -> np.ndarray:
-    """Per-pixel channel mixing: a (n*h*w, cin) by (cin, cout) product plus bias."""
-    kh, kw, cin, cout = p.kernel.shape
-    if (kh, kw) != (1, 1):
-        raise ValueError(f"conv1x1 requires a 1x1 kernel, got {kh}x{kw}")
-    x = np.asarray(x, dtype=DTYPE)
-    if x.ndim != 4:
-        raise ValueError(f"conv input must be rank 4, got shape {x.shape}")
-    n, h, w, xc = x.shape
-    if xc != cin:
-        raise ValueError(f"input has {xc} channels but kernel expects {cin}")
-    out = tensor.matmul(x.reshape(n * h * w, cin), p.kernel.reshape(cin, cout))
-    out += p.bias
-    return out.reshape(n, h, w, cout)
 
 
 def conv_backward(x, p: ConvParams, grad_out, need_input_grad=True):
@@ -120,7 +120,7 @@ def conv_backward(x, p: ConvParams, grad_out, need_input_grad=True):
     """
     x = np.asarray(x, dtype=DTYPE)
     grad_out = np.asarray(grad_out, dtype=DTYPE)
-    n, h, w, cin = x.shape
+    n, h, w, _ = x.shape
     kh, kw, _, cout = p.kernel.shape
     ho = tensor.conv_extent(h, kh, p.stride, p.pad)
     wo = tensor.conv_extent(w, kw, p.stride, p.pad)
@@ -129,14 +129,16 @@ def conv_backward(x, p: ConvParams, grad_out, need_input_grad=True):
             f"grad_out shape {grad_out.shape} does not match forward output "
             f"{(n, ho, wo, cout)}"
         )
-    cols = tensor.im2col(x, kh, kw, p.stride, p.pad).reshape(n * ho * wo, kh * kw * cin)
     g = grad_out.reshape(n * ho * wo, cout)
-    grad_kernel = tensor.matmul(cols.T, g).reshape(p.kernel.shape)
+    grad_kernel = (_rows(x, p, ho, wo).T @ g).reshape(p.kernel.shape)
     grad_bias = grad_out.sum(axis=(0, 1, 2))
     grad_input = None
     if need_input_grad:
-        gcols = tensor.matmul(g, p.kernel.reshape(-1, cout).T)
-        grad_input = tensor.col2im(gcols, x.shape, kh, kw, p.stride, p.pad)
+        gcols = g @ p.kernel.reshape(-1, cout).T
+        if _pointwise(p):
+            grad_input = gcols.reshape(x.shape)
+        else:
+            grad_input = tensor.col2im(gcols, x.shape, kh, kw, p.stride, p.pad)
     return grad_input, grad_kernel, grad_bias
 
 
@@ -253,8 +255,7 @@ def split_channels(grad, extents):
 
 def fc_forward(x, weight, bias) -> np.ndarray:
     """Affine map out[j] = sum_i x[i] * weight[i, j] + bias[j], batched over rows."""
-    x = np.asarray(x, dtype=DTYPE)
-    out = tensor.matmul(x, weight)
+    out = np.asarray(x, dtype=DTYPE) @ np.asarray(weight, dtype=DTYPE)
     out += np.asarray(bias, dtype=DTYPE)
     return out
 
@@ -263,9 +264,9 @@ def fc_backward(x, weight, grad_out):
     """Adjoint of fc_forward: (grad_input, grad_weight, grad_bias)."""
     x = np.asarray(x, dtype=DTYPE)
     grad_out = np.asarray(grad_out, dtype=DTYPE)
-    grad_weight = tensor.matmul(x.T, grad_out)
+    grad_weight = x.T @ grad_out
     grad_bias = grad_out.sum(axis=0)
-    grad_input = tensor.matmul(grad_out, np.asarray(weight, dtype=DTYPE).T)
+    grad_input = grad_out @ np.asarray(weight, dtype=DTYPE).T
     return grad_input, grad_weight, grad_bias
 
 

@@ -2,7 +2,7 @@
 
 Activations use (batch, height, width, channels) axis order and kernels use
 (kernel_h, kernel_w, in_channels, out_channels); everything is a row-major
-float64 numpy array. This module owns the index arithmetic and the im2col
+float64 numpy array. This module owns the extent arithmetic and the im2col
 lowering that turns sliding-window convolution into one matrix product.
 """
 
@@ -11,53 +11,6 @@ from __future__ import annotations
 import numpy as np
 
 DTYPE = np.float64
-
-
-def as_tensor(values) -> np.ndarray:
-    """Coerce to a contiguous float64 array."""
-    return np.ascontiguousarray(values, dtype=DTYPE)
-
-
-def flat_index(shape, index) -> int:
-    """Row-major offset of a multi-index within `shape`."""
-    if len(index) != len(shape):
-        raise ValueError(f"index {tuple(index)} does not match rank of shape {tuple(shape)}")
-    offset = 0
-    for extent, i in zip(shape, index):
-        if not 0 <= i < extent:
-            raise ValueError(f"index {tuple(index)} out of bounds for shape {tuple(shape)}")
-        offset = offset * extent + i
-    return offset
-
-
-def unflat_index(shape, offset) -> tuple:
-    """Inverse of flat_index."""
-    if offset < 0:
-        raise ValueError("offset must be non-negative")
-    index = []
-    for extent in reversed(shape):
-        index.append(offset % extent)
-        offset //= extent
-    if offset:
-        raise ValueError(f"offset out of bounds for shape {tuple(shape)}")
-    return tuple(reversed(index))
-
-
-def matmul(a, b) -> np.ndarray:
-    """Product of an (m, k) by a (k, n) matrix."""
-    a = np.asarray(a, dtype=DTYPE)
-    b = np.asarray(b, dtype=DTYPE)
-    if a.ndim != 2 or b.ndim != 2 or a.shape[1] != b.shape[0]:
-        raise ValueError(f"matmul shape mismatch: {a.shape} x {b.shape}")
-    return a @ b
-
-
-def argmax(v) -> int:
-    """Smallest index attaining the maximum of a non-empty vector."""
-    v = np.asarray(v)
-    if v.ndim != 1 or v.size == 0:
-        raise ValueError("argmax expects a non-empty 1-d vector")
-    return int(np.argmax(v))
 
 
 def conv_extent(extent: int, window: int, stride: int, pad: int) -> int:

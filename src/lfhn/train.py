@@ -11,6 +11,10 @@ from . import graph, layers
 from .tensor import DTYPE
 
 
+class TrainingDiverged(RuntimeError):
+    """A batch loss became inf or nan; the parameters are no longer usable."""
+
+
 @dataclass
 class TrainConfig:
     lr: float = 0.01
@@ -85,7 +89,8 @@ def train(net, samples, cfg: TrainConfig, log_path=None):
 
     Returns (net, log) where log is a list of (epoch, mean_loss, train_acc)
     rows; train_acc counts the predictions made during the epoch's own
-    forward passes. With a fixed seed the run is fully reproducible.
+    forward passes. With a fixed seed the run is fully reproducible. Raises
+    TrainingDiverged at the first non-finite batch loss, before its update.
     """
     if not samples:
         raise ValueError("empty dataset")
@@ -118,6 +123,9 @@ def train(net, samples, cfg: TrainConfig, log_path=None):
                 batch = images[idx]
             logits, cache = graph.forward(net, batch)
             loss, grad_logits = layers.softmax_xent(logits, labels[idx])
+            if not np.isfinite(loss):
+                raise TrainingDiverged(f"training diverged: loss {loss} at epoch {epoch}, "
+                                       f"batch {start // cfg.batch_size}")
             correct += int((np.argmax(logits, axis=1) == labels[idx]).sum())
             total_loss += loss * len(idx)
             grads = graph.backward(net, cache, grad_logits)

@@ -13,7 +13,7 @@ from contextlib import contextmanager
 import numpy as np
 import pytest
 
-from lfhn import cli, data, evaluate, graph, layers, train
+from lfhn import cli, data, evaluate, graph, layers, tensor, train
 from lfhn.layers import ConvParams, LrnParams
 from lfhn.train import TrainConfig
 
@@ -111,7 +111,7 @@ def test_criterion_2_gradient_correctness():
         probe1 = r.normal(size=(2, 3, 3, 4))
         gi, gk, gb = layers.conv_backward(x1, p1, probe1)
         assert max_rel_err(gi, fd_grad(
-            lambda v: float((layers.conv1x1_forward(v, p1) * probe1).sum()),
+            lambda v: float((layers.conv_forward(v, p1) * probe1).sum()),
             x1.copy())) < 1e-6
         # fc
         xf = r.normal(size=(3, 4))
@@ -147,7 +147,7 @@ def test_criterion_2_gradient_correctness():
 
 def test_criterion_3_oracle_equivalence():
     with criterion(3, "im2col conv vs naive <= 1e-10 and 1x1 fast path vs "
-                      "general conv <= 1e-12, 200 cases each"):
+                      "explicit im2col lowering <= 1e-12, 200 cases each"):
         rng = np.random.default_rng(30)
         checked = 0
         while checked < 200:
@@ -175,9 +175,10 @@ def test_criterion_3_oracle_equivalence():
             x = rng.normal(size=(2, h, w, cin))
             p = ConvParams(rng.normal(size=(1, 1, cin, cout)),
                            rng.normal(size=cout))
-            fast = layers.conv1x1_forward(x, p)
-            general = layers.conv_forward(x, p)
-            assert max_rel_err(fast, general) < 1e-12, f"case {case}"
+            fast = layers.conv_forward(x, p)
+            lowered = (tensor.im2col(x, 1, 1).reshape(-1, cin)
+                       @ p.kernel.reshape(cin, cout) + p.bias)
+            assert max_rel_err(fast, lowered.reshape(fast.shape)) < 1e-12, f"case {case}"
 
 
 def test_criterion_4_capacity_overfit(corpus):

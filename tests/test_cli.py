@@ -1,5 +1,8 @@
 import hashlib
 import os
+import subprocess
+import sys
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -154,11 +157,21 @@ def test_eval_paper_style_and_split(tmp_path, small_corpus, capsys):
     assert out[1].split()[0] == "Rank-1"
 
 
+def test_divergent_training_exits_1_without_checkpoint(tmp_path, small_corpus, capsys):
+    model = tmp_path / "model.lfhn"
+    rc = cli.main(["train", "--data", str(small_corpus), "--out", str(model),
+                   "--epochs", "3", "--lr", "50", "--seed", "3"])
+    assert rc == 1
+    assert "diverged" in capsys.readouterr().err
+    assert not model.exists()
+    assert not (tmp_path / "model.lfhn.log.csv").exists()
+
+
 def test_eval_class_count_mismatch_exits_3(tmp_path, small_corpus):
     model = tmp_path / "model.lfhn"
-    cfg = graph.clone_config(graph.tiny_config(num_classes=1),
-                             input_height=35, input_width=35, input_channels=1,
-                             root_kernel=3, root_stride=2)
+    cfg = replace(graph.tiny_config(num_classes=1),
+                  input_height=35, input_width=35, input_channels=1,
+                  root_kernel=3, root_stride=2)
     net = graph.build_lfhn(cfg, seed=0)
     graph.save_checkpoint(net, model)
     rc = cli.main(["eval", "--model", str(model), "--data", str(small_corpus)])
@@ -260,3 +273,29 @@ def test_threads_flag_sets_env(monkeypatch):
     assert cli.main(["shapes", "--threads", "1"]) == 0
     assert os.environ["OMP_NUM_THREADS"] == "1"
     assert os.environ["OPENBLAS_NUM_THREADS"] == "1"
+
+
+def test_threads_flag_reaches_openblas():
+    # a fresh interpreter, because this one loaded numpy long ago
+    script = """
+import ctypes, glob, os, sys
+from lfhn import cli
+assert "numpy" not in sys.modules, "importing lfhn.cli loaded numpy"
+assert cli.main(["shapes", "--threads", "1"]) == 0
+import numpy
+libs = os.path.join(os.path.dirname(numpy.__file__), os.pardir, "numpy.libs")
+paths = glob.glob(os.path.join(libs, "libscipy_openblas64_*"))
+assert paths, f"no scipy-openblas library under {libs}"
+lib = ctypes.CDLL(paths[0])
+lib.scipy_openblas_get_num_threads64_.argtypes = []
+lib.scipy_openblas_get_num_threads64_.restype = ctypes.c_int
+print("openblas_threads", lib.scipy_openblas_get_num_threads64_())
+"""
+    env = {k: v for k, v in os.environ.items()
+           if k not in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS")}
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    done = subprocess.run([sys.executable, "-c", script], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.splitlines()[-1] == "openblas_threads 1"

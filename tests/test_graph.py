@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -24,14 +26,14 @@ def test_shape_trace_default_reproduces_published_dims():
 
 
 def test_shape_trace_small_input():
-    cfg = graph.clone_config(LfhnConfig(), input_height=67, input_width=67)
+    cfg = replace(LfhnConfig(), input_height=67, input_width=67)
     trace = dict(graph.shape_trace(cfg))
     assert trace["conv1"] == (15, 15, 96)
     assert trace["pool1"] == (7, 7, 96)
 
 
 def test_shape_trace_names_failing_node():
-    cfg = graph.clone_config(LfhnConfig(), input_height=8, input_width=8)
+    cfg = replace(LfhnConfig(), input_height=8, input_width=8)
     with pytest.raises(GraphConfigError, match="conv1"):
         graph.shape_trace(cfg)
 
@@ -59,8 +61,7 @@ def test_two_parallel_branches_leave_the_norm_node():
 
 
 def test_single_stream_config_is_valid():
-    cfg = graph.clone_config(graph.tiny_config(), streams=((4,),),
-                             post_concat_channels=3)
+    cfg = replace(graph.tiny_config(), streams=((4,),), post_concat_channels=3)
     net = graph.build_lfhn(cfg, seed=0)
     x = np.random.default_rng(0).uniform(size=(1, 8, 8, 3))
     logits, _ = graph.forward(net, x)
@@ -214,6 +215,37 @@ def test_checkpoint_rejects_truncation(tmp_path):
     blob = path.read_bytes()
     path.write_bytes(blob[: len(blob) // 2])
     with pytest.raises(CheckpointError, match="truncated"):
+        graph.load_checkpoint(path)
+
+
+def _config_block(blob):
+    """(start, end) byte offsets of the config text inside a checkpoint."""
+    length = int.from_bytes(blob[8:12], "little")
+    return 12, 12 + length
+
+
+def test_checkpoint_config_block_format_is_pinned(tmp_path):
+    path = tmp_path / "model.lfhn"
+    graph.save_checkpoint(graph.build_lfhn(graph.tiny_config(), seed=0), path)
+    blob = path.read_bytes()
+    start, end = _config_block(blob)
+    assert blob[start:end].decode("utf-8") == (
+        "input_height=8\ninput_width=8\ninput_channels=3\n"
+        "root_kernel=2\nroot_channels=4\nroot_stride=1\n"
+        "streams=4,6|5\npost_concat_channels=5\nfc_hidden=8\nnum_classes=3\n"
+        "relu_after_1x1=true\nrelu_after_hidden=true\n"
+        "lrn_size=3\nlrn_k=2.0\nlrn_alpha=0.01\nlrn_beta=0.75\nfrozen="
+    )
+
+
+def test_checkpoint_rejects_bad_bool_in_config(tmp_path):
+    path = tmp_path / "model.lfhn"
+    graph.save_checkpoint(graph.build_lfhn(graph.tiny_config(), seed=0), path)
+    blob = path.read_bytes()
+    start, end = _config_block(blob)
+    text = blob[start:end].replace(b"relu_after_1x1=true", b"relu_after_1x1=maybe")
+    path.write_bytes(blob[:8] + len(text).to_bytes(4, "little") + text + blob[end:])
+    with pytest.raises(CheckpointError, match="relu_after_1x1"):
         graph.load_checkpoint(path)
 
 

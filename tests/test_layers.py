@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from lfhn import layers
+from lfhn import layers, tensor
 from lfhn.layers import ConvParams, LrnParams
 
 from oracles import naive_conv, naive_maxpool, lrn_scalar, fd_grad, max_rel_err
@@ -93,33 +93,45 @@ def test_conv_backward_shape_mismatch():
         layers.conv_backward(np.zeros((1, 4, 4, 2)), p, np.zeros((1, 2, 2, 3)))
 
 
-# ---------------------------------------------------------------- conv1x1
+# ---------------------------------------------------------------- 1x1 conv
 
 def test_conv1x1_stream_dims():
     x = rng(7).uniform(size=(1, 27, 27, 96))
     p = ConvParams(rng(8).normal(size=(1, 1, 96, 200)) * 0.05, np.zeros(200))
-    assert layers.conv1x1_forward(x, p).shape == (1, 27, 27, 200)
+    assert layers.conv_forward(x, p).shape == (1, 27, 27, 200)
 
 
 def test_conv1x1_mixer_dims():
     x = rng(9).uniform(size=(1, 27, 27, 700))
     p = ConvParams(rng(10).normal(size=(1, 1, 700, 500)) * 0.02, np.zeros(500))
-    assert layers.conv1x1_forward(x, p).shape == (1, 27, 27, 500)
+    assert layers.conv_forward(x, p).shape == (1, 27, 27, 500)
 
 
 def test_conv1x1_bit_identical_to_general_conv():
     r = rng(11)
-    x = r.normal(size=(2, 4, 4, 3))
+    x = r.normal(size=(2, 4, 5, 3))
     p = ConvParams(r.normal(size=(1, 1, 3, 2)), r.normal(size=2))
-    fast = layers.conv1x1_forward(x, p)
-    general = layers.conv_forward(x, p)
-    assert np.array_equal(fast, general)
+    grad_out = r.normal(size=(2, 4, 5, 2))
+    cols = tensor.im2col(x, 1, 1).reshape(-1, 3)
+    g = grad_out.reshape(-1, 2)
+    kmat = p.kernel.reshape(3, 2)
+    lowered = (cols @ kmat + p.bias).reshape(grad_out.shape)
+    assert np.array_equal(layers.conv_forward(x, p), lowered)
+    gi, gk, gb = layers.conv_backward(x, p, grad_out)
+    assert np.array_equal(gi, tensor.col2im(g @ kmat.T, x.shape, 1, 1))
+    assert np.array_equal(gk, (cols.T @ g).reshape(p.kernel.shape))
+    assert np.array_equal(gb, grad_out.sum(axis=(0, 1, 2)))
 
 
-def test_conv1x1_rejects_larger_kernels():
-    p = ConvParams(np.zeros((3, 3, 2, 2)), np.zeros(2))
-    with pytest.raises(ValueError, match="1x1"):
-        layers.conv1x1_forward(np.zeros((1, 4, 4, 2)), p)
+@pytest.mark.parametrize("stride, pad", [(2, 0), (1, 1), (2, 1)])
+def test_conv1x1_with_stride_or_pad_matches_naive(stride, pad):
+    r = rng(12)
+    x = r.normal(size=(2, 5, 5, 3))
+    kernel, bias = r.normal(size=(1, 1, 3, 4)), r.normal(size=4)
+    got = layers.conv_forward(x, ConvParams(kernel, bias, stride, pad))
+    want = naive_conv(x, kernel, bias, stride, pad)
+    assert got.shape == want.shape
+    assert max_rel_err(got, want) < 1e-10
 
 
 # ---------------------------------------------------------------- relu

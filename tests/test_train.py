@@ -113,6 +113,19 @@ def test_train_lr_zero_keeps_parameters():
     assert max(losses) - min(losses) < 1e-12
 
 
+def test_train_stops_at_first_non_finite_loss(tmp_path):
+    samples = _toy_samples(2, 3, seed=6)
+    net = graph.build_lfhn(graph.tiny_config(), seed=7)
+    net.params["fc7.bias"][0] = np.inf
+    before = {k: v.copy() for k, v in net.params.items()}
+    log_path = tmp_path / "log.csv"
+    with pytest.raises(train.TrainingDiverged, match="epoch 0, batch 0"):
+        train.train(net, samples, TrainConfig(epochs=2, seed=8), log_path=log_path)
+    assert not log_path.exists()
+    for name in before:
+        assert np.array_equal(net.params[name], before[name])
+
+
 def test_train_reaches_full_accuracy_on_separable_toy_set():
     samples = _toy_samples(8, 2, seed=9)
     net = graph.build_lfhn(graph.tiny_config(num_classes=2), seed=10)
