@@ -10,7 +10,8 @@ the next free number), fully connected layers continue the numbering.
 
 from __future__ import annotations
 
-import io
+import contextlib
+import os
 import struct
 import typing
 from dataclasses import dataclass, fields
@@ -106,26 +107,48 @@ def desk_config(num_classes: int, channels: int = 1) -> LfhnConfig:
 
 @dataclass
 class Node:
+    """One template node; shape is its output without the batch axis."""
+
     name: str
     kind: str
     inputs: tuple
     attrs: dict
+    shape: tuple = ()
+
+
+def _tiled_extent(name, extent, window, stride):
+    """Output extent of conv1's or pool1's window, the only ones that can fail to tile."""
+    try:
+        return conv_extent(extent, window, stride, 0)
+    except ValueError as err:
+        raise GraphConfigError(f"{name}: {err}") from err
 
 
 def _architecture(cfg: LfhnConfig):
-    """Node list of the template, in topological order."""
-    nodes = [Node("input", "input", (), {})]
+    """Node list of the template in topological order, each node with its shape.
 
-    def add(name, kind, inputs, **attrs):
-        nodes.append(Node(name, kind, tuple(inputs), attrs))
+    Spatial nodes record (h, w, c) and the flatten/fc tail records (dim,).
+    Raises GraphConfigError naming the node whose extents do not work out.
+    """
+    nodes = [Node("input", "input", (), {},
+                  (cfg.input_height, cfg.input_width, cfg.input_channels))]
+
+    def add(name, kind, inputs, shape, **attrs):
+        nodes.append(Node(name, kind, tuple(inputs), attrs, shape))
         return name
 
-    prev = add("conv1", "conv", ["input"], kernel_hw=(cfg.root_kernel, cfg.root_kernel),
+    k, s = cfg.root_kernel, cfg.root_stride
+    hw = (_tiled_extent("conv1", cfg.input_height, k, s),
+          _tiled_extent("conv1", cfg.input_width, k, s))
+    root_shape = hw + (cfg.root_channels,)
+    prev = add("conv1", "conv", ["input"], root_shape, kernel_hw=(k, k),
                in_channels=cfg.input_channels, out_channels=cfg.root_channels,
-               stride=cfg.root_stride, pad=0)
-    prev = add("relu1", "relu", [prev])
-    prev = add("pool1", "maxpool", [prev], window=POOL_WINDOW, stride=POOL_STRIDE)
-    root = add("norm1", "lrn", [prev], params=cfg.lrn)
+               stride=s, pad=0)
+    prev = add("relu1", "relu", [prev], root_shape)
+    hw = tuple(_tiled_extent("pool1", e, POOL_WINDOW, POOL_STRIDE) for e in hw)
+    root_shape = hw + (cfg.root_channels,)
+    prev = add("pool1", "maxpool", [prev], root_shape, window=POOL_WINDOW, stride=POOL_STRIDE)
+    root = add("norm1", "lrn", [prev], root_shape, params=cfg.lrn)
 
     number = 2
     tails = []
@@ -134,32 +157,35 @@ def _architecture(cfg: LfhnConfig):
         channels = cfg.root_channels
         for width in widths:
             name = f"conv{number}"
-            add(name, "conv", [prev], kernel_hw=(1, 1), in_channels=channels,
+            add(name, "conv", [prev], hw + (width,), kernel_hw=(1, 1), in_channels=channels,
                 out_channels=width, stride=1, pad=0)
             prev = name
             if cfg.relu_after_1x1:
-                prev = add(f"relu{number}", "relu", [prev])
+                prev = add(f"relu{number}", "relu", [prev], hw + (width,))
             channels = width
             number += 1
         tails.append(prev)
 
-    prev = add("concat", "concat", tails)
+    prev = add("concat", "concat", tails, hw + (cfg.concat_channels,))
     mixer = f"conv{number}"
-    add(mixer, "conv", [prev], kernel_hw=(1, 1), in_channels=cfg.concat_channels,
+    mixed_shape = hw + (cfg.post_concat_channels,)
+    add(mixer, "conv", [prev], mixed_shape, kernel_hw=(1, 1), in_channels=cfg.concat_channels,
         out_channels=cfg.post_concat_channels, stride=1, pad=0)
     prev = mixer
     if cfg.relu_after_1x1:
-        prev = add(f"relu{number}", "relu", [prev])
+        prev = add(f"relu{number}", "relu", [prev], mixed_shape)
     number += 1
 
-    prev = add("flatten", "flatten", [prev])
+    flat = hw[0] * hw[1] * cfg.post_concat_channels
+    prev = add("flatten", "flatten", [prev], (flat,))
     hidden = f"fc{number}"
-    add(hidden, "fc", [prev], out_dim=cfg.fc_hidden)
+    add(hidden, "fc", [prev], (cfg.fc_hidden,), in_dim=flat, out_dim=cfg.fc_hidden)
     prev = hidden
     if cfg.relu_after_hidden:
-        prev = add(f"relu{number}", "relu", [prev])
+        prev = add(f"relu{number}", "relu", [prev], (cfg.fc_hidden,))
     number += 1
-    add(f"fc{number}", "fc", [prev], out_dim=cfg.num_classes)
+    add(f"fc{number}", "fc", [prev], (cfg.num_classes,), in_dim=cfg.fc_hidden,
+        out_dim=cfg.num_classes)
     return nodes
 
 
@@ -170,49 +196,11 @@ def shape_trace(cfg: LfhnConfig):
     flatten/fc tail reports (dim,). Raises GraphConfigError naming the node
     whose extents do not work out.
     """
-    shapes = {}
-    trace = []
-    for node in _architecture(cfg):
-        try:
-            if node.kind == "input":
-                shape = (cfg.input_height, cfg.input_width, cfg.input_channels)
-            elif node.kind == "conv":
-                h, w, c = shapes[node.inputs[0]]
-                if c != node.attrs["in_channels"]:
-                    raise ValueError(f"expected {node.attrs['in_channels']} channels, got {c}")
-                kh, kw = node.attrs["kernel_hw"]
-                shape = (conv_extent(h, kh, node.attrs["stride"], node.attrs["pad"]),
-                         conv_extent(w, kw, node.attrs["stride"], node.attrs["pad"]),
-                         node.attrs["out_channels"])
-            elif node.kind == "maxpool":
-                h, w, c = shapes[node.inputs[0]]
-                shape = (conv_extent(h, node.attrs["window"], node.attrs["stride"], 0),
-                         conv_extent(w, node.attrs["window"], node.attrs["stride"], 0),
-                         c)
-            elif node.kind in ("relu", "lrn"):
-                shape = shapes[node.inputs[0]]
-            elif node.kind == "concat":
-                parts = [shapes[i] for i in node.inputs]
-                lead = parts[0][:2]
-                if any(p[:2] != lead for p in parts):
-                    raise ValueError(f"spatial mismatch across streams: {parts}")
-                shape = lead + (sum(p[2] for p in parts),)
-            elif node.kind == "flatten":
-                shape = (int(np.prod(shapes[node.inputs[0]])),)
-            elif node.kind == "fc":
-                shape = (node.attrs["out_dim"],)
-            else:
-                raise ValueError(f"unknown node kind {node.kind!r}")
-        except ValueError as err:
-            raise GraphConfigError(f"{node.name}: {err}") from err
-        shapes[node.name] = shape
-        trace.append((node.name, shape))
-    return trace
+    return [(node.name, node.shape) for node in _architecture(cfg)]
 
 
 def parameter_shapes(cfg: LfhnConfig):
     """Registry layout {param_name: shape} implied by the configuration."""
-    shapes = dict(shape_trace(cfg))
     out = {}
     for node in _architecture(cfg):
         if node.kind == "conv":
@@ -221,14 +209,9 @@ def parameter_shapes(cfg: LfhnConfig):
                                           node.attrs["out_channels"])
             out[f"{node.name}.bias"] = (node.attrs["out_channels"],)
         elif node.kind == "fc":
-            in_dim = shapes[node.inputs[0]][0]
-            out[f"{node.name}.weight"] = (in_dim, node.attrs["out_dim"])
+            out[f"{node.name}.weight"] = (node.attrs["in_dim"], node.attrs["out_dim"])
             out[f"{node.name}.bias"] = (node.attrs["out_dim"],)
     return out
-
-
-def parameter_count(cfg: LfhnConfig) -> int:
-    return sum(int(np.prod(s)) for s in parameter_shapes(cfg).values())
 
 
 class NetworkGraph:
@@ -244,18 +227,15 @@ class NetworkGraph:
         self.nodes = list(nodes)
         self.params = dict(params)
         self.frozen = set(frozen)
-        self._by_name = {}
-        for i, node in enumerate(self.nodes):
-            if node.name in self._by_name:
+        seen = set()
+        for node in self.nodes:
+            if node.name in seen:
                 raise ValueError(f"duplicate node name {node.name!r}")
             for dep in node.inputs:
-                if dep not in self._by_name:
+                if dep not in seen:
                     raise ValueError(f"node {node.name!r} depends on {dep!r} "
                                      "which does not precede it")
-            self._by_name[node.name] = node
-
-    def node(self, name) -> Node:
-        return self._by_name[name]
+            seen.add(node.name)
 
     @property
     def output_name(self) -> str:
@@ -264,7 +244,6 @@ class NetworkGraph:
 
 def build_lfhn(cfg: LfhnConfig, seed: int = 0) -> NetworkGraph:
     """Construct the network with He-initialized kernels and zero biases."""
-    shape_trace(cfg)  # reject inconsistent widths before allocating
     rng = np.random.default_rng(seed)
     params = {}
     for name, shape in parameter_shapes(cfg).items():
@@ -431,74 +410,81 @@ def _config_from_block(text: str):
 
 
 def save_checkpoint(net: NetworkGraph, path):
-    """Write config plus every parameter tensor; the round trip is bit-exact."""
-    buf = io.BytesIO()
-    buf.write(CHECKPOINT_MAGIC)
-    buf.write(struct.pack("<I", CHECKPOINT_VERSION))
+    """Write config plus every parameter tensor; the round trip is bit-exact.
+
+    The records go to "<path>.tmp", which replaces path only once it is
+    complete, so a failed save leaves an earlier checkpoint at path intact.
+    """
     lines = [f"{key}={format_value(kind, getattr(net.config, key))}"
              for key, kind in field_types(LfhnConfig).items()]
     lines.append(f"frozen={','.join(sorted(net.frozen))}")
     config_blob = "\n".join(lines).encode("utf-8")
-    buf.write(struct.pack("<I", len(config_blob)))
-    buf.write(config_blob)
-    buf.write(struct.pack("<I", len(net.params)))
-    for name, arr in net.params.items():
-        encoded = name.encode("utf-8")
-        buf.write(struct.pack("<I", len(encoded)))
-        buf.write(encoded)
-        buf.write(struct.pack("<I", arr.ndim))
-        buf.write(struct.pack(f"<{arr.ndim}I", *arr.shape))
-        buf.write(np.ascontiguousarray(arr, dtype="<f8").tobytes())
-    with open(path, "wb") as fh:
-        fh.write(buf.getvalue())
+    tmp = os.fspath(path) + ".tmp"
+    try:
+        with open(tmp, "wb") as fh:
+            fh.write(CHECKPOINT_MAGIC)
+            fh.write(struct.pack("<I", CHECKPOINT_VERSION))
+            fh.write(struct.pack("<I", len(config_blob)))
+            fh.write(config_blob)
+            fh.write(struct.pack("<I", len(net.params)))
+            for name, arr in net.params.items():
+                encoded = name.encode("utf-8")
+                fh.write(struct.pack("<I", len(encoded)))
+                fh.write(encoded)
+                fh.write(struct.pack("<I", arr.ndim))
+                fh.write(struct.pack(f"<{arr.ndim}I", *arr.shape))
+                fh.write(np.ascontiguousarray(arr, dtype="<f8"))
+        os.replace(tmp, path)
+    except BaseException:
+        with contextlib.suppress(FileNotFoundError):
+            os.remove(tmp)
+        raise
 
 
 def load_checkpoint(path, num_classes=None) -> NetworkGraph:
     """Rebuild a saved network; optionally insist on a class count."""
     with open(path, "rb") as fh:
-        data = fh.read()
-    pos = 0
 
-    def take(n, what):
-        nonlocal pos
-        if pos + n > len(data):
-            raise CheckpointError(f"truncated checkpoint while reading {what}")
-        pos += n
-        return data[pos - n:pos]
+        def take(n, what):
+            data = fh.read(n)
+            if len(data) != n:
+                raise CheckpointError(f"truncated checkpoint while reading {what}")
+            return data
 
-    if take(4, "magic") != CHECKPOINT_MAGIC:
-        raise CheckpointError("bad magic bytes: not a checkpoint file")
-    (version,) = struct.unpack("<I", take(4, "version"))
-    if version != CHECKPOINT_VERSION:
-        raise CheckpointError(f"unsupported checkpoint version {version}")
-    (config_len,) = struct.unpack("<I", take(4, "config length"))
-    cfg, frozen = _config_from_block(take(config_len, "config").decode("utf-8"))
-    if num_classes is not None and cfg.num_classes != num_classes:
-        raise CheckpointError(
-            f"shape disagreement: checkpoint was built for {cfg.num_classes} "
-            f"classes, caller expects {num_classes}"
-        )
-    expected = parameter_shapes(cfg)
-    (count,) = struct.unpack("<I", take(4, "parameter count"))
-    if count != len(expected):
-        raise CheckpointError(f"checkpoint stores {count} parameters, "
-                              f"config implies {len(expected)}")
-    params = {}
-    for _ in range(count):
-        (name_len,) = struct.unpack("<I", take(4, "name length"))
-        name = take(name_len, "name").decode("utf-8")
-        if name not in expected:
-            raise CheckpointError(f"unexpected parameter {name!r}")
-        (ndim,) = struct.unpack("<I", take(4, "rank"))
-        shape = struct.unpack(f"<{ndim}I", take(4 * ndim, "shape"))
-        if shape != expected[name]:
-            raise CheckpointError(f"shape disagreement for {name!r}: file has "
-                                  f"{shape}, config implies {expected[name]}")
-        n_bytes = 8 * int(np.prod(shape))
-        arr = np.frombuffer(take(n_bytes, name), dtype="<f8").reshape(shape)
-        params[name] = np.ascontiguousarray(arr, dtype=DTYPE)
-    if pos != len(data):
-        raise CheckpointError("trailing bytes after the last parameter record")
+        if take(4, "magic") != CHECKPOINT_MAGIC:
+            raise CheckpointError("bad magic bytes: not a checkpoint file")
+        (version,) = struct.unpack("<I", take(4, "version"))
+        if version != CHECKPOINT_VERSION:
+            raise CheckpointError(f"unsupported checkpoint version {version}")
+        (config_len,) = struct.unpack("<I", take(4, "config length"))
+        cfg, frozen = _config_from_block(take(config_len, "config").decode("utf-8"))
+        if num_classes is not None and cfg.num_classes != num_classes:
+            raise CheckpointError(
+                f"shape disagreement: checkpoint was built for {cfg.num_classes} "
+                f"classes, caller expects {num_classes}"
+            )
+        expected = parameter_shapes(cfg)
+        (count,) = struct.unpack("<I", take(4, "parameter count"))
+        if count != len(expected):
+            raise CheckpointError(f"checkpoint stores {count} parameters, "
+                                  f"config implies {len(expected)}")
+        params = {}
+        for _ in range(count):
+            (name_len,) = struct.unpack("<I", take(4, "name length"))
+            name = take(name_len, "name").decode("utf-8")
+            if name not in expected:
+                raise CheckpointError(f"unexpected parameter {name!r}")
+            (ndim,) = struct.unpack("<I", take(4, "rank"))
+            shape = struct.unpack(f"<{ndim}I", take(4 * ndim, "shape"))
+            if shape != expected[name]:
+                raise CheckpointError(f"shape disagreement for {name!r}: file has "
+                                      f"{shape}, config implies {expected[name]}")
+            arr = np.empty(shape, dtype="<f8")
+            if fh.readinto(arr) != arr.nbytes:
+                raise CheckpointError(f"truncated checkpoint while reading {name}")
+            params[name] = arr
+        if fh.read(1):
+            raise CheckpointError("trailing bytes after the last parameter record")
     net = NetworkGraph(cfg, _architecture(cfg), params, frozen)
     missing = set(expected) - set(params)
     if missing:

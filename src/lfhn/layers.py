@@ -75,8 +75,6 @@ class PoolIndexMap:
 
     indices: np.ndarray
     input_shape: tuple
-    window: int
-    stride: int
 
 
 def _pointwise(p: ConvParams) -> bool:
@@ -159,20 +157,13 @@ def maxpool_forward(x, window=3, stride=2):
     if x.ndim != 4:
         raise ValueError(f"pool input must be rank 4, got shape {x.shape}")
     n, h, w, c = x.shape
-    ho = tensor.conv_extent(h, window, stride, 0)
-    wo = tensor.conv_extent(w, window, stride, 0)
-    oy = np.repeat(np.arange(ho) * stride, wo)
-    ox = np.tile(np.arange(wo) * stride, ho)
-    ky = np.repeat(np.arange(window), window)
-    kx = np.tile(np.arange(window), window)
-    spatial = (oy[:, None] + ky[None, :]) * w + (ox[:, None] + kx[None, :])
-    gathered = np.take(x.reshape(n, h * w, c), spatial.ravel(), axis=1)
-    gathered = gathered.reshape(n, ho * wo, window * window, c)
+    offsets, ho, wo = tensor.window_offsets(h, w, window, window, stride, 0)
+    gathered = tensor.im2col(x, window, window, stride).reshape(n, ho * wo, window * window, c)
     # first occurrence of the max is the lowest flat offset inside the window
     win = np.argmax(gathered, axis=2)
     out = np.take_along_axis(gathered, win[:, :, None, :], axis=2)[:, :, 0, :]
-    indices = spatial[np.arange(ho * wo)[None, :, None], win]
-    index_map = PoolIndexMap(indices.reshape(n, ho, wo, c), (n, h, w, c), window, stride)
+    indices = offsets[np.arange(ho * wo)[None, :, None], win]
+    index_map = PoolIndexMap(indices.reshape(n, ho, wo, c), (n, h, w, c))
     return out.reshape(n, ho, wo, c), index_map
 
 
@@ -293,10 +284,13 @@ def softmax_xent(logits, labels):
         raise ValueError(f"labels shape {labels.shape} does not match batch {n}")
     if labels.min() < 0 or labels.max() >= k:
         raise ValueError(f"label out of range [0, {k})")
-    probs = softmax(logits)
+    shifted = logits - logits.max(axis=-1, keepdims=True)
+    e = np.exp(shifted)
+    total = e.sum(axis=-1, keepdims=True)
     rows = np.arange(n)
-    loss = float(-np.log(probs[rows, labels]).mean())
-    grad = probs.copy()
+    # log-sum-exp stays finite where the label's softmax entry underflows to 0
+    loss = float((np.log(total[:, 0]) - shifted[rows, labels]).mean())
+    grad = e / total
     grad[rows, labels] -= 1.0
     grad /= n
     return loss, grad

@@ -53,11 +53,6 @@ def sgd_step(params, grads, velocity, lr, momentum):
     return params, velocity
 
 
-def mirror(image) -> np.ndarray:
-    """Horizontal flip of an (h, w, c) image."""
-    return np.ascontiguousarray(image[:, ::-1, :])
-
-
 def center_crop(image, target_h, target_w) -> np.ndarray:
     h, w = image.shape[:2]
     if target_h > h or target_w > w:

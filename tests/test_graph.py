@@ -49,14 +49,30 @@ def test_parameter_count_closed_form():
         + (27 * 27 * 500 * 512 + 512)
         + (512 * 337 + 337)
     )
-    assert graph.parameter_count(LfhnConfig(num_classes=337)) == expected
+    shapes = graph.parameter_shapes(LfhnConfig(num_classes=337))
+    assert sum(int(np.prod(s)) for s in shapes.values()) == expected
+
+
+@pytest.mark.parametrize("cfg", [
+    graph.tiny_config(),
+    graph.desk_config(10),
+    replace(graph.tiny_config(), streams=((4,),), post_concat_channels=3),
+    replace(graph.tiny_config(), relu_after_1x1=False, relu_after_hidden=False),
+], ids=["tiny", "desk", "single-stream", "no-relu"])
+def test_recorded_shapes_match_activations(cfg):
+    trace = graph.shape_trace(cfg)
+    net = graph.build_lfhn(cfg, seed=0)
+    x = np.random.default_rng(0).uniform(size=(1,) + dict(trace)["input"])
+    _, cache = graph.forward(net, x)
+    assert [(name, cache[name].shape[1:]) for name, _ in trace] == trace
+    assert {name: p.shape for name, p in net.params.items()} == graph.parameter_shapes(cfg)
 
 
 def test_two_parallel_branches_leave_the_norm_node():
     net = graph.build_lfhn(graph.tiny_config(), seed=0)
     consumers = [n.name for n in net.nodes if n.inputs == ("norm1",)]
     assert consumers == ["conv2", "conv4"]
-    concat = net.node("concat")
+    concat = next(n for n in net.nodes if n.name == "concat")
     assert concat.inputs == ("relu3", "relu4")
 
 
@@ -216,6 +232,35 @@ def test_checkpoint_rejects_truncation(tmp_path):
     path.write_bytes(blob[: len(blob) // 2])
     with pytest.raises(CheckpointError, match="truncated"):
         graph.load_checkpoint(path)
+
+
+def test_loaded_checkpoint_is_trainable(tmp_path):
+    path = tmp_path / "model.lfhn"
+    graph.save_checkpoint(graph.build_lfhn(graph.tiny_config(), seed=22), path)
+    net = graph.load_checkpoint(path)
+    assert all(p.flags.writeable for p in net.params.values())
+    x = np.random.default_rng(23).uniform(size=(2, 8, 8, 3))
+    logits, cache = graph.forward(net, x)
+    _, grad_logits = layers.softmax_xent(logits, [0, 2])
+    grads = graph.backward(net, cache, grad_logits)
+    before = {name: p.copy() for name, p in net.params.items()}
+    train.sgd_step(net.params, grads, {}, 0.1, 0.9)
+    assert not np.array_equal(net.params["fc7.weight"], before["fc7.weight"])
+
+
+def test_failed_save_keeps_earlier_checkpoint(tmp_path, monkeypatch):
+    path = tmp_path / "model.lfhn"
+    graph.save_checkpoint(graph.build_lfhn(graph.tiny_config(), seed=0), path)
+    earlier = path.read_bytes()
+
+    def fail(src, dst):
+        raise OSError("disk full")
+
+    monkeypatch.setattr(graph.os, "replace", fail)
+    with pytest.raises(OSError, match="disk full"):
+        graph.save_checkpoint(graph.build_lfhn(graph.tiny_config(), seed=1), path)
+    assert path.read_bytes() == earlier
+    assert [p.name for p in tmp_path.iterdir()] == ["model.lfhn"]
 
 
 def _config_block(blob):

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -380,6 +382,12 @@ def test_softmax_xent_uniform_logits():
 def test_softmax_xent_extreme_logits_stable():
     loss, grad = layers.softmax_xent(np.array([[1000.0, 0.0]]), [0])
     assert np.isfinite(loss) and loss < 1e-12
+    assert np.isfinite(grad).all()
+    # the label's softmax entry underflows to 0, but the loss stays finite
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        loss, grad = layers.softmax_xent(np.array([[0.0, 800.0]]), [0])
+    assert loss == 800.0
     assert np.isfinite(grad).all()
 
 

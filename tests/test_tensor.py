@@ -7,41 +7,41 @@ from oracles import naive_conv, max_rel_err
 
 
 def test_im2col_full_scale_dims():
-    x = np.random.default_rng(2).uniform(size=(227, 227, 3))
+    x = np.random.default_rng(2).uniform(size=(1, 227, 227, 3))
     cols = tensor.im2col(x, 11, 11, stride=4, pad=0)
-    assert cols.shape == (3025, 363)  # 55 * 55 outputs, 11 * 11 * 3 window
+    assert cols.shape == (1, 3025, 363)  # 55 * 55 outputs, 11 * 11 * 3 window
 
 
 def test_im2col_1x1_is_a_reshape():
-    x = np.random.default_rng(3).uniform(size=(6, 5, 4))
+    x = np.random.default_rng(3).uniform(size=(2, 6, 5, 4))
     cols = tensor.im2col(x, 1, 1, stride=1, pad=0)
-    assert np.array_equal(cols, x.reshape(30, 4))
+    assert np.array_equal(cols, x.reshape(2, 30, 4))
 
 
 def test_im2col_window_enumeration():
     # 3x3 single-channel input, 2x2 window, stride 1: four rows, checked
     # against an explicit window walk
-    x = np.arange(9.0).reshape(3, 3, 1)
+    x = np.arange(9.0).reshape(1, 3, 3, 1)
     cols = tensor.im2col(x, 2, 2, stride=1, pad=0)
-    assert cols.shape == (4, 4)
+    assert cols.shape == (1, 4, 4)
     expected = []
     for y in range(2):
         for xo in range(2):
-            expected.append(x[y:y + 2, xo:xo + 2, 0].reshape(-1))
-    assert np.array_equal(cols, np.array(expected))
+            expected.append(x[0, y:y + 2, xo:xo + 2, 0].reshape(-1))
+    assert np.array_equal(cols[0], np.array(expected))
 
 
 def test_im2col_pad_contributes_zeros():
-    x = np.ones((2, 2, 1))
+    x = np.ones((1, 2, 2, 1))
     cols = tensor.im2col(x, 3, 3, stride=1, pad=1)
-    assert cols.shape == (4, 9)
+    assert cols.shape == (1, 4, 9)
     # each 3x3 window over a padded 2x2 of ones covers exactly 4 ones
-    assert np.array_equal(cols.sum(axis=1), np.full(4, 4.0))
+    assert np.array_equal(cols[0].sum(axis=1), np.full(4, 4.0))
 
 
 def test_im2col_non_integral_extent_errors():
     with pytest.raises(ValueError, match="non-integral"):
-        tensor.im2col(np.zeros((6, 6, 1)), 3, 3, stride=2, pad=0)
+        tensor.im2col(np.zeros((1, 6, 6, 1)), 3, 3, stride=2, pad=0)
 
 
 def test_im2col_matmul_equals_naive_conv():
