@@ -80,7 +80,7 @@ def predict(net, images, batch_size=64) -> np.ndarray:
     """Identity decisions: argmax over the class logits, ties to lowest index."""
     predictions = []
     for start in range(0, len(images), batch_size):
-        logits, _ = graph.forward(net, images[start:start + batch_size])
+        logits = graph.forward(net, images[start:start + batch_size])[0]
         predictions.append(np.argmax(logits, axis=1))
     return np.concatenate(predictions)
 
@@ -104,7 +104,7 @@ def evaluate(net, samples, yaws=None, batch_size=64) -> RankTable:
         if image.shape[:2] != target:
             image = center_crop(image, *target)
         images.append(image)
-    images = np.stack(images).astype(DTYPE)
+    images = np.stack(images, dtype=DTYPE)
     return rank_table_from_predictions(predict(net, images, batch_size), samples, yaws)
 
 

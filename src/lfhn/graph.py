@@ -263,8 +263,9 @@ def _conv_params(net: NetworkGraph, node: Node) -> ConvParams:
 def forward(net: NetworkGraph, batch):
     """Run the graph on a batch, returning (logits, activation cache).
 
-    The cache maps node names to outputs; pool nodes additionally store their
-    index map under "<name>#index". backward() needs the full cache.
+    The cache maps node names to outputs; conv nodes additionally store their
+    lowered input rows under "<name>#rows" and pool nodes their index map
+    under "<name>#index". backward() needs the full cache.
     """
     x = np.asarray(batch, dtype=DTYPE)
     expected = (net.config.input_height, net.config.input_width, net.config.input_channels)
@@ -275,7 +276,8 @@ def forward(net: NetworkGraph, batch):
     for node in net.nodes[1:]:
         inputs = [cache[name] for name in node.inputs]
         if node.kind == "conv":
-            out = layers.conv_forward(inputs[0], _conv_params(net, node))
+            out, cache[f"{node.name}#rows"] = layers.conv_forward(inputs[0],
+                                                                  _conv_params(net, node))
         elif node.kind == "relu":
             out = layers.relu(inputs[0])
         elif node.kind == "maxpool":
@@ -321,8 +323,8 @@ def backward(net: NetworkGraph, cache, grad_logits):
         if node.kind == "conv":
             x = cache[node.inputs[0]]
             need_input = node.inputs[0] != "input"
-            gi, gk, gb = layers.conv_backward(x, _conv_params(net, node), g,
-                                              need_input_grad=need_input)
+            gi, gk, gb = layers.conv_backward(cache[f"{node.name}#rows"], x.shape,
+                                              _conv_params(net, node), g, need_input)
             if node.name not in net.frozen:
                 param_grads[f"{node.name}.kernel"] = gk
                 param_grads[f"{node.name}.bias"] = gb

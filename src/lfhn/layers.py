@@ -94,8 +94,12 @@ def _rows(x, p: ConvParams, ho, wo) -> np.ndarray:
     return tensor.im2col(x, kh, kw, p.stride, p.pad).reshape(n * ho * wo, kh * kw * cin)
 
 
-def conv_forward(x, p: ConvParams) -> np.ndarray:
-    """Convolve (n, h, w, cin) with p.kernel and add the bias."""
+def conv_forward(x, p: ConvParams):
+    """Convolve (n, h, w, cin) with p.kernel and add the bias.
+
+    Returns (out, rows): rows is the lowered input that conv_backward takes,
+    so the windows are gathered once per forward/backward pair.
+    """
     x = np.asarray(x, dtype=DTYPE)
     if x.ndim != 4:
         raise ValueError(f"conv input must be rank 4, got shape {x.shape}")
@@ -105,21 +109,21 @@ def conv_forward(x, p: ConvParams) -> np.ndarray:
         raise ValueError(f"input has {cin} channels but kernel expects {kcin}")
     ho = tensor.conv_extent(h, kh, p.stride, p.pad)
     wo = tensor.conv_extent(w, kw, p.stride, p.pad)
-    out = _rows(x, p, ho, wo) @ p.kernel.reshape(-1, cout)
+    rows = _rows(x, p, ho, wo)
+    out = rows @ p.kernel.reshape(-1, cout)
     out += p.bias
-    return out.reshape(n, ho, wo, cout)
+    return out.reshape(n, ho, wo, cout), rows
 
 
-def conv_backward(x, p: ConvParams, grad_out, need_input_grad=True):
-    """Adjoint of conv_forward.
+def conv_backward(rows, input_shape, p: ConvParams, grad_out, need_input_grad=True):
+    """Adjoint of conv_forward, given the rows it returned for an input of input_shape.
 
     Returns (grad_input, grad_kernel, grad_bias); grad_input is None when
     need_input_grad is False (the root layer of a network never needs it).
     """
-    x = np.asarray(x, dtype=DTYPE)
     grad_out = np.asarray(grad_out, dtype=DTYPE)
-    n, h, w, _ = x.shape
-    kh, kw, _, cout = p.kernel.shape
+    n, h, w, _ = input_shape
+    kh, kw, cin, cout = p.kernel.shape
     ho = tensor.conv_extent(h, kh, p.stride, p.pad)
     wo = tensor.conv_extent(w, kw, p.stride, p.pad)
     if grad_out.shape != (n, ho, wo, cout):
@@ -127,16 +131,19 @@ def conv_backward(x, p: ConvParams, grad_out, need_input_grad=True):
             f"grad_out shape {grad_out.shape} does not match forward output "
             f"{(n, ho, wo, cout)}"
         )
+    if rows.shape != (n * ho * wo, kh * kw * cin):
+        raise ValueError(f"rows shape {rows.shape} does not match input {tuple(input_shape)} "
+                         "and kernel; stale rows?")
     g = grad_out.reshape(n * ho * wo, cout)
-    grad_kernel = (_rows(x, p, ho, wo).T @ g).reshape(p.kernel.shape)
+    grad_kernel = (rows.T @ g).reshape(p.kernel.shape)
     grad_bias = grad_out.sum(axis=(0, 1, 2))
     grad_input = None
     if need_input_grad:
         gcols = g @ p.kernel.reshape(-1, cout).T
         if _pointwise(p):
-            grad_input = gcols.reshape(x.shape)
+            grad_input = gcols.reshape(input_shape)
         else:
-            grad_input = tensor.col2im(gcols, x.shape, kh, kw, p.stride, p.pad)
+            grad_input = tensor.col2im(gcols, input_shape, kh, kw, p.stride, p.pad)
     return grad_input, grad_kernel, grad_bias
 
 
@@ -157,14 +164,22 @@ def maxpool_forward(x, window=3, stride=2):
     if x.ndim != 4:
         raise ValueError(f"pool input must be rank 4, got shape {x.shape}")
     n, h, w, c = x.shape
-    offsets, ho, wo = tensor.window_offsets(h, w, window, window, stride, 0)
-    gathered = tensor.im2col(x, window, window, stride).reshape(n, ho * wo, window * window, c)
-    # first occurrence of the max is the lowest flat offset inside the window
-    win = np.argmax(gathered, axis=2)
-    out = np.take_along_axis(gathered, win[:, :, None, :], axis=2)[:, :, 0, :]
-    indices = offsets[np.arange(ho * wo)[None, :, None], win]
-    index_map = PoolIndexMap(indices.reshape(n, ho, wo, c), (n, h, w, c))
-    return out.reshape(n, ho, wo, c), index_map
+    ho = tensor.conv_extent(h, window, stride, 0)
+    wo = tensor.conv_extent(w, window, stride, 0)
+    # one strided view per window offset, keyed by its flat offset ky*w + kx
+    views = [(ky * w + kx, x[:, ky:ky + (ho - 1) * stride + 1:stride,
+                             kx:kx + (wo - 1) * stride + 1:stride])
+             for ky in range(window) for kx in range(window)]
+    out = views[0][1].copy()
+    for _, view in views[1:]:
+        np.maximum(out, view, out=out)
+    # scanning in reverse leaves the lowest flat offset that holds the max; a
+    # window whose max is nan matches nothing and keeps the last offset
+    indices = np.full(out.shape, views[-1][0], dtype=np.intp)
+    for offset, view in reversed(views[:-1]):
+        np.copyto(indices, offset, where=view == out)
+    indices += (np.arange(ho)[:, None] * (stride * w) + np.arange(wo) * stride)[:, :, None]
+    return out, PoolIndexMap(indices, (n, h, w, c))
 
 
 def maxpool_backward(index_map: PoolIndexMap, grad_out) -> np.ndarray:
@@ -259,14 +274,6 @@ def fc_backward(x, weight, grad_out):
     grad_bias = grad_out.sum(axis=0)
     grad_input = grad_out @ np.asarray(weight, dtype=DTYPE).T
     return grad_input, grad_weight, grad_bias
-
-
-def softmax(logits) -> np.ndarray:
-    """Row-wise softmax with max subtraction for overflow safety."""
-    logits = np.asarray(logits, dtype=DTYPE)
-    shifted = logits - logits.max(axis=-1, keepdims=True)
-    e = np.exp(shifted)
-    return e / e.sum(axis=-1, keepdims=True)
 
 
 def softmax_xent(logits, labels):

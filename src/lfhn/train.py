@@ -40,15 +40,21 @@ class TrainConfig:
 
 
 def sgd_step(params, grads, velocity, lr, momentum):
-    """In-place update: v <- momentum*v - lr*g; p <- p + v, per named tensor."""
+    """In-place update: v <- momentum*v - lr*g; p <- p + v, per named tensor.
+
+    Consumes grads: each gradient array is overwritten with lr*g, so the
+    update allocates no full-size temporary.
+    """
     for name, g in grads.items():
         if name not in params:
             raise KeyError(f"unknown parameter {name!r} in gradients")
         v = velocity.get(name)
         if v is None:
-            v = np.zeros_like(params[name])
-        v = momentum * v - lr * np.asarray(g, dtype=DTYPE)
-        velocity[name] = v
+            v = velocity[name] = np.zeros_like(params[name])
+        g = np.asarray(g, dtype=DTYPE)
+        v *= momentum
+        g *= lr
+        v -= g
         params[name] += v
     return params, velocity
 
@@ -93,7 +99,7 @@ def train(net, samples, cfg: TrainConfig, log_path=None):
     k = net.config.num_classes
     if labels.min() < 0 or labels.max() >= k:
         raise ValueError(f"label {labels.max()} out of range for {k} classes")
-    images = np.stack([s.image for s in samples]).astype(DTYPE)
+    images = np.stack([s.image for s in samples], dtype=DTYPE)
 
     if cfg.freeze_root:
         net.frozen.add("conv1")
@@ -125,6 +131,8 @@ def train(net, samples, cfg: TrainConfig, log_path=None):
             total_loss += loss * len(idx)
             grads = graph.backward(net, cache, grad_logits)
             sgd_step(net.params, grads, velocity, lr, cfg.momentum)
+            # free this batch's activations and gradients before the next forward
+            del cache, grads
         log.append((epoch, total_loss / n, correct / n))
     if log_path is not None:
         write_log(log, log_path)

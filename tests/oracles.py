@@ -38,6 +38,41 @@ def naive_maxpool(x, window, stride):
     return out
 
 
+def naive_im2col(x, kh, kw, stride=1, pad=0):
+    """Window rows in (kh, kw, c) order, one explicit window walk at a time."""
+    n, h, w, c = x.shape
+    ho = (h + 2 * pad - kh) // stride + 1
+    wo = (w + 2 * pad - kw) // stride + 1
+    xp = np.pad(x, ((0, 0), (pad, pad), (pad, pad), (0, 0)))
+    out = np.zeros((n, ho * wo, kh * kw * c))
+    for b in range(n):
+        for y in range(ho):
+            for xo in range(wo):
+                patch = xp[b, y * stride:y * stride + kh, xo * stride:xo * stride + kw, :]
+                out[b, y * wo + xo] = patch.reshape(-1)
+    return out
+
+
+def gather_maxpool(x, window, stride):
+    """Max pooling by gathering every window and taking its argmax.
+
+    Returns (out, winners) where winners holds flat spatial offsets
+    (row * width + col) into x; argmax keeps the first, so the lowest, offset
+    among tied maxima.
+    """
+    n, h, w, c = x.shape
+    ho = (h - window) // stride + 1
+    wo = (w - window) // stride + 1
+    rows = (np.arange(ho) * stride)[:, None, None, None] + np.arange(window)[None, None, :, None]
+    cols = (np.arange(wo) * stride)[None, :, None, None] + np.arange(window)[None, None, None, :]
+    offsets = (rows * w + cols).reshape(ho * wo, window * window)
+    gathered = np.take(x.reshape(n, h * w, c), offsets, axis=1)  # (n, ho*wo, k, c)
+    win = np.argmax(gathered, axis=2)
+    out = np.take_along_axis(gathered, win[:, :, None, :], axis=2)[:, :, 0, :]
+    winners = offsets[np.arange(ho * wo)[None, :, None], win]
+    return out.reshape(n, ho, wo, c), winners.reshape(n, ho, wo, c)
+
+
 def lrn_scalar(x, size, k, alpha, beta):
     """Per-element response normalization with explicit channel loops."""
     out = np.zeros_like(x)

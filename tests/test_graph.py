@@ -3,7 +3,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from lfhn import graph, layers, train
+from lfhn import graph, layers, tensor, train
 from lfhn.graph import CheckpointError, GraphConfigError, LfhnConfig
 
 from oracles import walk_graph, max_rel_err
@@ -97,7 +97,8 @@ def test_forward_zero_params_gives_uniform_softmax():
         net.params[name] = np.zeros_like(net.params[name])
     logits, _ = graph.forward(net, np.zeros((2, 8, 8, 3)))
     assert not logits.any()
-    assert np.allclose(layers.softmax(logits), 1.0 / 3.0)
+    loss, _ = layers.softmax_xent(logits, [0, 2])
+    assert loss == np.log(3.0)
 
 
 def test_forward_batch_independence():
@@ -127,6 +128,18 @@ def test_forward_deterministic_across_rebuilds():
     a, _ = graph.forward(graph.build_lfhn(graph.tiny_config(), seed=6), x)
     b, _ = graph.forward(graph.build_lfhn(graph.tiny_config(), seed=6), x)
     assert np.array_equal(a, b)
+
+
+def test_training_pass_gathers_root_windows_once(monkeypatch):
+    calls = []
+    im2col = tensor.im2col
+    monkeypatch.setattr(tensor, "im2col", lambda *a, **k: calls.append(a[1:]) or im2col(*a, **k))
+    net = graph.build_lfhn(graph.desk_config(10), seed=5)
+    logits, cache = graph.forward(net, np.random.default_rng(6).uniform(size=(2, 67, 67, 1)))
+    _, grad_logits = layers.softmax_xent(logits, [1, 7])
+    grads = graph.backward(net, cache, grad_logits)
+    assert calls == [(11, 11, 4, 0)]  # conv1's forward; its backward reuses the rows
+    assert set(grads) == set(net.params)
 
 
 def test_backward_zero_grad_logits():

@@ -7,7 +7,8 @@ from hypothesis import given, settings, strategies as st
 from lfhn import layers, tensor
 from lfhn.layers import ConvParams, LrnParams
 
-from oracles import naive_conv, naive_maxpool, lrn_scalar, fd_grad, max_rel_err
+from oracles import (naive_conv, naive_maxpool, gather_maxpool, lrn_scalar, fd_grad,
+                     max_rel_err)
 
 rng = np.random.default_rng
 
@@ -17,14 +18,15 @@ rng = np.random.default_rng
 def test_conv_full_scale_output_shape():
     x = rng(0).uniform(size=(1, 227, 227, 3))
     p = ConvParams(rng(1).normal(size=(11, 11, 3, 96)) * 0.01, np.zeros(96), stride=4)
-    out = layers.conv_forward(x, p)
+    out, rows = layers.conv_forward(x, p)
     assert out.shape == (1, 55, 55, 96)
+    assert rows.shape == (3025, 363)
 
 
 def test_conv_identity_kernel():
     x = rng(2).uniform(size=(2, 4, 4, 3))
     kernel = np.eye(3).reshape(1, 1, 3, 3)
-    out = layers.conv_forward(x, ConvParams(kernel, np.zeros(3)))
+    out, _ = layers.conv_forward(x, ConvParams(kernel, np.zeros(3)))
     assert np.array_equal(out, x)
 
 
@@ -33,7 +35,7 @@ def test_conv_matches_naive_oracle():
     x = r.normal(size=(2, 5, 5, 2))
     kernel = r.normal(size=(3, 3, 2, 4))
     bias = r.normal(size=4)
-    got = layers.conv_forward(x, ConvParams(kernel, bias, stride=1, pad=0))
+    got, _ = layers.conv_forward(x, ConvParams(kernel, bias, stride=1, pad=0))
     want = naive_conv(x, kernel, bias, 1, 0)
     assert max_rel_err(got, want) < 1e-10
 
@@ -55,7 +57,8 @@ def test_conv_backward_zero_grad():
     r = rng(4)
     x = r.normal(size=(1, 4, 4, 2))
     p = ConvParams(r.normal(size=(2, 2, 2, 3)), r.normal(size=3))
-    gi, gk, gb = layers.conv_backward(x, p, np.zeros((1, 3, 3, 3)))
+    _, rows = layers.conv_forward(x, p)
+    gi, gk, gb = layers.conv_backward(rows, x.shape, p, np.zeros((1, 3, 3, 3)))
     assert not gi.any() and not gk.any() and not gb.any()
 
 
@@ -65,7 +68,8 @@ def test_conv_backward_one_hot_grad_copies_patch():
     p = ConvParams(r.normal(size=(2, 2, 2, 1)), np.zeros(1))
     grad_out = np.zeros((1, 3, 3, 1))
     grad_out[0, 1, 2, 0] = 1.0
-    _, gk, gb = layers.conv_backward(x, p, grad_out)
+    _, rows = layers.conv_forward(x, p)
+    _, gk, gb = layers.conv_backward(rows, x.shape, p, grad_out)
     assert np.array_equal(gk[:, :, :, 0], x[0, 1:3, 2:4, :])
     assert gb[0] == 1.0
 
@@ -80,10 +84,10 @@ def test_conv_backward_matches_finite_differences():
     def loss_from(x_=None, k_=None, b_=None):
         p = ConvParams(kernel if k_ is None else k_, bias if b_ is None else b_,
                        stride=2, pad=1)
-        return float((layers.conv_forward(x if x_ is None else x_, p) * probe).sum())
+        return float((layers.conv_forward(x if x_ is None else x_, p)[0] * probe).sum())
 
     p = ConvParams(kernel, bias, stride=2, pad=1)
-    gi, gk, gb = layers.conv_backward(x, p, probe)
+    gi, gk, gb = layers.conv_backward(layers.conv_forward(x, p)[1], x.shape, p, probe)
     assert max_rel_err(gi, fd_grad(lambda v: loss_from(x_=v), x.copy())) < 1e-6
     assert max_rel_err(gk, fd_grad(lambda v: loss_from(k_=v), kernel.copy())) < 1e-6
     assert max_rel_err(gb, fd_grad(lambda v: loss_from(b_=v), bias.copy())) < 1e-6
@@ -91,8 +95,11 @@ def test_conv_backward_matches_finite_differences():
 
 def test_conv_backward_shape_mismatch():
     p = ConvParams(np.zeros((2, 2, 2, 3)), np.zeros(3))
+    rows = np.zeros((9, 8))  # (1 * 3 * 3, 2 * 2 * 2)
     with pytest.raises(ValueError, match="grad_out"):
-        layers.conv_backward(np.zeros((1, 4, 4, 2)), p, np.zeros((1, 2, 2, 3)))
+        layers.conv_backward(rows, (1, 4, 4, 2), p, np.zeros((1, 2, 2, 3)))
+    with pytest.raises(ValueError, match="stale rows"):
+        layers.conv_backward(rows, (1, 5, 5, 2), p, np.zeros((1, 4, 4, 3)))
 
 
 # ---------------------------------------------------------------- 1x1 conv
@@ -100,13 +107,13 @@ def test_conv_backward_shape_mismatch():
 def test_conv1x1_stream_dims():
     x = rng(7).uniform(size=(1, 27, 27, 96))
     p = ConvParams(rng(8).normal(size=(1, 1, 96, 200)) * 0.05, np.zeros(200))
-    assert layers.conv_forward(x, p).shape == (1, 27, 27, 200)
+    assert layers.conv_forward(x, p)[0].shape == (1, 27, 27, 200)
 
 
 def test_conv1x1_mixer_dims():
     x = rng(9).uniform(size=(1, 27, 27, 700))
     p = ConvParams(rng(10).normal(size=(1, 1, 700, 500)) * 0.02, np.zeros(500))
-    assert layers.conv_forward(x, p).shape == (1, 27, 27, 500)
+    assert layers.conv_forward(x, p)[0].shape == (1, 27, 27, 500)
 
 
 def test_conv1x1_bit_identical_to_general_conv():
@@ -118,8 +125,10 @@ def test_conv1x1_bit_identical_to_general_conv():
     g = grad_out.reshape(-1, 2)
     kmat = p.kernel.reshape(3, 2)
     lowered = (cols @ kmat + p.bias).reshape(grad_out.shape)
-    assert np.array_equal(layers.conv_forward(x, p), lowered)
-    gi, gk, gb = layers.conv_backward(x, p, grad_out)
+    out, rows = layers.conv_forward(x, p)
+    assert np.array_equal(out, lowered)
+    assert np.shares_memory(rows, x)  # a pointwise kernel's rows are a view of x
+    gi, gk, gb = layers.conv_backward(rows, x.shape, p, grad_out)
     assert np.array_equal(gi, tensor.col2im(g @ kmat.T, x.shape, 1, 1))
     assert np.array_equal(gk, (cols.T @ g).reshape(p.kernel.shape))
     assert np.array_equal(gb, grad_out.sum(axis=(0, 1, 2)))
@@ -130,7 +139,7 @@ def test_conv1x1_with_stride_or_pad_matches_naive(stride, pad):
     r = rng(12)
     x = r.normal(size=(2, 5, 5, 3))
     kernel, bias = r.normal(size=(1, 1, 3, 4)), r.normal(size=4)
-    got = layers.conv_forward(x, ConvParams(kernel, bias, stride, pad))
+    got, _ = layers.conv_forward(x, ConvParams(kernel, bias, stride, pad))
     want = naive_conv(x, kernel, bias, stride, pad)
     assert got.shape == want.shape
     assert max_rel_err(got, want) < 1e-10
@@ -197,6 +206,26 @@ def test_maxpool_tie_breaks_to_lowest_flat_index():
     x = np.zeros((1, 3, 3, 1))
     _, index_map = layers.maxpool_forward(x)
     assert index_map.indices[0, 0, 0, 0] == 0
+
+
+@pytest.mark.parametrize("case, window, stride", [
+    ("relu", 3, 2), ("relu", 3, 3), ("equal", 3, 2), ("equal", 3, 3), ("levels", 3, 2),
+    ("normal", 2, 1),
+])
+def test_maxpool_matches_gather_argmax(case, window, stride):
+    r = rng(19)
+    shape = (2, 12, 12, 3) if stride == 3 else (2, 11, 11, 3)
+    x = {
+        "relu": np.maximum(r.normal(size=shape) - 0.8, 0.0),  # mostly zero windows
+        "equal": np.full(shape, 0.5),
+        "levels": r.integers(0, 3, size=shape).astype(float),  # ties at the max
+        "normal": r.normal(size=shape),
+    }[case]
+    out, index_map = layers.maxpool_forward(x, window, stride)
+    want_out, want_winners = gather_maxpool(x, window, stride)
+    assert np.array_equal(out, naive_maxpool(x, window, stride))
+    assert np.array_equal(out, want_out)
+    assert np.array_equal(index_map.indices, want_winners)
 
 
 def test_maxpool_too_small_errors():
@@ -418,8 +447,8 @@ def test_softmax_xent_label_out_of_range():
 @given(st.integers(0, 2 ** 31))
 @settings(max_examples=50, deadline=None)
 def test_softmax_probabilities_sum_to_one(seed):
+    # the gradient is (softmax - onehot) / n, so its rows sum to 0
     logits = np.random.default_rng(seed).normal(scale=10.0, size=(3, 7))
-    probs = layers.softmax(logits)
-    assert np.abs(probs.sum(axis=1) - 1.0).max() < 1e-12
-    loss, _ = layers.softmax_xent(logits, [0, 1, 2])
+    loss, grad = layers.softmax_xent(logits, [0, 1, 2])
+    assert np.abs(grad.sum(axis=1)).max() < 1e-12
     assert loss >= 0.0

@@ -3,7 +3,7 @@ import pytest
 
 from lfhn import tensor
 
-from oracles import naive_conv, max_rel_err
+from oracles import naive_conv, naive_im2col, max_rel_err
 
 
 def test_im2col_full_scale_dims():
@@ -29,6 +29,20 @@ def test_im2col_window_enumeration():
         for xo in range(2):
             expected.append(x[0, y:y + 2, xo:xo + 2, 0].reshape(-1))
     assert np.array_equal(cols[0], np.array(expected))
+
+
+@pytest.mark.parametrize("shape, kh, kw, stride, pad", [
+    ((2, 7, 7, 3), 3, 3, 2, 0),
+    ((2, 7, 7, 3), 3, 3, 2, 1),
+    ((1, 6, 5, 2), 2, 3, 1, 1),
+    ((3, 9, 9, 1), 3, 3, 3, 0),
+    ((2, 15, 15, 3), 11, 11, 4, 0),
+    ((2, 5, 5, 4), 1, 1, 2, 1),
+])
+def test_im2col_matches_window_walk(shape, kh, kw, stride, pad):
+    x = np.random.default_rng(6).normal(size=shape)
+    assert np.array_equal(tensor.im2col(x, kh, kw, stride, pad),
+                          naive_im2col(x, kh, kw, stride, pad))
 
 
 def test_im2col_pad_contributes_zeros():
