@@ -214,6 +214,9 @@ def cmd_eval(args):
         table = evaluate(net, samples)
     except ValueError as err:
         return _error(str(err), EXIT_MISMATCH)
+    if table.absent:
+        print(f"note: pose bins {', '.join(map(str, table.absent))} have no samples; "
+              "excluded from the mean", file=sys.stderr)
     print(format_table(table, args.style))
     if args.out:
         with open(args.out, "w", encoding="utf-8") as fh:

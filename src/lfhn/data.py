@@ -305,8 +305,9 @@ def generate_corpus(out_dir, n_identities, poses=None, lights=None, seed=0,
 def load_corpus(directory):
     """Load every PGM/PPM in lexicographic filename order.
 
-    Filenames must follow id{I}_p{P}_l{L}.(pgm|ppm); anything else raises
-    with the offending name. Pixels are normalized to [0, 1].
+    Filenames must follow id{I}_p{P}_l{L}.(pgm|ppm), and every image must
+    have the first one's shape; anything else raises with the offending
+    name. Pixels are normalized to [0, 1].
     """
     names = sorted(n for n in os.listdir(directory)
                    if n.endswith((".pgm", ".ppm")))
@@ -319,6 +320,9 @@ def load_corpus(directory):
                 "naming convention"
             )
         image = read_image(os.path.join(directory, name))
+        if samples and image.shape != samples[0].image.shape:
+            raise ValueError(f"file {name!r} has image shape {image.shape}, but the "
+                             f"first file {names[0]!r} has {samples[0].image.shape}")
         samples.append(LabeledSample(image, int(match.group(1)),
                                      int(match.group(2)), int(match.group(3))))
     return samples

@@ -1,9 +1,8 @@
-"""Rank-1 identification rates sliced per pose bin (and per light)."""
+"""Rank-1 identification rates sliced per pose bin."""
 
 from __future__ import annotations
 
-import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -27,10 +26,14 @@ class PoseBin:
 
 @dataclass
 class RankTable:
-    """Per-pose rank-1 rates ordered by ascending yaw, plus the bin mean."""
+    """Per-pose rank-1 rates ordered by ascending yaw, plus the bin mean.
+
+    absent lists, in ascending order, the pose ids of the yaw mapping that had
+    no samples; they are excluded from the mean.
+    """
 
     bins: list
-    by_pose_light: dict = field(default_factory=dict)  # (pose_id, light_id) -> (correct, total)
+    absent: tuple = ()
 
     @property
     def mean_pct(self) -> float:
@@ -48,9 +51,9 @@ def rank_table_from_predictions(predictions, samples, yaws=None) -> RankTable:
     """Count rank-1 hits per pose bin from precomputed identity predictions.
 
     yaws maps pose ids to yaw labels; ids missing from the mapping fall back
-    to the id itself. When a mapped pose has no samples it is reported as
-    absent (excluded from the mean) with a warning. The mean is the
-    unweighted average over the present bins.
+    to the id itself. A mapped pose with no samples is listed in the table's
+    absent field and excluded from the mean. The mean is the unweighted
+    average over the present bins.
     """
     predictions = np.asarray(predictions)
     if len(predictions) != len(samples):
@@ -58,22 +61,16 @@ def rank_table_from_predictions(predictions, samples, yaws=None) -> RankTable:
     if yaws is None:
         yaws = default_yaws()
     per_pose = {}
-    by_pose_light = {}
     for pred, sample in zip(predictions, samples):
         hit = int(pred) == sample.identity
         correct, total = per_pose.get(sample.pose_id, (0, 0))
         per_pose[sample.pose_id] = (correct + hit, total + 1)
-        key = (sample.pose_id, sample.light_id)
-        correct, total = by_pose_light.get(key, (0, 0))
-        by_pose_light[key] = (correct + hit, total + 1)
-    for pose_id in sorted(set(yaws) - set(per_pose)):
-        warnings.warn(f"pose bin {pose_id} has no samples; excluded from the mean")
     bins = [
         PoseBin(pose_id, float(yaws.get(pose_id, pose_id)), total, correct)
         for pose_id, (correct, total) in per_pose.items()
     ]
     bins.sort(key=lambda b: (b.yaw_deg, b.pose_id))
-    return RankTable(bins, by_pose_light)
+    return RankTable(bins, tuple(sorted(set(yaws) - set(per_pose))))
 
 
 def predict(net, images, batch_size=64) -> np.ndarray:

@@ -251,7 +251,9 @@ def build_lfhn(cfg: LfhnConfig, seed: int = 0) -> NetworkGraph:
             params[name] = np.zeros(shape, dtype=DTYPE)
         else:
             fan_in = int(np.prod(shape[:-1]))
-            params[name] = rng.normal(0.0, np.sqrt(2.0 / fan_in), shape).astype(DTYPE)
+            # normal() already draws float64; copy=False keeps one fc6-sized array
+            std = np.sqrt(2.0 / fan_in)
+            params[name] = rng.normal(0.0, std, shape).astype(DTYPE, copy=False)
     return NetworkGraph(cfg, _architecture(cfg), params)
 
 
@@ -264,8 +266,7 @@ def forward(net: NetworkGraph, batch):
     """Run the graph on a batch, returning (logits, activation cache).
 
     The cache maps node names to outputs; conv nodes additionally store their
-    lowered input rows under "<name>#rows" and pool nodes their index map
-    under "<name>#index". backward() needs the full cache.
+    lowered input rows under "<name>#rows". backward() needs the full cache.
     """
     x = np.asarray(batch, dtype=DTYPE)
     expected = (net.config.input_height, net.config.input_width, net.config.input_channels)
@@ -281,9 +282,7 @@ def forward(net: NetworkGraph, batch):
         elif node.kind == "relu":
             out = layers.relu(inputs[0])
         elif node.kind == "maxpool":
-            out, index_map = layers.maxpool_forward(inputs[0], node.attrs["window"],
-                                                    node.attrs["stride"])
-            cache[f"{node.name}#index"] = index_map
+            out = layers.maxpool_forward(inputs[0], node.attrs["window"], node.attrs["stride"])
         elif node.kind == "lrn":
             out = layers.lrn_forward(inputs[0], node.attrs["params"])
         elif node.kind == "concat":
@@ -335,7 +334,8 @@ def backward(net: NetworkGraph, cache, grad_logits):
                         layers.relu_backward(cache[node.inputs[0]], g))
         elif node.kind == "maxpool":
             _accumulate(node_grads, node.inputs[0],
-                        layers.maxpool_backward(cache[f"{node.name}#index"], g))
+                        layers.maxpool_backward(cache[node.inputs[0]], cache[node.name], g,
+                                                node.attrs["window"], node.attrs["stride"]))
         elif node.kind == "lrn":
             _accumulate(node_grads, node.inputs[0],
                         layers.lrn_backward(cache[node.inputs[0]], node.attrs["params"], g))

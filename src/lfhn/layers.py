@@ -65,18 +65,6 @@ class LrnParams:
             raise ValueError("beta must be > 0")
 
 
-@dataclass
-class PoolIndexMap:
-    """Winning input position per pooled output element.
-
-    indices holds flat spatial offsets (row * width + col) into the input of
-    the matching forward call; ties were broken to the lowest offset.
-    """
-
-    indices: np.ndarray
-    input_shape: tuple
-
-
 def _pointwise(p: ConvParams) -> bool:
     """A 1x1 kernel at stride 1 and pad 0 reads every pixel exactly once."""
     return p.kernel.shape[:2] == (1, 1) and p.stride == 1 and p.pad == 0
@@ -158,40 +146,61 @@ def relu_backward(x, grad_out) -> np.ndarray:
     return np.asarray(grad_out, dtype=DTYPE) * (x > 0.0)
 
 
-def maxpool_forward(x, window=3, stride=2):
-    """Channel-wise max over spatial windows; also returns the winner map."""
+def _pool_views(x, window, stride, ho, wo):
+    """One strided view of x per window offset, keyed by its flat offset ky*w + kx."""
+    w = x.shape[2]
+    return [(ky * w + kx, x[:, ky:ky + (ho - 1) * stride + 1:stride,
+                            kx:kx + (wo - 1) * stride + 1:stride])
+            for ky in range(window) for kx in range(window)]
+
+
+def maxpool_forward(x, window=3, stride=2) -> np.ndarray:
+    """Channel-wise max over spatial windows; maxpool_backward finds the winners."""
     x = np.asarray(x, dtype=DTYPE)
     if x.ndim != 4:
         raise ValueError(f"pool input must be rank 4, got shape {x.shape}")
-    n, h, w, c = x.shape
+    _, h, w, _ = x.shape
     ho = tensor.conv_extent(h, window, stride, 0)
     wo = tensor.conv_extent(w, window, stride, 0)
-    # one strided view per window offset, keyed by its flat offset ky*w + kx
-    views = [(ky * w + kx, x[:, ky:ky + (ho - 1) * stride + 1:stride,
-                             kx:kx + (wo - 1) * stride + 1:stride])
-             for ky in range(window) for kx in range(window)]
+    views = _pool_views(x, window, stride, ho, wo)
     out = views[0][1].copy()
     for _, view in views[1:]:
         np.maximum(out, view, out=out)
+    return out
+
+
+def pool_winners(x, out, window, stride) -> np.ndarray:
+    """Flat spatial offset (row * width + col) into x of each pooled max in out.
+
+    Ties go to the lowest offset; a window whose max is nan keeps its last offset.
+    """
+    _, ho, wo, _ = out.shape
+    views = _pool_views(x, window, stride, ho, wo)
     # scanning in reverse leaves the lowest flat offset that holds the max; a
     # window whose max is nan matches nothing and keeps the last offset
     indices = np.full(out.shape, views[-1][0], dtype=np.intp)
     for offset, view in reversed(views[:-1]):
         np.copyto(indices, offset, where=view == out)
-    indices += (np.arange(ho)[:, None] * (stride * w) + np.arange(wo) * stride)[:, :, None]
-    return out, PoolIndexMap(indices, (n, h, w, c))
+    indices += (np.arange(ho)[:, None] * (stride * x.shape[2])
+                + np.arange(wo) * stride)[:, :, None]
+    return indices
 
 
-def maxpool_backward(index_map: PoolIndexMap, grad_out) -> np.ndarray:
-    """Route gradient to the winning positions, accumulating across overlaps."""
+def maxpool_backward(x, out, grad_out, window=3, stride=2) -> np.ndarray:
+    """Adjoint of maxpool_forward(x) = out: route gradient to each window's
+    winner, accumulating across overlaps."""
+    x = np.asarray(x, dtype=DTYPE)
+    out = np.asarray(out, dtype=DTYPE)
     grad_out = np.asarray(grad_out, dtype=DTYPE)
-    if grad_out.shape != index_map.indices.shape:
+    n, h, w, c = x.shape
+    pooled = (n, tensor.conv_extent(h, window, stride, 0),
+              tensor.conv_extent(w, window, stride, 0), c)
+    if grad_out.shape != pooled or out.shape != pooled:
         raise ValueError(
-            f"grad_out shape {grad_out.shape} does not match index map "
-            f"{index_map.indices.shape}; stale index map?"
+            f"grad_out shape {grad_out.shape} and output shape {out.shape} must match "
+            f"the pooled input {pooled}; stale?"
         )
-    n, h, w, c = index_map.input_shape
-    idx = index_map.indices.reshape(n, -1, c)
+    idx = pool_winners(x, out, window, stride).reshape(n, -1, c)
     gidx = (np.arange(n)[:, None, None] * (h * w) + idx) * c + np.arange(c)[None, None, :]
     acc = np.bincount(gidx.ravel(), weights=grad_out.reshape(n, -1, c).ravel(),
                       minlength=n * h * w * c)

@@ -131,11 +131,11 @@ def test_criterion_2_gradient_correctness():
                     xl.copy())) < 1e-6
         # pool (random values keep windows clear of ties)
         xp = r.normal(size=(1, 5, 5, 2))
-        outp, index_map = layers.maxpool_forward(xp)
+        outp = layers.maxpool_forward(xp)
         probep = r.normal(size=outp.shape)
         assert max_rel_err(
-            layers.maxpool_backward(index_map, probep),
-            fd_grad(lambda v: float((layers.maxpool_forward(v)[0] * probep).sum()),
+            layers.maxpool_backward(xp, outp, probep),
+            fd_grad(lambda v: float((layers.maxpool_forward(v) * probep).sum()),
                     xp.copy())) < 1e-6
         # softmax cross-entropy
         logits = r.normal(size=(1, 10))

@@ -157,6 +157,38 @@ def test_eval_paper_style_and_split(tmp_path, small_corpus, capsys):
     assert out[1].split()[0] == "Rank-1"
 
 
+def test_eval_lists_absent_pose_bins_on_one_line(tmp_path, small_corpus, capsys):
+    model = tmp_path / "model.lfhn"
+    cli.main(["train", "--data", str(small_corpus), "--out", str(model),
+              "--epochs", "1", "--seed", "3"])
+    capsys.readouterr()
+    rc = cli.main(["eval", "--model", str(model), "--data", str(small_corpus),
+                   "--split", "holdout-pose:0,12"])
+    assert rc == 0
+    captured = capsys.readouterr()
+    absent = ", ".join(str(p) for p in range(1, 12))
+    assert captured.err.splitlines() == [
+        f"note: pose bins {absent} have no samples; excluded from the mean"]
+    assert [line.split(",")[0] for line in captured.out.splitlines()] == [
+        "pose_id", "0", "12", "mean"]
+
+
+def test_train_on_mixed_shape_corpus_exits_3_naming_the_file(tmp_path, small_corpus, capsys):
+    big = tmp_path / "big"
+    assert cli.main(["gen-data", "--ids", "3", "--out", str(big),
+                     "--size", "67", "--seed", "5"]) == 0
+    odd = "id002_p00_l00.pgm"  # sorts after every file of the 2-identity 35x35 corpus
+    (small_corpus / odd).write_bytes((big / odd).read_bytes())
+    capsys.readouterr()
+    rc = cli.main(["train", "--data", str(small_corpus), "--out", str(tmp_path / "model.lfhn"),
+                   "--epochs", "1"])
+    assert rc == 3
+    assert odd in capsys.readouterr().err
+    assert not (tmp_path / "model.lfhn").exists()
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning",
+                            "ignore:invalid value encountered:RuntimeWarning")
 def test_divergent_training_exits_1_without_checkpoint(tmp_path, small_corpus, capsys):
     model = tmp_path / "model.lfhn"
     rc = cli.main(["train", "--data", str(small_corpus), "--out", str(model),

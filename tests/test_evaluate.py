@@ -71,25 +71,13 @@ def test_sample_order_does_not_change_rates():
     assert base.mean_pct == shuffled.mean_pct
 
 
-def test_per_pose_light_matrix_row_averages_to_pose_rate():
-    rng = np.random.default_rng(2)
-    samples = _grid_samples(5, range(4), range(6))  # balanced bins
-    predictions = rng.integers(0, 5, size=len(samples))
-    table = ev.rank_table_from_predictions(predictions, samples,
-                                           yaws={p: float(p) for p in range(4)})
-    for b in table.bins:
-        cells = [100.0 * c / t for (p, _), (c, t) in table.by_pose_light.items()
-                 if p == b.pose_id]
-        assert len(cells) == 6
-        assert abs(np.mean(cells) - b.rank1_pct) < 1e-9
-
-
 def test_absent_roster_bin_warns_and_is_excluded():
     samples = _grid_samples(2, [0, 2], [0])
-    with pytest.warns(UserWarning, match="pose bin 1"):
-        table = ev.rank_table_from_predictions([0] * len(samples), samples,
-                                               yaws={0: -90.0, 1: 0.0, 2: 90.0})
+    table = ev.rank_table_from_predictions([0] * len(samples), samples,
+                                           yaws={0: -90.0, 1: 0.0, 2: 90.0, 3: 45.0})
+    assert table.absent == (1, 3)
     assert [b.pose_id for b in table.bins] == [0, 2]
+    assert table.mean_pct == 50.0
 
 
 def test_bins_ordered_by_ascending_yaw():

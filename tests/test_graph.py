@@ -3,7 +3,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from lfhn import graph, layers, tensor, train
+from lfhn import evaluate, graph, layers, tensor, train
 from lfhn.graph import CheckpointError, GraphConfigError, LfhnConfig
 
 from oracles import walk_graph, max_rel_err
@@ -140,6 +140,27 @@ def test_training_pass_gathers_root_windows_once(monkeypatch):
     grads = graph.backward(net, cache, grad_logits)
     assert calls == [(11, 11, 4, 0)]  # conv1's forward; its backward reuses the rows
     assert set(grads) == set(net.params)
+
+
+def test_only_the_backward_pass_selects_pool_winners(monkeypatch):
+    net = graph.build_lfhn(graph.desk_config(10), seed=5)
+    x = np.random.default_rng(6).uniform(size=(2, 67, 67, 1))
+    winners = layers.pool_winners
+
+    def refuse(*args):
+        raise AssertionError("inference selected pool winners")
+
+    monkeypatch.setattr(layers, "pool_winners", refuse)
+    assert evaluate.predict(net, x).shape == (2,)
+    calls = []
+    monkeypatch.setattr(layers, "pool_winners",
+                        lambda *a: calls.append(a[2:]) or winners(*a))
+    logits, cache = graph.forward(net, x)
+    assert calls == []
+    _, grad_logits = layers.softmax_xent(logits, [1, 7])
+    graph.backward(net, cache, grad_logits)
+    assert calls == [(n.attrs["window"], n.attrs["stride"])
+                     for n in net.nodes if n.kind == "maxpool"]
 
 
 def test_backward_zero_grad_logits():

@@ -176,27 +176,28 @@ def test_relu_subgradient_zero_at_zero():
 
 def test_maxpool_full_scale_dims():
     x = rng(14).uniform(size=(1, 55, 55, 96))
-    out, _ = layers.maxpool_forward(x)
+    out = layers.maxpool_forward(x)
     assert out.shape == (1, 27, 27, 96)
 
 
 def test_maxpool_constant_input():
     x = np.full((1, 5, 5, 2), 3.25)
-    out, _ = layers.maxpool_forward(x)
+    out = layers.maxpool_forward(x)
     assert np.all(out == 3.25)
 
 
 def test_maxpool_matches_window_enumeration():
     x = rng(15).normal(size=(2, 7, 7, 2))
-    out, index_map = layers.maxpool_forward(x)
+    out = layers.maxpool_forward(x)
     assert np.array_equal(out, naive_maxpool(x, 3, 2))
-    # every recorded winner lies inside its own window
-    n, ho, wo, c = index_map.indices.shape
+    # every winner lies inside its own window
+    winners = layers.pool_winners(x, out, 3, 2)
+    n, ho, wo, c = winners.shape
     for b in range(n):
         for y in range(ho):
             for xo in range(wo):
                 for ch in range(c):
-                    flat = index_map.indices[b, y, xo, ch]
+                    flat = winners[b, y, xo, ch]
                     row, col = divmod(int(flat), 7)
                     assert y * 2 <= row < y * 2 + 3
                     assert xo * 2 <= col < xo * 2 + 3
@@ -204,8 +205,16 @@ def test_maxpool_matches_window_enumeration():
 
 def test_maxpool_tie_breaks_to_lowest_flat_index():
     x = np.zeros((1, 3, 3, 1))
-    _, index_map = layers.maxpool_forward(x)
-    assert index_map.indices[0, 0, 0, 0] == 0
+    winners = layers.pool_winners(x, layers.maxpool_forward(x), 3, 2)
+    assert winners[0, 0, 0, 0] == 0
+
+
+def test_maxpool_nan_window_keeps_last_offset():
+    x = np.zeros((1, 3, 3, 1))
+    x[0, 1, 1, 0] = np.nan
+    out = layers.maxpool_forward(x)
+    assert np.isnan(out[0, 0, 0, 0])
+    assert layers.pool_winners(x, out, 3, 2)[0, 0, 0, 0] == 8
 
 
 @pytest.mark.parametrize("case, window, stride", [
@@ -221,11 +230,11 @@ def test_maxpool_matches_gather_argmax(case, window, stride):
         "levels": r.integers(0, 3, size=shape).astype(float),  # ties at the max
         "normal": r.normal(size=shape),
     }[case]
-    out, index_map = layers.maxpool_forward(x, window, stride)
+    out = layers.maxpool_forward(x, window, stride)
     want_out, want_winners = gather_maxpool(x, window, stride)
     assert np.array_equal(out, naive_maxpool(x, window, stride))
     assert np.array_equal(out, want_out)
-    assert np.array_equal(index_map.indices, want_winners)
+    assert np.array_equal(layers.pool_winners(x, out, window, stride), want_winners)
 
 
 def test_maxpool_too_small_errors():
@@ -235,8 +244,8 @@ def test_maxpool_too_small_errors():
 
 def test_maxpool_backward_non_overlapping_ones():
     x = rng(16).normal(size=(1, 9, 9, 1))
-    out, index_map = layers.maxpool_forward(x, window=3, stride=3)
-    grad_in = layers.maxpool_backward(index_map, np.ones_like(out))
+    out = layers.maxpool_forward(x, window=3, stride=3)
+    grad_in = layers.maxpool_backward(x, out, np.ones_like(out), window=3, stride=3)
     assert grad_in.sum() == out.size
     assert ((grad_in == 0) | (grad_in == 1)).all()
     for y in range(3):
@@ -246,20 +255,24 @@ def test_maxpool_backward_non_overlapping_ones():
 
 def test_maxpool_backward_zeros_and_stale_map():
     x = rng(17).normal(size=(1, 5, 5, 2))
-    out, index_map = layers.maxpool_forward(x)
-    assert not layers.maxpool_backward(index_map, np.zeros_like(out)).any()
-    with pytest.raises(ValueError, match="stale|match"):
-        layers.maxpool_backward(index_map, np.zeros((1, 3, 3, 2)))
+    out = layers.maxpool_forward(x)
+    assert not layers.maxpool_backward(x, out, np.zeros_like(out)).any()
+    with pytest.raises(ValueError, match="stale"):
+        layers.maxpool_backward(x, out, np.zeros((1, 3, 3, 2)))
+    with pytest.raises(ValueError, match="stale"):
+        layers.maxpool_backward(x, out[:, :1], np.zeros_like(out))
+    with pytest.raises(ValueError, match="stale"):
+        layers.maxpool_backward(x[:, :3], out, np.zeros_like(out))
 
 
 def test_maxpool_backward_matches_finite_differences():
     r = rng(18)
     x = r.normal(size=(1, 5, 5, 2))
-    out, index_map = layers.maxpool_forward(x)
+    out = layers.maxpool_forward(x)
     # regenerate until every window has a clear gap between max and runner-up
     probe = r.normal(size=out.shape)
-    grad = layers.maxpool_backward(index_map, probe)
-    numeric = fd_grad(lambda v: float((layers.maxpool_forward(v)[0] * probe).sum()),
+    grad = layers.maxpool_backward(x, out, probe)
+    numeric = fd_grad(lambda v: float((layers.maxpool_forward(v) * probe).sum()),
                       x.copy())
     assert max_rel_err(grad, numeric) < 1e-6
 

@@ -2,8 +2,9 @@
 
 perfbench/tracing.py attributes every layer call inside graph.forward and
 graph.backward to the node whose turn it is and raises TraceError on a
-mismatch. Running a forward/backward and a training step under its tracer
-here makes a graph change that would break the traced run fail in pytest.
+mismatch. Running a forward/backward, a training step and an evaluation
+under its tracer here makes a graph change that would break the traced run
+fail in pytest.
 """
 
 import importlib.util
@@ -50,5 +51,8 @@ def test_graph_passes_and_training_step_satisfy_the_tracer(monkeypatch):
         timed += time.perf_counter() - t0
         t0 = time.perf_counter()
         train.train(net, samples, train.TrainConfig(batch_size=32, epochs=1))
+        timed += time.perf_counter() - t0
+        t0 = time.perf_counter()
+        evaluate.evaluate(net, samples)  # desk-train's read side
         timed += time.perf_counter() - t0
     tracer.check({0: timed})

@@ -108,6 +108,7 @@ def test_train_lr_zero_keeps_parameters():
     assert max(losses) - min(losses) < 1e-12
 
 
+@pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
 def test_train_stops_at_first_non_finite_loss(tmp_path):
     samples = _toy_samples(2, 3, seed=6)
     net = graph.build_lfhn(graph.tiny_config(), seed=7)
