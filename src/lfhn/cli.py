@@ -105,12 +105,18 @@ def _build_model_config(values, graph_mod, sample=None):
     return graph_mod.LfhnConfig(**kwargs)
 
 
+def _positive_int(text):
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
+    return value
+
+
 def _apply_threads(args):
-    threads = getattr(args, "threads", None)
-    if threads:
+    if args.threads is not None:
         for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS",
                     "NUMEXPR_NUM_THREADS"):
-            os.environ[var] = str(threads)
+            os.environ[var] = str(args.threads)
 
 
 def _error(message, code):
@@ -205,11 +211,6 @@ def cmd_eval(args):
         if not samples:
             return _error(f"split {args.split!r} left nothing to evaluate",
                           EXIT_MISMATCH)
-    worst = max(s.identity for s in samples)
-    if worst >= net.config.num_classes:
-        return _error(
-            f"model was trained for {net.config.num_classes} classes but the "
-            f"corpus contains identity {worst}", EXIT_MISMATCH)
     try:
         table = evaluate(net, samples)
     except ValueError as err:
@@ -254,9 +255,12 @@ def cmd_gradcheck(args):
     images = rng.uniform(0.0, 1.0, (2, cfg.input_height, cfg.input_width,
                                     cfg.input_channels))
     labels = rng.integers(0, cfg.num_classes, size=2)
-    report = train_mod.grad_check(net, images, labels, epsilon=args.epsilon,
-                                  max_per_tensor=args.samples, seed=seed,
-                                  param_filter=_layer_predicate(args.layer))
+    try:
+        report = train_mod.grad_check(net, images, labels, epsilon=args.epsilon,
+                                      max_per_tensor=args.samples, seed=seed,
+                                      param_filter=_layer_predicate(args.layer))
+    except ValueError as err:
+        return _error(str(err), EXIT_USAGE)
     if not report.checks:
         return _error(f"no parameters match layer filter {args.layer!r}", EXIT_USAGE)
     for line in report.format_lines():
@@ -302,7 +306,7 @@ def build_parser():
                     "generation, training, evaluation, checking",
     )
     common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--threads", type=int, default=None,
+    common.add_argument("--threads", type=_positive_int, default=None,
                         help="pin BLAS thread pools (1 = fully deterministic path)")
     common.add_argument("--seed", type=int, default=None,
                         help="random seed (falls back to LFHN_SEED, then 0)")

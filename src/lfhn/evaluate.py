@@ -93,7 +93,8 @@ def evaluate(net, samples, yaws=None, batch_size=64) -> RankTable:
     k = net.config.num_classes
     worst = max(s.identity for s in samples)
     if worst >= k:
-        raise ValueError(f"label {worst} out of range for {k} classes")
+        raise ValueError(f"model was trained for {k} classes but the corpus contains "
+                         f"identity {worst}, a label out of range")
     target = (net.config.input_height, net.config.input_width)
     images = []
     for s in samples:

@@ -6,6 +6,9 @@ normalized root features, channel concatenation, one more 1x1 convolution,
 flatten, a hidden fully connected layer and the class logits. Convolutions
 are numbered in build order (conv1 is the root, the post-concat mixer gets
 the next free number), fully connected layers continue the numbering.
+
+All per-kind code lives in one table, OPS: each node kind's forward and
+backward step. Nodes record their output and parameter shapes when built.
 """
 
 from __future__ import annotations
@@ -14,7 +17,7 @@ import contextlib
 import os
 import struct
 import typing
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -114,6 +117,7 @@ class Node:
     inputs: tuple
     attrs: dict
     shape: tuple = ()
+    param_shapes: dict = field(default_factory=dict)  # role -> shape of "<name>.<role>"
 
 
 def _tiled_extent(name, extent, window, stride):
@@ -133,17 +137,21 @@ def _architecture(cfg: LfhnConfig):
     nodes = [Node("input", "input", (), {},
                   (cfg.input_height, cfg.input_width, cfg.input_channels))]
 
-    def add(name, kind, inputs, shape, **attrs):
-        nodes.append(Node(name, kind, tuple(inputs), attrs, shape))
+    def add(name, kind, inputs, shape, param_shapes=None, **attrs):
+        nodes.append(Node(name, kind, tuple(inputs), attrs, shape, param_shapes or {}))
         return name
+
+    def add_conv(name, prev, shape, kernel, in_channels, stride):
+        out = shape[-1]
+        return add(name, "conv", [prev], shape,
+                   {"kernel": (kernel, kernel, in_channels, out), "bias": (out,)},
+                   stride=stride, pad=0)
 
     k, s = cfg.root_kernel, cfg.root_stride
     hw = (_tiled_extent("conv1", cfg.input_height, k, s),
           _tiled_extent("conv1", cfg.input_width, k, s))
     root_shape = hw + (cfg.root_channels,)
-    prev = add("conv1", "conv", ["input"], root_shape, kernel_hw=(k, k),
-               in_channels=cfg.input_channels, out_channels=cfg.root_channels,
-               stride=s, pad=0)
+    prev = add_conv("conv1", "input", root_shape, k, cfg.input_channels, s)
     prev = add("relu1", "relu", [prev], root_shape)
     hw = tuple(_tiled_extent("pool1", e, POOL_WINDOW, POOL_STRIDE) for e in hw)
     root_shape = hw + (cfg.root_channels,)
@@ -156,10 +164,7 @@ def _architecture(cfg: LfhnConfig):
         prev = root
         channels = cfg.root_channels
         for width in widths:
-            name = f"conv{number}"
-            add(name, "conv", [prev], hw + (width,), kernel_hw=(1, 1), in_channels=channels,
-                out_channels=width, stride=1, pad=0)
-            prev = name
+            prev = add_conv(f"conv{number}", prev, hw + (width,), 1, channels, 1)
             if cfg.relu_after_1x1:
                 prev = add(f"relu{number}", "relu", [prev], hw + (width,))
             channels = width
@@ -167,25 +172,21 @@ def _architecture(cfg: LfhnConfig):
         tails.append(prev)
 
     prev = add("concat", "concat", tails, hw + (cfg.concat_channels,))
-    mixer = f"conv{number}"
     mixed_shape = hw + (cfg.post_concat_channels,)
-    add(mixer, "conv", [prev], mixed_shape, kernel_hw=(1, 1), in_channels=cfg.concat_channels,
-        out_channels=cfg.post_concat_channels, stride=1, pad=0)
-    prev = mixer
+    prev = add_conv(f"conv{number}", prev, mixed_shape, 1, cfg.concat_channels, 1)
     if cfg.relu_after_1x1:
         prev = add(f"relu{number}", "relu", [prev], mixed_shape)
     number += 1
 
     flat = hw[0] * hw[1] * cfg.post_concat_channels
     prev = add("flatten", "flatten", [prev], (flat,))
-    hidden = f"fc{number}"
-    add(hidden, "fc", [prev], (cfg.fc_hidden,), in_dim=flat, out_dim=cfg.fc_hidden)
-    prev = hidden
+    prev = add(f"fc{number}", "fc", [prev], (cfg.fc_hidden,),
+               {"weight": (flat, cfg.fc_hidden), "bias": (cfg.fc_hidden,)})
     if cfg.relu_after_hidden:
         prev = add(f"relu{number}", "relu", [prev], (cfg.fc_hidden,))
     number += 1
-    add(f"fc{number}", "fc", [prev], (cfg.num_classes,), in_dim=cfg.fc_hidden,
-        out_dim=cfg.num_classes)
+    add(f"fc{number}", "fc", [prev], (cfg.num_classes,),
+        {"weight": (cfg.fc_hidden, cfg.num_classes), "bias": (cfg.num_classes,)})
     return nodes
 
 
@@ -201,17 +202,8 @@ def shape_trace(cfg: LfhnConfig):
 
 def parameter_shapes(cfg: LfhnConfig):
     """Registry layout {param_name: shape} implied by the configuration."""
-    out = {}
-    for node in _architecture(cfg):
-        if node.kind == "conv":
-            kh, kw = node.attrs["kernel_hw"]
-            out[f"{node.name}.kernel"] = (kh, kw, node.attrs["in_channels"],
-                                          node.attrs["out_channels"])
-            out[f"{node.name}.bias"] = (node.attrs["out_channels"],)
-        elif node.kind == "fc":
-            out[f"{node.name}.weight"] = (node.attrs["in_dim"], node.attrs["out_dim"])
-            out[f"{node.name}.bias"] = (node.attrs["out_dim"],)
-    return out
+    return {f"{node.name}.{role}": shape for node in _architecture(cfg)
+            for role, shape in node.param_shapes.items()}
 
 
 class NetworkGraph:
@@ -219,7 +211,7 @@ class NetworkGraph:
 
     Parameters of node names listed in `frozen` receive no gradient entries
     from backward(). The node list is topologically ordered by construction
-    and validated on creation.
+    and validated on creation: each node after the input needs an OPS entry.
     """
 
     def __init__(self, config, nodes, params, frozen=()):
@@ -236,6 +228,9 @@ class NetworkGraph:
                     raise ValueError(f"node {node.name!r} depends on {dep!r} "
                                      "which does not precede it")
             seen.add(node.name)
+        for node in self.nodes[1:]:
+            if node.kind not in OPS:
+                raise ValueError(f"node {node.name!r} has unknown kind {node.kind!r}")
 
     @property
     def output_name(self) -> str:
@@ -262,6 +257,48 @@ def _conv_params(net: NetworkGraph, node: Node) -> ConvParams:
                       node.attrs["stride"], node.attrs["pad"])
 
 
+def _conv_forward(net, node, xs, cache):
+    out, cache[f"{node.name}#rows"] = layers.conv_forward(xs[0], _conv_params(net, node))
+    return out
+
+
+def _conv_backward(net, node, xs, cache, g):
+    gi, gk, gb = layers.conv_backward(cache[f"{node.name}#rows"], xs[0].shape,
+                                      _conv_params(net, node), g, node.inputs[0] != "input")
+    return [gi], {"kernel": gk, "bias": gb}
+
+
+def _fc_backward(net, node, xs, cache, g):
+    gi, gw, gb = layers.fc_backward(xs[0], net.params[f"{node.name}.weight"], g)
+    return [gi], {"weight": gw, "bias": gb}
+
+
+# {kind: (forward step, backward step)}. forward(net, node, xs, cache) returns
+# the node's output from its input tensors xs; backward(net, node, xs, cache, g)
+# returns the gradients of xs (None where not needed) and the parameter
+# gradients by role. Layers and parameters are looked up at call time, so that
+# patches and rebound arrays take effect. Pool attrs are maxpool's keywords.
+OPS = {
+    "conv": (_conv_forward, _conv_backward),
+    "relu": (lambda net, node, xs, cache: layers.relu(xs[0]),
+             lambda net, node, xs, cache, g: ([layers.relu_backward(xs[0], g)], {})),
+    "maxpool": (lambda net, node, xs, cache: layers.maxpool_forward(xs[0], **node.attrs),
+                lambda net, node, xs, cache, g: (
+                    [layers.maxpool_backward(xs[0], cache[node.name], g, **node.attrs)], {})),
+    "lrn": (lambda net, node, xs, cache: layers.lrn_forward(xs[0], node.attrs["params"]),
+            lambda net, node, xs, cache, g: (
+                [layers.lrn_backward(xs[0], node.attrs["params"], g)], {})),
+    "concat": (lambda net, node, xs, cache: layers.concat_channels(xs),
+               lambda net, node, xs, cache, g: (
+                   layers.split_channels(g, [x.shape[-1] for x in xs]), {})),
+    "flatten": (lambda net, node, xs, cache: xs[0].reshape(xs[0].shape[0], -1),
+                lambda net, node, xs, cache, g: ([g.reshape(xs[0].shape)], {})),
+    "fc": (lambda net, node, xs, cache: layers.fc_forward(
+               xs[0], net.params[f"{node.name}.weight"], net.params[f"{node.name}.bias"]),
+           _fc_backward),
+}
+
+
 def forward(net: NetworkGraph, batch):
     """Run the graph on a batch, returning (logits, activation cache).
 
@@ -275,34 +312,9 @@ def forward(net: NetworkGraph, batch):
                          f"(n, {expected[0]}, {expected[1]}, {expected[2]})")
     cache = {"input": x}
     for node in net.nodes[1:]:
-        inputs = [cache[name] for name in node.inputs]
-        if node.kind == "conv":
-            out, cache[f"{node.name}#rows"] = layers.conv_forward(inputs[0],
-                                                                  _conv_params(net, node))
-        elif node.kind == "relu":
-            out = layers.relu(inputs[0])
-        elif node.kind == "maxpool":
-            out = layers.maxpool_forward(inputs[0], node.attrs["window"], node.attrs["stride"])
-        elif node.kind == "lrn":
-            out = layers.lrn_forward(inputs[0], node.attrs["params"])
-        elif node.kind == "concat":
-            out = layers.concat_channels(inputs)
-        elif node.kind == "flatten":
-            out = inputs[0].reshape(inputs[0].shape[0], -1)
-        elif node.kind == "fc":
-            out = layers.fc_forward(inputs[0], net.params[f"{node.name}.weight"],
-                                    net.params[f"{node.name}.bias"])
-        else:
-            raise ValueError(f"unknown node kind {node.kind!r}")
-        cache[node.name] = out
+        xs = [cache[name] for name in node.inputs]
+        cache[node.name] = OPS[node.kind][0](net, node, xs, cache)
     return cache[net.output_name], cache
-
-
-def _accumulate(grads, name, value):
-    if name in grads:
-        grads[name] = grads[name] + value
-    else:
-        grads[name] = value
 
 
 def backward(net: NetworkGraph, cache, grad_logits):
@@ -319,39 +331,14 @@ def backward(net: NetworkGraph, cache, grad_logits):
         g = node_grads.pop(node.name, None)
         if g is None:
             continue
-        if node.kind == "conv":
-            x = cache[node.inputs[0]]
-            need_input = node.inputs[0] != "input"
-            gi, gk, gb = layers.conv_backward(cache[f"{node.name}#rows"], x.shape,
-                                              _conv_params(net, node), g, need_input)
-            if node.name not in net.frozen:
-                param_grads[f"{node.name}.kernel"] = gk
-                param_grads[f"{node.name}.bias"] = gb
-            if need_input:
-                _accumulate(node_grads, node.inputs[0], gi)
-        elif node.kind == "relu":
-            _accumulate(node_grads, node.inputs[0],
-                        layers.relu_backward(cache[node.inputs[0]], g))
-        elif node.kind == "maxpool":
-            _accumulate(node_grads, node.inputs[0],
-                        layers.maxpool_backward(cache[node.inputs[0]], cache[node.name], g,
-                                                node.attrs["window"], node.attrs["stride"]))
-        elif node.kind == "lrn":
-            _accumulate(node_grads, node.inputs[0],
-                        layers.lrn_backward(cache[node.inputs[0]], node.attrs["params"], g))
-        elif node.kind == "concat":
-            extents = [cache[name].shape[-1] for name in node.inputs]
-            for name, part in zip(node.inputs, layers.split_channels(g, extents)):
-                _accumulate(node_grads, name, part)
-        elif node.kind == "flatten":
-            _accumulate(node_grads, node.inputs[0], g.reshape(cache[node.inputs[0]].shape))
-        elif node.kind == "fc":
-            x = cache[node.inputs[0]]
-            gi, gw, gb = layers.fc_backward(x, net.params[f"{node.name}.weight"], g)
-            if node.name not in net.frozen:
-                param_grads[f"{node.name}.weight"] = gw
-                param_grads[f"{node.name}.bias"] = gb
-            _accumulate(node_grads, node.inputs[0], gi)
+        xs = [cache[name] for name in node.inputs]
+        input_grads, grads = OPS[node.kind][1](net, node, xs, cache, g)
+        for name, gi in zip(node.inputs, input_grads):
+            if gi is not None:
+                node_grads[name] = node_grads[name] + gi if name in node_grads else gi
+        if node.name not in net.frozen:
+            for role, value in grads.items():
+                param_grads[f"{node.name}.{role}"] = value
     return param_grads
 
 

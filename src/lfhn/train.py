@@ -182,7 +182,9 @@ class GradReport:
 
 
 def relative_error(a: float, b: float) -> float:
-    return abs(a - b) / max(abs(a), abs(b), 1e-8)
+    """|a - b| over the larger magnitude, or inf where a nan or inf input makes that nan."""
+    err = abs(a - b) / max(abs(a), abs(b), 1e-8)
+    return np.inf if np.isnan(err) else err
 
 
 def randomize_biases(net, seed=0, scale=0.1):
@@ -209,8 +211,13 @@ def grad_check(net, images, labels, epsilon=1e-5, max_per_tensor=32, seed=0,
     predicate on the parameter name) at most max_per_tensor elements are
     sampled; smaller tensors are checked exhaustively. The loss is the mean
     softmax cross-entropy on the given batch. Cost is two forward passes per
-    checked element, so use a tiny configuration.
+    checked element, so use a tiny configuration. Raises ValueError for
+    settings that would check nothing.
     """
+    if max_per_tensor < 1:
+        raise ValueError(f"max_per_tensor must be >= 1, got {max_per_tensor}")
+    if epsilon == 0 or not np.isfinite(epsilon):
+        raise ValueError(f"epsilon must be finite and non-zero, got {epsilon}")
     images = np.asarray(images, dtype=DTYPE)
     labels = np.asarray(labels, dtype=np.int64)
 

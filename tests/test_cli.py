@@ -120,6 +120,20 @@ def test_gradcheck_detects_corrupted_backward(monkeypatch, capsys):
     assert "FAILED" in capsys.readouterr().out
 
 
+def test_gradcheck_fails_on_nan_backward(monkeypatch, capsys):
+    lrn_backward = layers.lrn_backward
+    monkeypatch.setattr(layers, "lrn_backward", lambda *a: lrn_backward(*a) * np.nan)
+    assert cli.main(["gradcheck", "--samples", "4", "--seed", "1"]) == 1
+    assert "FAILED: max relative error inf" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("flags", [["--samples", "0"], ["--samples", "-1"],
+                                   ["--epsilon", "0"], ["--epsilon", "nan"]])
+def test_gradcheck_rejects_settings_that_check_nothing(flags, capsys):
+    assert cli.main(["gradcheck", *flags]) == 2
+    assert "error:" in capsys.readouterr().err
+
+
 # ---------------------------------------------------------------- train / eval
 
 def test_train_then_eval_round_trip(tmp_path, small_corpus, capsys):
@@ -199,7 +213,7 @@ def test_divergent_training_exits_1_without_checkpoint(tmp_path, small_corpus, c
     assert not (tmp_path / "model.lfhn.log.csv").exists()
 
 
-def test_eval_class_count_mismatch_exits_3(tmp_path, small_corpus):
+def test_eval_class_count_mismatch_exits_3(tmp_path, small_corpus, capsys):
     model = tmp_path / "model.lfhn"
     cfg = replace(graph.tiny_config(num_classes=1),
                   input_height=35, input_width=35, input_channels=1,
@@ -208,6 +222,8 @@ def test_eval_class_count_mismatch_exits_3(tmp_path, small_corpus):
     graph.save_checkpoint(net, model)
     rc = cli.main(["eval", "--model", str(model), "--data", str(small_corpus)])
     assert rc == 3
+    err = capsys.readouterr().err
+    assert "trained for 1 classes" in err and "identity 1" in err
 
 
 def test_eval_rejects_corrupt_model(tmp_path, small_corpus):
@@ -305,6 +321,15 @@ def test_threads_flag_sets_env(monkeypatch):
     assert cli.main(["shapes", "--threads", "1"]) == 0
     assert os.environ["OMP_NUM_THREADS"] == "1"
     assert os.environ["OPENBLAS_NUM_THREADS"] == "1"
+
+
+@pytest.mark.parametrize("threads", ["0", "-2"])
+def test_threads_below_one_exits_2(threads, monkeypatch):
+    monkeypatch.delenv("OPENBLAS_NUM_THREADS", raising=False)
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["shapes", "--threads", threads])
+    assert exc.value.code == 2
+    assert "OPENBLAS_NUM_THREADS" not in os.environ
 
 
 def test_threads_flag_reaches_openblas():

@@ -163,6 +163,14 @@ def test_only_the_backward_pass_selects_pool_winners(monkeypatch):
                      for n in net.nodes if n.kind == "maxpool"]
 
 
+def test_network_graph_rejects_kind_without_op():
+    net = graph.build_lfhn(graph.tiny_config(), seed=7)
+    last = net.nodes[-1]
+    nodes = net.nodes[:-1] + [replace(last, kind="softmax")]
+    with pytest.raises(ValueError, match=f"{last.name!r}.*'softmax'"):
+        graph.NetworkGraph(net.config, nodes, net.params)
+
+
 def test_backward_zero_grad_logits():
     net = graph.build_lfhn(graph.tiny_config(), seed=7)
     x = np.random.default_rng(8).uniform(size=(1, 8, 8, 3))

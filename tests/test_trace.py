@@ -27,6 +27,13 @@ def _load_tracing(monkeypatch):
     return module
 
 
+def test_every_op_kind_is_known_to_the_tracer(monkeypatch):
+    # a kind missing from the tracer's call lists fails every traced run
+    tracing = _load_tracing(monkeypatch)
+    calling = set(graph.OPS) - tracing.NO_CALL_KINDS
+    assert calling == set(tracing.FORWARD_CALLS) == set(tracing.BACKWARD_CALLS)
+
+
 def test_graph_passes_and_training_step_satisfy_the_tracer(monkeypatch):
     tracing = _load_tracing(monkeypatch)
     modules = {"data": data, "evaluate": evaluate, "graph": graph, "layers": layers,

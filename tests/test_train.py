@@ -237,7 +237,7 @@ def test_grad_check_single_fc_network_is_near_exact():
     cfg = graph.tiny_config(num_classes=3)
     nodes = [Node("input", "input", (), {}),
              Node("flatten", "flatten", ("input",), {}),
-             Node("fc1", "fc", ("flatten",), {"out_dim": 3})]
+             Node("fc1", "fc", ("flatten",), {})]
     rng = np.random.default_rng(24)
     din = cfg.input_height * cfg.input_width * cfg.input_channels
     params = {"fc1.weight": rng.normal(0, 0.05, size=(din, 3)),
@@ -280,6 +280,30 @@ def test_grad_check_flags_corrupted_lrn_backward(monkeypatch):
     assert flagged and all(name.startswith("conv1.") for name in flagged)
 
 
+def test_grad_check_flags_nan_backward(monkeypatch):
+    # a nan gradient compares false against every error, yet must fail the check
+    lrn_backward = layers.lrn_backward
+    monkeypatch.setattr(layers, "lrn_backward", lambda *a: lrn_backward(*a) * np.nan)
+    net = graph.build_lfhn(graph.tiny_config(), seed=28)
+    train.randomize_biases(net, seed=28)
+    rng = np.random.default_rng(29)
+    x = rng.uniform(size=(2, 8, 8, 3))
+    y = rng.integers(0, 3, size=2)
+    report = train.grad_check(net, x, y, max_per_tensor=4, seed=29)
+    assert not report.passed(1e-5)
+    assert {c.name for c in report.checks if c.max_rel_err == np.inf} == {"conv1.kernel",
+                                                                          "conv1.bias"}
+
+
+@pytest.mark.parametrize("setting", [{"max_per_tensor": 0}, {"max_per_tensor": -1},
+                                     {"epsilon": 0.0}, {"epsilon": np.inf},
+                                     {"epsilon": np.nan}])
+def test_grad_check_rejects_settings_that_check_nothing(setting):
+    net = graph.build_lfhn(graph.tiny_config(), seed=30)
+    with pytest.raises(ValueError, match="max_per_tensor|epsilon"):
+        train.grad_check(net, np.zeros((1, 8, 8, 3)), [0], **setting)
+
+
 def test_grad_check_param_filter():
     net = graph.build_lfhn(graph.tiny_config(), seed=30)
     train.randomize_biases(net, seed=30)
@@ -295,3 +319,4 @@ def test_grad_report_relative_error_definition():
     assert train.relative_error(1.0, 1.0) == 0.0
     assert train.relative_error(0.0, 1e-9) == pytest.approx(1e-9 / 1e-8)
     assert train.relative_error(2.0, 1.0) == 0.5
+    assert train.relative_error(np.nan, 1.0) == np.inf
