@@ -314,10 +314,11 @@ def build_parser():
 
     p = sub.add_parser("gen-data", parents=[common],
                        help="write a synthetic pose/illumination corpus")
-    p.add_argument("--ids", type=int, required=True, help="number of identities")
+    p.add_argument("--ids", type=_positive_int, required=True, help="number of identities")
     p.add_argument("--out", required=True, help="output directory")
-    p.add_argument("--lights", type=int, default=8, help="number of lighting bins")
-    p.add_argument("--size", type=int, default=67, help="square image extent")
+    p.add_argument("--lights", type=_positive_int, default=8,
+                   help="number of lighting bins")
+    p.add_argument("--size", type=_positive_int, default=67, help="square image extent")
     p.add_argument("--channels", type=int, choices=(1, 3), default=1)
     p.set_defaults(func=cmd_gen_data)
 

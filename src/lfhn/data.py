@@ -4,7 +4,8 @@ Images follow a multiplicative reflectance-times-lighting model: a per-identity
 reflectance map of placed geometric primitives is projected to a yaw pose by a
 horizontal affine compression with far-side self-occlusion, then multiplied by
 a smooth lighting ramp and clamped to [0, 1]. Files are binary PGM/PPM named
-id{I}_p{P}_l{L}.(pgm|ppm) plus a manifest CSV.
+id{I}_p{P}_l{L}.(pgm|ppm) plus a manifest CSV. Loaded pixels stay uint8;
+network_input scales one batch at a time to the float64 the network runs on.
 """
 
 from __future__ import annotations
@@ -58,7 +59,7 @@ class IdentityTemplate:
 
 @dataclass
 class LabeledSample:
-    image: np.ndarray  # (h, w, c) float64 in [0, 1]
+    image: np.ndarray  # (h, w, c) uint8 as stored, or float in [0, 1]
     identity: int
     pose_id: int
     light_id: int
@@ -247,7 +248,7 @@ def _header_tokens(data, count):
 
 
 def read_image(path) -> np.ndarray:
-    """Read a binary PGM/PPM into an (h, w, c) float64 array scaled to [0, 1]."""
+    """Read a binary PGM/PPM into an (h, w, c) uint8 array of its stored pixels."""
     with open(path, "rb") as fh:
         data = fh.read()
     (magic, w_tok, h_tok, maxval), offset = _header_tokens(data, 4)
@@ -261,8 +262,30 @@ def read_image(path) -> np.ndarray:
     raster = data[offset:offset + expected]
     if len(raster) != expected:
         raise ValueError(f"{path}: raster holds {len(raster)} bytes, expected {expected}")
-    pixels = np.frombuffer(raster, dtype=np.uint8).reshape(h, w, channels)
-    return pixels.astype(DTYPE) / 255.0
+    return np.frombuffer(raster, dtype=np.uint8).reshape(h, w, channels).copy()
+
+
+def network_input(images) -> np.ndarray:
+    """The float64 network input for an image or a batch of images.
+
+    uint8 pixels are scaled to [0, 1]; float pixels, already in [0, 1], pass
+    through without a copy when they are float64. Any other dtype raises,
+    so raw 0-255 values never reach the network unscaled.
+    """
+    images = np.asarray(images)
+    if images.dtype == np.uint8:
+        return images.astype(DTYPE) / 255.0
+    if np.issubdtype(images.dtype, np.floating):
+        return images.astype(DTYPE, copy=False)
+    raise ValueError(f"images must be uint8 or float, got dtype {images.dtype}")
+
+
+def check_image_dtypes(images):
+    """Raise ValueError if the images mix dtypes: stacking uint8 with float
+    images would promote the raw 0-255 values unscaled."""
+    dtypes = {image.dtype for image in images}
+    if len(dtypes) > 1:
+        raise ValueError(f"images mix dtypes {', '.join(sorted(map(str, dtypes)))}")
 
 
 def generate_corpus(out_dir, n_identities, poses=None, lights=None, seed=0,
@@ -307,7 +330,7 @@ def load_corpus(directory):
 
     Filenames must follow id{I}_p{P}_l{L}.(pgm|ppm), and every image must
     have the first one's shape; anything else raises with the offending
-    name. Pixels are normalized to [0, 1].
+    name. Images keep their stored uint8 pixels; see network_input.
     """
     names = sorted(n for n in os.listdir(directory)
                    if n.endswith((".pgm", ".ppm")))

@@ -7,9 +7,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import graph
-from .data import default_pose_roster
+from .data import check_image_dtypes, default_pose_roster, network_input
 from .train import center_crop
-from .tensor import DTYPE
 
 
 @dataclass
@@ -74,10 +73,14 @@ def rank_table_from_predictions(predictions, samples, yaws=None) -> RankTable:
 
 
 def predict(net, images, batch_size=64) -> np.ndarray:
-    """Identity decisions: argmax over the class logits, ties to lowest index."""
+    """Identity decisions: argmax over the class logits, ties to lowest index.
+
+    images are uint8 or float; each batch is converted on its own.
+    """
     predictions = []
     for start in range(0, len(images), batch_size):
-        logits = graph.forward(net, images[start:start + batch_size])[0]
+        batch = network_input(images[start:start + batch_size])
+        logits = graph.forward(net, batch)[0]
         predictions.append(np.argmax(logits, axis=1))
     return np.concatenate(predictions)
 
@@ -91,10 +94,10 @@ def evaluate(net, samples, yaws=None, batch_size=64) -> RankTable:
     if not samples:
         raise ValueError("no samples to evaluate")
     k = net.config.num_classes
-    worst = max(s.identity for s in samples)
-    if worst >= k:
+    bad = next((s.identity for s in samples if not 0 <= s.identity < k), None)
+    if bad is not None:
         raise ValueError(f"model was trained for {k} classes but the corpus contains "
-                         f"identity {worst}, a label out of range")
+                         f"identity {bad}, a label out of range [0, {k})")
     target = (net.config.input_height, net.config.input_width)
     images = []
     for s in samples:
@@ -102,7 +105,8 @@ def evaluate(net, samples, yaws=None, batch_size=64) -> RankTable:
         if image.shape[:2] != target:
             image = center_crop(image, *target)
         images.append(image)
-    images = np.stack(images, dtype=DTYPE)
+    check_image_dtypes(images)
+    images = np.stack(images)
     return rank_table_from_predictions(predict(net, images, batch_size), samples, yaws)
 
 

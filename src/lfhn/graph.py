@@ -304,8 +304,13 @@ def forward(net: NetworkGraph, batch):
 
     The cache maps node names to outputs; conv nodes additionally store their
     lowered input rows under "<name>#rows". backward() needs the full cache.
+    The batch must be floating point; data.network_input scales raw pixels.
     """
-    x = np.asarray(batch, dtype=DTYPE)
+    x = np.asarray(batch)
+    if not np.issubdtype(x.dtype, np.floating):
+        raise ValueError(f"batch dtype {x.dtype} is not floating point; scale raw "
+                         "pixels with data.network_input first")
+    x = x.astype(DTYPE, copy=False)
     expected = (net.config.input_height, net.config.input_width, net.config.input_channels)
     if x.ndim != 4 or x.shape[1:] != expected:
         raise ValueError(f"batch shape {x.shape} does not match input "

@@ -7,7 +7,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import graph, layers
+from . import data, graph, layers
 from .tensor import DTYPE
 
 
@@ -92,14 +92,19 @@ def train(net, samples, cfg: TrainConfig, log_path=None):
     rows; train_acc counts the predictions made during the epoch's own
     forward passes. With a fixed seed the run is fully reproducible. Raises
     TrainingDiverged at the first non-finite batch loss, before its update.
+    Sample images are uint8 as loaded or float in [0, 1], one dtype for all;
+    each batch is stacked from its own samples, then data.network_input
+    converts it.
     """
     if not samples:
         raise ValueError("empty dataset")
     labels = np.array([s.identity for s in samples], dtype=np.int64)
     k = net.config.num_classes
-    if labels.min() < 0 or labels.max() >= k:
-        raise ValueError(f"label {labels.max()} out of range for {k} classes")
-    images = np.stack([s.image for s in samples], dtype=DTYPE)
+    bad = labels[(labels < 0) | (labels >= k)]
+    if bad.size:
+        raise ValueError(f"label {bad[0]} out of range [0, {k}) for {k} classes")
+    images = [s.image for s in samples]
+    data.check_image_dtypes(images)
 
     if cfg.freeze_root:
         net.frozen.add("conv1")
@@ -121,7 +126,8 @@ def train(net, samples, cfg: TrainConfig, log_path=None):
                 batch = np.stack([augment(images[i], target_h, target_w, rng)
                                   for i in idx])
             else:
-                batch = images[idx]
+                batch = np.stack([images[i] for i in idx])
+            batch = data.network_input(batch)
             logits, cache = graph.forward(net, batch)
             loss, grad_logits = layers.softmax_xent(logits, labels[idx])
             if not np.isfinite(loss):
@@ -218,7 +224,7 @@ def grad_check(net, images, labels, epsilon=1e-5, max_per_tensor=32, seed=0,
         raise ValueError(f"max_per_tensor must be >= 1, got {max_per_tensor}")
     if epsilon == 0 or not np.isfinite(epsilon):
         raise ValueError(f"epsilon must be finite and non-zero, got {epsilon}")
-    images = np.asarray(images, dtype=DTYPE)
+    images = data.network_input(images)
     labels = np.asarray(labels, dtype=np.int64)
 
     def loss_at():

@@ -45,6 +45,19 @@ def test_gen_data_requires_out():
     assert err.value.code == 2
 
 
+@pytest.mark.parametrize("flag,value", [("--ids", "0"), ("--ids", "-1"),
+                                        ("--lights", "0"), ("--lights", "-2"),
+                                        ("--size", "0"), ("--size", "-5")])
+def test_gen_data_extents_below_one_exit_2_writing_nothing(tmp_path, capsys, flag, value):
+    out = tmp_path / "corpus"
+    argv = ["gen-data", "--ids", "2", "--out", str(out), flag, value]
+    with pytest.raises(SystemExit) as err:
+        cli.main(argv)
+    assert err.value.code == 2
+    assert "must be >= 1" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_gen_data_rerun_is_byte_identical(tmp_path):
     a, b = tmp_path / "a", tmp_path / "b"
     for out in (a, b):

@@ -131,7 +131,7 @@ def test_load_corpus_round_trips_labels(tmp_path):
         assert (sample.identity, sample.pose_id, sample.light_id) == (
             row["identity"], row["pose_id"], row["light_id"])
         assert sample.image.shape == (24, 24, 1)
-        assert sample.image.min() >= 0.0 and sample.image.max() <= 1.0
+        assert sample.image.dtype == np.uint8
 
 
 def test_load_corpus_rejects_nonconforming_name(tmp_path):
@@ -154,12 +154,33 @@ def test_image_round_trip_pgm_and_ppm(tmp_path):
     gray = rng.integers(0, 256, size=(5, 7), dtype=np.uint8)
     data.write_image(tmp_path / "g.pgm", gray)
     back = data.read_image(tmp_path / "g.pgm")
-    assert np.array_equal(np.rint(back[:, :, 0] * 255).astype(np.uint8), gray)
+    assert back.dtype == np.uint8 and back.shape == (5, 7, 1)
+    assert np.array_equal(back[:, :, 0], gray)
 
     color = rng.integers(0, 256, size=(4, 6, 3), dtype=np.uint8)
     data.write_image(tmp_path / "c.ppm", color)
     back = data.read_image(tmp_path / "c.ppm")
-    assert np.array_equal(np.rint(back * 255).astype(np.uint8), color)
+    assert back.dtype == np.uint8
+    assert np.array_equal(back, color)
+
+
+def test_network_input_scales_uint8_and_passes_floats():
+    pixels = np.arange(256, dtype=np.uint8).reshape(1, 16, 16, 1)
+    scaled = data.network_input(pixels)
+    assert scaled.dtype == np.float64
+    assert np.array_equal(scaled.view(np.uint64),
+                          (pixels.astype(np.float64) / 255.0).view(np.uint64))
+    floats = np.random.default_rng(1).uniform(size=(2, 3, 3, 1))
+    assert data.network_input(floats) is floats
+    single = data.network_input(floats.astype(np.float32))
+    assert single.dtype == np.float64
+    assert np.array_equal(single, floats.astype(np.float32))
+
+
+@pytest.mark.parametrize("dtype", [np.int64, np.uint16, np.bool_])
+def test_network_input_rejects_other_dtypes(dtype):
+    with pytest.raises(ValueError, match=np.dtype(dtype).name):
+        data.network_input(np.zeros((1, 2, 2, 1), dtype=dtype))
 
 
 def test_three_channel_corpus_uses_ppm(tmp_path):

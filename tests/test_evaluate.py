@@ -118,6 +118,21 @@ def test_evaluate_rejects_labels_beyond_class_count():
         ev.evaluate(net, samples)
 
 
+def test_evaluate_rejects_a_negative_label():
+    net = graph.build_lfhn(graph.tiny_config(num_classes=2), seed=7)
+    samples = [LabeledSample(np.zeros((8, 8, 3)), identity, 0, 0) for identity in (0, -1, 1)]
+    with pytest.raises(ValueError, match="identity -1"):
+        ev.evaluate(net, samples)
+
+
+def test_evaluate_rejects_mixed_image_dtypes():
+    net = graph.build_lfhn(graph.tiny_config(num_classes=2), seed=7)
+    samples = [LabeledSample(np.zeros((8, 8, 3)), 0, 0, 0),
+               LabeledSample(np.zeros((8, 8, 3), dtype=np.uint8), 1, 0, 0)]
+    with pytest.raises(ValueError, match="mix dtypes"):
+        ev.evaluate(net, samples)
+
+
 def test_evaluate_requires_samples():
     net = graph.build_lfhn(graph.tiny_config(), seed=8)
     with pytest.raises(ValueError, match="no samples"):

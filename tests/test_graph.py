@@ -115,6 +115,13 @@ def test_forward_rejects_wrong_input_shape():
         graph.forward(net, np.zeros((1, 9, 8, 3)))
 
 
+@pytest.mark.parametrize("dtype", [np.uint8, np.int64])
+def test_forward_rejects_unscaled_integer_batches(dtype):
+    net = graph.build_lfhn(graph.tiny_config(), seed=0)
+    with pytest.raises(ValueError, match=np.dtype(dtype).name):
+        graph.forward(net, np.zeros((1, 8, 8, 3), dtype=dtype))
+
+
 def test_forward_matches_independent_graph_walk():
     net = graph.build_lfhn(graph.tiny_config(), seed=3)
     train.randomize_biases(net, seed=3)

@@ -1,7 +1,10 @@
+import tracemalloc
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
-from lfhn import graph, layers, train
+from lfhn import data, evaluate, graph, layers, train
 from lfhn.data import LabeledSample
 from lfhn.graph import Node, NetworkGraph
 from lfhn.train import TrainConfig
@@ -165,6 +168,65 @@ def test_train_rejects_out_of_range_labels():
     net = graph.build_lfhn(graph.tiny_config(num_classes=2), seed=19)
     with pytest.raises(ValueError, match="label"):
         train.train(net, samples, TrainConfig(epochs=1))
+
+
+def test_train_names_a_negative_label():
+    samples = [LabeledSample(np.zeros((8, 8, 3)), identity, 0, 0) for identity in (-1, 0, 1)]
+    net = graph.build_lfhn(graph.tiny_config(num_classes=3), seed=19)
+    with pytest.raises(ValueError, match=r"label -1 out of range \[0, 3\)"):
+        train.train(net, samples, TrainConfig(epochs=1))
+
+
+def test_train_rejects_mixed_image_dtypes():
+    samples = _toy_samples(2, 2, seed=21)
+    samples[1] = replace(samples[1], image=np.zeros((8, 8, 3), dtype=np.uint8))
+    net = graph.build_lfhn(graph.tiny_config(num_classes=2), seed=22)
+    with pytest.raises(ValueError, match="mix dtypes float64, uint8"):
+        train.train(net, samples, TrainConfig(epochs=1))
+
+
+@pytest.mark.parametrize("augment", [False, True])
+def test_training_on_stored_pixels_matches_training_on_scaled_floats(tmp_path, augment):
+    # images as loaded (uint8) and the same images given as floats in [0, 1]
+    # must give the same bits: parameters, epoch log and rank-1 table
+    size = 10
+    data.generate_corpus(tmp_path, 2, lights=data.default_light_roster(2), seed=3,
+                         height=size, width=size)
+    stored = data.load_corpus(tmp_path)
+    assert stored[0].image.dtype == np.uint8
+    scaled = [replace(s, image=s.image.astype(np.float64) / 255.0) for s in stored]
+    extent = size - 2 if augment else size
+    cfg = replace(graph.tiny_config(num_classes=2), input_height=extent,
+                  input_width=extent, input_channels=1)
+    results = []
+    for samples in (stored, scaled):
+        net = graph.build_lfhn(cfg, seed=4)
+        log_path = tmp_path / f"log{len(results)}.csv"
+        _, log = train.train(net, samples, TrainConfig(lr=0.05, batch_size=8, epochs=2,
+                                                      seed=5, augment=augment),
+                             log_path=log_path)
+        table = evaluate.format_table(evaluate.evaluate(net, samples, batch_size=16))
+        params = {k: v.tobytes() for k, v in net.params.items()}
+        results.append((params, log, log_path.read_text(), table))
+    assert results[0] == results[1]
+
+
+def test_train_and_evaluate_hold_no_float64_copy_of_the_dataset():
+    rng = np.random.default_rng(23)
+    n, shape = 4000, (8, 8, 3)
+    samples = [LabeledSample(rng.integers(0, 256, size=shape, dtype=np.uint8), i % 3, 0, 0)
+               for i in range(n)]
+    float64_copy = n * int(np.prod(shape)) * 8
+    net = graph.build_lfhn(graph.tiny_config(num_classes=3), seed=24)
+    for run in (lambda: train.train(net, samples, TrainConfig(lr=0.01, epochs=1, seed=25)),
+                lambda: evaluate.evaluate(net, samples)):
+        tracemalloc.start()
+        try:
+            run()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < float64_copy
 
 
 def test_train_rejects_empty_dataset():
