@@ -17,7 +17,6 @@ _EXPORTS = {
     "NetworkGraph": "graph",
     "build_lfhn": "graph",
     "shape_trace": "graph",
-    "ConvParams": "layers",
     "LrnParams": "layers",
     "TrainConfig": "train",
     "GradReport": "train",

@@ -274,6 +274,7 @@ def cmd_gradcheck(args):
 
 def cmd_shapes(args):
     from . import graph
+    from . import train as train_mod
 
     try:
         values = _merged_config(args)
@@ -290,6 +291,8 @@ def cmd_shapes(args):
         values["num_classes"] = args.classes
     try:
         cfg = _build_model_config(values, graph)
+        # the training keys of the file are checked too, though no training runs
+        train_mod.TrainConfig(**_fields_in(values, train_mod.TrainConfig))
         trace = graph.shape_trace(cfg)
     except (ValueError, graph.GraphConfigError) as err:
         return _error(str(err), EXIT_USAGE)

@@ -14,6 +14,7 @@ backward step. Nodes record their output and parameter shapes when built.
 from __future__ import annotations
 
 import contextlib
+import math
 import os
 import struct
 import typing
@@ -22,7 +23,7 @@ from dataclasses import dataclass, field, fields
 import numpy as np
 
 from . import layers
-from .layers import ConvParams, LrnParams
+from .layers import LrnParams
 from .tensor import DTYPE, conv_extent
 
 CHECKPOINT_MAGIC = b"LFHN"
@@ -123,7 +124,7 @@ class Node:
 def _tiled_extent(name, extent, window, stride):
     """Output extent of conv1's or pool1's window, the only ones that can fail to tile."""
     try:
-        return conv_extent(extent, window, stride, 0)
+        return conv_extent(extent, window, stride)
     except ValueError as err:
         raise GraphConfigError(f"{name}: {err}") from err
 
@@ -145,7 +146,7 @@ def _architecture(cfg: LfhnConfig):
         out = shape[-1]
         return add(name, "conv", [prev], shape,
                    {"kernel": (kernel, kernel, in_channels, out), "bias": (out,)},
-                   stride=stride, pad=0)
+                   stride=stride)
 
     k, s = cfg.root_kernel, cfg.root_stride
     hw = (_tiled_extent("conv1", cfg.input_height, k, s),
@@ -252,19 +253,17 @@ def build_lfhn(cfg: LfhnConfig, seed: int = 0) -> NetworkGraph:
     return NetworkGraph(cfg, _architecture(cfg), params)
 
 
-def _conv_params(net: NetworkGraph, node: Node) -> ConvParams:
-    return ConvParams(net.params[f"{node.name}.kernel"], net.params[f"{node.name}.bias"],
-                      node.attrs["stride"], node.attrs["pad"])
-
-
 def _conv_forward(net, node, xs, cache):
-    out, cache[f"{node.name}#rows"] = layers.conv_forward(xs[0], _conv_params(net, node))
+    out, cache[f"{node.name}#rows"] = layers.conv_forward(
+        xs[0], net.params[f"{node.name}.kernel"], net.params[f"{node.name}.bias"],
+        node.attrs["stride"])
     return out
 
 
 def _conv_backward(net, node, xs, cache, g):
     gi, gk, gb = layers.conv_backward(cache[f"{node.name}#rows"], xs[0].shape,
-                                      _conv_params(net, node), g, node.inputs[0] != "input")
+                                      net.params[f"{node.name}.kernel"], g,
+                                      node.attrs["stride"], node.inputs[0] != "input")
     return [gi], {"kernel": gk, "bias": gb}
 
 
@@ -445,19 +444,28 @@ def load_checkpoint(path, num_classes=None) -> NetworkGraph:
                 raise CheckpointError(f"truncated checkpoint while reading {what}")
             return data
 
+        def text(n, what):
+            try:
+                return take(n, what).decode("utf-8")
+            except UnicodeDecodeError as err:
+                raise CheckpointError(f"{what} is not UTF-8 text: {err}") from err
+
         if take(4, "magic") != CHECKPOINT_MAGIC:
             raise CheckpointError("bad magic bytes: not a checkpoint file")
         (version,) = struct.unpack("<I", take(4, "version"))
         if version != CHECKPOINT_VERSION:
             raise CheckpointError(f"unsupported checkpoint version {version}")
         (config_len,) = struct.unpack("<I", take(4, "config length"))
-        cfg, frozen = _config_from_block(take(config_len, "config").decode("utf-8"))
+        cfg, frozen = _config_from_block(text(config_len, "config"))
         if num_classes is not None and cfg.num_classes != num_classes:
             raise CheckpointError(
                 f"shape disagreement: checkpoint was built for {cfg.num_classes} "
                 f"classes, caller expects {num_classes}"
             )
-        expected = parameter_shapes(cfg)
+        try:
+            expected = parameter_shapes(cfg)
+        except GraphConfigError as err:
+            raise CheckpointError(f"invalid config block: {err}") from err
         (count,) = struct.unpack("<I", take(4, "parameter count"))
         if count != len(expected):
             raise CheckpointError(f"checkpoint stores {count} parameters, "
@@ -465,7 +473,7 @@ def load_checkpoint(path, num_classes=None) -> NetworkGraph:
         params = {}
         for _ in range(count):
             (name_len,) = struct.unpack("<I", take(4, "name length"))
-            name = take(name_len, "name").decode("utf-8")
+            name = text(name_len, "parameter name")
             if name not in expected:
                 raise CheckpointError(f"unexpected parameter {name!r}")
             (ndim,) = struct.unpack("<I", take(4, "rank"))
@@ -473,6 +481,9 @@ def load_checkpoint(path, num_classes=None) -> NetworkGraph:
             if shape != expected[name]:
                 raise CheckpointError(f"shape disagreement for {name!r}: file has "
                                       f"{shape}, config implies {expected[name]}")
+            # refuse a record longer than the rest of the file before allocating it
+            if 8 * math.prod(shape) > os.fstat(fh.fileno()).st_size - fh.tell():
+                raise CheckpointError(f"truncated checkpoint while reading {name}")
             arr = np.empty(shape, dtype="<f8")
             if fh.readinto(arr) != arr.nbytes:
                 raise CheckpointError(f"truncated checkpoint while reading {name}")

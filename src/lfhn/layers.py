@@ -15,31 +15,6 @@ from . import tensor
 from .tensor import DTYPE
 
 
-@dataclass
-class ConvParams:
-    """Kernel (kh, kw, cin, cout), per-output-channel bias, stride and zero pad."""
-
-    kernel: np.ndarray
-    bias: np.ndarray
-    stride: int = 1
-    pad: int = 0
-
-    def __post_init__(self):
-        self.kernel = np.asarray(self.kernel, dtype=DTYPE)
-        self.bias = np.asarray(self.bias, dtype=DTYPE)
-        if self.kernel.ndim != 4:
-            raise ValueError(f"kernel must be rank 4, got shape {self.kernel.shape}")
-        if self.bias.shape != (self.kernel.shape[3],):
-            raise ValueError(
-                f"bias shape {self.bias.shape} does not match kernel "
-                f"out-channels {self.kernel.shape[3]}"
-            )
-        if self.stride < 1:
-            raise ValueError("stride must be >= 1")
-        if self.pad < 0:
-            raise ValueError("pad must be >= 0")
-
-
 @dataclass(frozen=True)
 class LrnParams:
     """Cross-channel response normalization constants.
@@ -57,63 +32,58 @@ class LrnParams:
     def __post_init__(self):
         if self.size < 1:
             raise ValueError("size must be >= 1")
-        if self.k <= 0:
-            raise ValueError("k must be > 0")
-        if self.alpha < 0:
-            raise ValueError("alpha must be >= 0")
-        if self.beta <= 0:
-            raise ValueError("beta must be > 0")
+        if not 0 < self.k < np.inf:
+            raise ValueError(f"k must be finite and > 0, got {self.k}")
+        if not 0 <= self.alpha < np.inf:
+            raise ValueError(f"alpha must be finite and >= 0, got {self.alpha}")
+        if not 0 < self.beta < np.inf:
+            raise ValueError(f"beta must be finite and > 0, got {self.beta}")
 
 
-def _pointwise(p: ConvParams) -> bool:
-    """A 1x1 kernel at stride 1 and pad 0 reads every pixel exactly once."""
-    return p.kernel.shape[:2] == (1, 1) and p.stride == 1 and p.pad == 0
-
-
-def _rows(x, p: ConvParams, ho, wo) -> np.ndarray:
-    """The input as one matrix row per output position, (n*ho*wo, kh*kw*cin).
-
-    A pointwise kernel needs no window gather: the rows are a reshape of x.
-    """
-    n, _, _, cin = x.shape
-    kh, kw = p.kernel.shape[:2]
-    if _pointwise(p):
-        return x.reshape(n * ho * wo, cin)
-    return tensor.im2col(x, kh, kw, p.stride, p.pad).reshape(n * ho * wo, kh * kw * cin)
-
-
-def conv_forward(x, p: ConvParams):
-    """Convolve (n, h, w, cin) with p.kernel and add the bias.
+def conv_forward(x, kernel, bias, stride=1):
+    """Convolve (n, h, w, cin) with a (kh, kw, cin, cout) kernel and add the bias.
 
     Returns (out, rows): rows is the lowered input that conv_backward takes,
-    so the windows are gathered once per forward/backward pair.
+    so the windows are gathered once per forward/backward pair. A 1x1 kernel
+    at stride 1 reads every pixel once, so its rows are a reshape of x.
     """
     x = np.asarray(x, dtype=DTYPE)
-    if x.ndim != 4:
-        raise ValueError(f"conv input must be rank 4, got shape {x.shape}")
+    kernel = np.asarray(kernel, dtype=DTYPE)
+    bias = np.asarray(bias, dtype=DTYPE)
+    if x.ndim != 4 or kernel.ndim != 4:
+        raise ValueError(f"conv input and kernel must be rank 4, got shapes "
+                         f"{x.shape} and {kernel.shape}")
     n, h, w, cin = x.shape
-    kh, kw, kcin, cout = p.kernel.shape
+    kh, kw, kcin, cout = kernel.shape
     if cin != kcin:
         raise ValueError(f"input has {cin} channels but kernel expects {kcin}")
-    ho = tensor.conv_extent(h, kh, p.stride, p.pad)
-    wo = tensor.conv_extent(w, kw, p.stride, p.pad)
-    rows = _rows(x, p, ho, wo)
-    out = rows @ p.kernel.reshape(-1, cout)
-    out += p.bias
+    if stride < 1:
+        raise ValueError("stride must be >= 1")
+    if bias.shape != (cout,):
+        raise ValueError(f"bias shape {bias.shape} does not match kernel out-channels {cout}")
+    ho = tensor.conv_extent(h, kh, stride)
+    wo = tensor.conv_extent(w, kw, stride)
+    if (kh, kw, stride) == (1, 1, 1):
+        rows = x.reshape(n * ho * wo, cin)
+    else:
+        rows = tensor.im2col(x, kh, kw, stride).reshape(n * ho * wo, kh * kw * cin)
+    out = rows @ kernel.reshape(-1, cout)
+    out += bias
     return out.reshape(n, ho, wo, cout), rows
 
 
-def conv_backward(rows, input_shape, p: ConvParams, grad_out, need_input_grad=True):
+def conv_backward(rows, input_shape, kernel, grad_out, stride=1, need_input_grad=True):
     """Adjoint of conv_forward, given the rows it returned for an input of input_shape.
 
     Returns (grad_input, grad_kernel, grad_bias); grad_input is None when
     need_input_grad is False (the root layer of a network never needs it).
     """
     grad_out = np.asarray(grad_out, dtype=DTYPE)
+    kernel = np.asarray(kernel, dtype=DTYPE)
     n, h, w, _ = input_shape
-    kh, kw, cin, cout = p.kernel.shape
-    ho = tensor.conv_extent(h, kh, p.stride, p.pad)
-    wo = tensor.conv_extent(w, kw, p.stride, p.pad)
+    kh, kw, cin, cout = kernel.shape
+    ho = tensor.conv_extent(h, kh, stride)
+    wo = tensor.conv_extent(w, kw, stride)
     if grad_out.shape != (n, ho, wo, cout):
         raise ValueError(
             f"grad_out shape {grad_out.shape} does not match forward output "
@@ -123,15 +93,15 @@ def conv_backward(rows, input_shape, p: ConvParams, grad_out, need_input_grad=Tr
         raise ValueError(f"rows shape {rows.shape} does not match input {tuple(input_shape)} "
                          "and kernel; stale rows?")
     g = grad_out.reshape(n * ho * wo, cout)
-    grad_kernel = (rows.T @ g).reshape(p.kernel.shape)
+    grad_kernel = (rows.T @ g).reshape(kernel.shape)
     grad_bias = grad_out.sum(axis=(0, 1, 2))
     grad_input = None
     if need_input_grad:
-        gcols = g @ p.kernel.reshape(-1, cout).T
-        if _pointwise(p):
+        gcols = g @ kernel.reshape(-1, cout).T
+        if (kh, kw, stride) == (1, 1, 1):
             grad_input = gcols.reshape(input_shape)
         else:
-            grad_input = tensor.col2im(gcols, input_shape, kh, kw, p.stride, p.pad)
+            grad_input = tensor.col2im(gcols, input_shape, kh, kw, stride)
     return grad_input, grad_kernel, grad_bias
 
 
@@ -160,8 +130,8 @@ def maxpool_forward(x, window=3, stride=2) -> np.ndarray:
     if x.ndim != 4:
         raise ValueError(f"pool input must be rank 4, got shape {x.shape}")
     _, h, w, _ = x.shape
-    ho = tensor.conv_extent(h, window, stride, 0)
-    wo = tensor.conv_extent(w, window, stride, 0)
+    ho = tensor.conv_extent(h, window, stride)
+    wo = tensor.conv_extent(w, window, stride)
     views = _pool_views(x, window, stride, ho, wo)
     out = views[0][1].copy()
     for _, view in views[1:]:
@@ -193,8 +163,8 @@ def maxpool_backward(x, out, grad_out, window=3, stride=2) -> np.ndarray:
     out = np.asarray(out, dtype=DTYPE)
     grad_out = np.asarray(grad_out, dtype=DTYPE)
     n, h, w, c = x.shape
-    pooled = (n, tensor.conv_extent(h, window, stride, 0),
-              tensor.conv_extent(w, window, stride, 0), c)
+    pooled = (n, tensor.conv_extent(h, window, stride),
+              tensor.conv_extent(w, window, stride), c)
     if grad_out.shape != pooled or out.shape != pooled:
         raise ValueError(
             f"grad_out shape {grad_out.shape} and output shape {out.shape} must match "
@@ -210,11 +180,12 @@ def maxpool_backward(x, out, grad_out, window=3, stride=2) -> np.ndarray:
 def _window_sum_channels(v, half):
     """Sum over the channel window [c - half, c + half] clipped to the tensor."""
     c = v.shape[-1]
-    cs = np.concatenate([np.zeros(v.shape[:-1] + (1,), dtype=DTYPE),
-                         np.cumsum(v, axis=-1)], axis=-1)
-    lo = np.maximum(np.arange(c) - half, 0)
-    hi = np.minimum(np.arange(c) + half, c - 1)
-    return cs[..., hi + 1] - cs[..., lo]
+    # running sums with half + 1 leading zeros and half trailing copies of the
+    # total, so both window ends are plain slices: cs[j] = v[:clip(j - half, 0, c)].sum()
+    cs = np.zeros(v.shape[:-1] + (c + 2 * half + 1,), dtype=DTYPE)
+    np.cumsum(v, axis=-1, out=cs[..., half + 1:half + 1 + c])
+    cs[..., half + 1 + c:] = cs[..., half + c:half + 1 + c]
+    return cs[..., 2 * half + 1:] - cs[..., :c]
 
 
 def lrn_forward(x, p: LrnParams) -> np.ndarray:

@@ -29,14 +29,19 @@ class TrainConfig:
 
     def __post_init__(self):
         # lr 0 is allowed as an explicit no-op smoke path
-        if self.lr < 0:
-            raise ValueError("learning rate must be >= 0")
+        if not 0 <= self.lr < np.inf:
+            raise ValueError(f"learning rate must be finite and >= 0, got {self.lr}")
         if not 0 <= self.momentum < 1:
             raise ValueError("momentum must be in [0, 1)")
         if self.batch_size < 1:
             raise ValueError("batch size must be >= 1")
         if self.epochs < 0:
             raise ValueError("epoch count must be >= 0")
+        if self.lr_decay_every < 0:
+            raise ValueError("lr_decay_every must be >= 0")
+        if not 0 < self.lr_decay_factor < np.inf:
+            raise ValueError(f"lr_decay_factor must be finite and > 0, "
+                             f"got {self.lr_decay_factor}")
 
 
 def sgd_step(params, grads, velocity, lr, momentum):

@@ -7,19 +7,18 @@ independent of the code paths under test.
 import numpy as np
 
 
-def naive_conv(x, kernel, bias, stride=1, pad=0):
+def naive_conv(x, kernel, bias, stride=1):
     """Sliding-window convolution, one window dot product at a time."""
     n, h, w, cin = x.shape
     kh, kw, _, cout = kernel.shape
-    ho = (h + 2 * pad - kh) // stride + 1
-    wo = (w + 2 * pad - kw) // stride + 1
-    xp = np.pad(x, ((0, 0), (pad, pad), (pad, pad), (0, 0)))
+    ho = (h - kh) // stride + 1
+    wo = (w - kw) // stride + 1
     kmat = kernel.reshape(-1, cout)
     out = np.zeros((n, ho, wo, cout))
     for b in range(n):
         for y in range(ho):
             for xo in range(wo):
-                patch = xp[b, y * stride:y * stride + kh, xo * stride:xo * stride + kw, :]
+                patch = x[b, y * stride:y * stride + kh, xo * stride:xo * stride + kw, :]
                 out[b, y, xo, :] = patch.reshape(-1) @ kmat + bias
     return out
 
@@ -38,17 +37,16 @@ def naive_maxpool(x, window, stride):
     return out
 
 
-def naive_im2col(x, kh, kw, stride=1, pad=0):
+def naive_im2col(x, kh, kw, stride=1):
     """Window rows in (kh, kw, c) order, one explicit window walk at a time."""
     n, h, w, c = x.shape
-    ho = (h + 2 * pad - kh) // stride + 1
-    wo = (w + 2 * pad - kw) // stride + 1
-    xp = np.pad(x, ((0, 0), (pad, pad), (pad, pad), (0, 0)))
+    ho = (h - kh) // stride + 1
+    wo = (w - kw) // stride + 1
     out = np.zeros((n, ho * wo, kh * kw * c))
     for b in range(n):
         for y in range(ho):
             for xo in range(wo):
-                patch = xp[b, y * stride:y * stride + kh, xo * stride:xo * stride + kw, :]
+                patch = x[b, y * stride:y * stride + kh, xo * stride:xo * stride + kw, :]
                 out[b, y * wo + xo] = patch.reshape(-1)
     return out
 
@@ -123,8 +121,7 @@ def walk_graph(net, batch):
         if node.kind == "conv":
             values[node.name] = naive_conv(
                 inputs[0], net.params[f"{node.name}.kernel"],
-                net.params[f"{node.name}.bias"],
-                node.attrs["stride"], node.attrs["pad"])
+                net.params[f"{node.name}.bias"], node.attrs["stride"])
         elif node.kind == "relu":
             values[node.name] = np.where(inputs[0] > 0, inputs[0], 0.0)
         elif node.kind == "maxpool":

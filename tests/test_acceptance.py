@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 
 from lfhn import cli, data, evaluate, graph, layers, tensor, train
-from lfhn.layers import ConvParams, LrnParams
+from lfhn.layers import LrnParams
 from lfhn.train import TrainConfig
 
 from oracles import naive_conv, fd_grad, max_rel_err
@@ -90,28 +90,29 @@ def test_criterion_2_gradient_correctness():
         assert time.perf_counter() - started < 120.0
 
         r = np.random.default_rng(40)
-        # conv
+        # conv (overlapping 3x3 windows, so col2im accumulates)
         x = r.normal(size=(2, 5, 5, 2))
-        p = ConvParams(r.normal(size=(3, 3, 2, 3)), r.normal(size=3), stride=1, pad=1)
-        probe = r.normal(size=(2, 5, 5, 3))
-        gi, gk, gb = layers.conv_backward(layers.conv_forward(x, p)[1], x.shape, p, probe)
+        kernel, bias = r.normal(size=(3, 3, 2, 3)), r.normal(size=3)
+        probe = r.normal(size=(2, 3, 3, 3))
+        gi, gk, gb = layers.conv_backward(layers.conv_forward(x, kernel, bias)[1],
+                                          x.shape, kernel, probe)
         assert max_rel_err(gi, fd_grad(
-            lambda v: float((layers.conv_forward(v, p)[0] * probe).sum()), x.copy())) < 1e-6
+            lambda v: float((layers.conv_forward(v, kernel, bias)[0] * probe).sum()),
+            x.copy())) < 1e-6
         assert max_rel_err(gk, fd_grad(
-            lambda v: float((layers.conv_forward(
-                x, ConvParams(v, p.bias, 1, 1))[0] * probe).sum()),
-            p.kernel.copy())) < 1e-6
+            lambda v: float((layers.conv_forward(x, v, bias)[0] * probe).sum()),
+            kernel.copy())) < 1e-6
         assert max_rel_err(gb, fd_grad(
-            lambda v: float((layers.conv_forward(
-                x, ConvParams(p.kernel, v, 1, 1))[0] * probe).sum()),
-            p.bias.copy())) < 1e-6
+            lambda v: float((layers.conv_forward(x, kernel, v)[0] * probe).sum()),
+            bias.copy())) < 1e-6
         # 1x1 conv
-        p1 = ConvParams(r.normal(size=(1, 1, 3, 4)), r.normal(size=4))
+        k1, b1 = r.normal(size=(1, 1, 3, 4)), r.normal(size=4)
         x1 = r.normal(size=(2, 3, 3, 3))
         probe1 = r.normal(size=(2, 3, 3, 4))
-        gi, gk, gb = layers.conv_backward(layers.conv_forward(x1, p1)[1], x1.shape, p1, probe1)
+        gi, gk, gb = layers.conv_backward(layers.conv_forward(x1, k1, b1)[1],
+                                          x1.shape, k1, probe1)
         assert max_rel_err(gi, fd_grad(
-            lambda v: float((layers.conv_forward(v, p1)[0] * probe1).sum()),
+            lambda v: float((layers.conv_forward(v, k1, b1)[0] * probe1).sum()),
             x1.copy())) < 1e-6
         # fc
         xf = r.normal(size=(3, 4))
@@ -157,14 +158,13 @@ def test_criterion_3_oracle_equivalence():
             kh = int(rng.integers(1, min(5, h) + 1))
             kw = int(rng.integers(1, min(5, w) + 1))
             stride = int(rng.integers(1, 3))
-            pad = int(rng.integers(0, 2))
-            if (h + 2 * pad - kh) % stride or (w + 2 * pad - kw) % stride:
+            if (h - kh) % stride or (w - kw) % stride:
                 continue
             x = rng.normal(size=(1, h, w, cin))
-            p = ConvParams(rng.normal(size=(kh, kw, cin, cout)),
-                           rng.normal(size=cout), stride, pad)
-            got, _ = layers.conv_forward(x, p)
-            want = naive_conv(x, p.kernel, p.bias, stride, pad)
+            kernel = rng.normal(size=(kh, kw, cin, cout))
+            bias = rng.normal(size=cout)
+            got, _ = layers.conv_forward(x, kernel, bias, stride)
+            want = naive_conv(x, kernel, bias, stride)
             assert max_rel_err(got, want) < 1e-10, f"case {checked}"
             checked += 1
 
@@ -173,11 +173,11 @@ def test_criterion_3_oracle_equivalence():
             cin = int(rng.integers(1, 9))
             cout = int(rng.integers(1, 7))
             x = rng.normal(size=(2, h, w, cin))
-            p = ConvParams(rng.normal(size=(1, 1, cin, cout)),
-                           rng.normal(size=cout))
-            fast, _ = layers.conv_forward(x, p)
+            kernel = rng.normal(size=(1, 1, cin, cout))
+            bias = rng.normal(size=cout)
+            fast, _ = layers.conv_forward(x, kernel, bias)
             lowered = (tensor.im2col(x, 1, 1).reshape(-1, cin)
-                       @ p.kernel.reshape(cin, cout) + p.bias)
+                       @ kernel.reshape(cin, cout) + bias)
             assert max_rel_err(fast, lowered.reshape(fast.shape)) < 1e-12, f"case {case}"
 
 

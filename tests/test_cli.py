@@ -245,6 +245,22 @@ def test_eval_rejects_corrupt_model(tmp_path, small_corpus):
     assert cli.main(["eval", "--model", str(model), "--data", str(small_corpus)]) == 2
 
 
+@pytest.mark.parametrize("old, new", [(b"input_height=8", b"input_height=9"),
+                                      (b"input_height", b"\xffnput_height")])
+def test_eval_rejects_malformed_config_block_with_one_error_line(tmp_path, small_corpus,
+                                                                 capsys, old, new):
+    model = tmp_path / "model.lfhn"
+    graph.save_checkpoint(graph.build_lfhn(graph.tiny_config(), seed=0), model)
+    blob = model.read_bytes()
+    assert blob.count(old) == 1
+    model.write_bytes(blob.replace(old, new))  # same length, so the block length holds
+    capsys.readouterr()
+    rc = cli.main(["eval", "--model", str(model), "--data", str(small_corpus)])
+    assert rc == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: "), err
+
+
 def test_train_lr_zero_leaves_parameters_at_init(tmp_path, small_corpus):
     model = tmp_path / "model.lfhn"
     rc = cli.main(["train", "--data", str(small_corpus), "--out", str(model),
@@ -296,6 +312,30 @@ def test_config_file_unknown_key(tmp_path, small_corpus):
     assert rc == 2
 
 
+BAD_CONFIG_LINES = ["lr = nan", "lr = inf", "lr_decay_every = -1", "lr_decay_factor = 0",
+                    "lr_decay_factor = -0.5", "lrn_k = nan", "lrn_alpha = inf", "lrn_beta = inf"]
+
+
+@pytest.mark.parametrize("line", BAD_CONFIG_LINES)
+def test_config_file_bad_value_exits_2_before_training(tmp_path, small_corpus, capsys, line):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(line + "\n")
+    model = tmp_path / "m.lfhn"
+    rc = cli.main(["train", "--data", str(small_corpus), "--out", str(model),
+                   "--config", str(cfg), "--epochs", "1"])
+    assert rc == 2
+    assert capsys.readouterr().err.startswith("error: ")
+    assert not model.exists() and not (tmp_path / "m.lfhn.log.csv").exists()
+
+
+@pytest.mark.parametrize("line", BAD_CONFIG_LINES)
+def test_shapes_config_bad_value_exits_2(tmp_path, capsys, line):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(line + "\n")
+    assert cli.main(["shapes", "--config", str(cfg)]) == 2
+    assert capsys.readouterr().err.startswith("error: ")
+
+
 def test_config_file_parsing_and_comments(tmp_path):
     cfg = tmp_path / "run.cfg"
     cfg.write_text("# a comment\nlr = 0.25  # trailing comment\n\nepochs = 3\n"
@@ -343,6 +383,14 @@ def test_threads_below_one_exits_2(threads, monkeypatch):
         cli.main(["shapes", "--threads", threads])
     assert exc.value.code == 2
     assert "OPENBLAS_NUM_THREADS" not in os.environ
+
+
+def test_every_exported_name_resolves():
+    # the exports load lazily, so a stale entry would fail only on first use
+    import lfhn
+
+    for name in lfhn.__all__:
+        assert getattr(lfhn, name).__name__ == name
 
 
 def test_threads_flag_reaches_openblas():

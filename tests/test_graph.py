@@ -1,3 +1,4 @@
+import struct
 from dataclasses import replace
 
 import numpy as np
@@ -145,7 +146,7 @@ def test_training_pass_gathers_root_windows_once(monkeypatch):
     logits, cache = graph.forward(net, np.random.default_rng(6).uniform(size=(2, 67, 67, 1)))
     _, grad_logits = layers.softmax_xent(logits, [1, 7])
     grads = graph.backward(net, cache, grad_logits)
-    assert calls == [(11, 11, 4, 0)]  # conv1's forward; its backward reuses the rows
+    assert calls == [(11, 11, 4)]  # conv1's forward; its backward reuses the rows
     assert set(grads) == set(net.params)
 
 
@@ -283,6 +284,18 @@ def test_checkpoint_rejects_truncation(tmp_path):
         graph.load_checkpoint(path)
 
 
+def test_checkpoint_rejects_record_longer_than_the_file(tmp_path):
+    path = tmp_path / "model.lfhn"
+    # fc6.weight claims 45 x 4e9 float64 (1.3 TiB): refused before any allocation
+    _tiny_checkpoint_with_config(
+        path, lambda text: text.replace(b"fc_hidden=8", b"fc_hidden=4000000000"))
+    blob = path.read_bytes()
+    at = blob.index(b"fc6.weight") + len(b"fc6.weight") + 4
+    path.write_bytes(blob[:at] + struct.pack("<2I", 45, 4_000_000_000) + blob[at + 8:])
+    with pytest.raises(CheckpointError, match="truncated checkpoint while reading fc6.weight"):
+        graph.load_checkpoint(path)
+
+
 def test_loaded_checkpoint_is_trainable(tmp_path):
     path = tmp_path / "model.lfhn"
     graph.save_checkpoint(graph.build_lfhn(graph.tiny_config(), seed=22), path)
@@ -332,14 +345,41 @@ def test_checkpoint_config_block_format_is_pinned(tmp_path):
     )
 
 
-def test_checkpoint_rejects_bad_bool_in_config(tmp_path):
-    path = tmp_path / "model.lfhn"
+def _tiny_checkpoint_with_config(path, edit):
+    """Save a tiny_config checkpoint whose config text is replaced by edit(text)."""
     graph.save_checkpoint(graph.build_lfhn(graph.tiny_config(), seed=0), path)
     blob = path.read_bytes()
     start, end = _config_block(blob)
-    text = blob[start:end].replace(b"relu_after_1x1=true", b"relu_after_1x1=maybe")
+    text = edit(blob[start:end])
     path.write_bytes(blob[:8] + len(text).to_bytes(4, "little") + text + blob[end:])
+
+
+def test_checkpoint_rejects_bad_bool_in_config(tmp_path):
+    path = tmp_path / "model.lfhn"
+    _tiny_checkpoint_with_config(
+        path, lambda text: text.replace(b"relu_after_1x1=true", b"relu_after_1x1=maybe"))
     with pytest.raises(CheckpointError, match="relu_after_1x1"):
+        graph.load_checkpoint(path)
+
+
+def test_checkpoint_rejects_config_that_does_not_tile(tmp_path):
+    path = tmp_path / "model.lfhn"
+    _tiny_checkpoint_with_config(
+        path, lambda text: text.replace(b"input_height=8", b"input_height=9"))
+    with pytest.raises(CheckpointError, match="pool1: non-integral"):
+        graph.load_checkpoint(path)
+
+
+def test_checkpoint_rejects_text_that_is_not_utf8(tmp_path):
+    path = tmp_path / "model.lfhn"
+    _tiny_checkpoint_with_config(path, lambda text: b"\xff" + text[1:])
+    with pytest.raises(CheckpointError, match="config is not UTF-8"):
+        graph.load_checkpoint(path)
+    graph.save_checkpoint(graph.build_lfhn(graph.tiny_config(), seed=0), path)
+    blob = path.read_bytes()
+    at = blob.index(b"conv1.kernel")
+    path.write_bytes(blob[:at] + b"\xff" + blob[at + 1:])
+    with pytest.raises(CheckpointError, match="parameter name is not UTF-8"):
         graph.load_checkpoint(path)
 
 

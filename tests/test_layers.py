@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from lfhn import layers, tensor
-from lfhn.layers import ConvParams, LrnParams
+from lfhn.layers import LrnParams
 
 from oracles import (naive_conv, naive_maxpool, gather_maxpool, lrn_scalar, fd_grad,
                      max_rel_err)
@@ -17,8 +17,8 @@ rng = np.random.default_rng
 
 def test_conv_full_scale_output_shape():
     x = rng(0).uniform(size=(1, 227, 227, 3))
-    p = ConvParams(rng(1).normal(size=(11, 11, 3, 96)) * 0.01, np.zeros(96), stride=4)
-    out, rows = layers.conv_forward(x, p)
+    kernel = rng(1).normal(size=(11, 11, 3, 96)) * 0.01
+    out, rows = layers.conv_forward(x, kernel, np.zeros(96), stride=4)
     assert out.shape == (1, 55, 55, 96)
     assert rows.shape == (3025, 363)
 
@@ -26,7 +26,7 @@ def test_conv_full_scale_output_shape():
 def test_conv_identity_kernel():
     x = rng(2).uniform(size=(2, 4, 4, 3))
     kernel = np.eye(3).reshape(1, 1, 3, 3)
-    out, _ = layers.conv_forward(x, ConvParams(kernel, np.zeros(3)))
+    out, _ = layers.conv_forward(x, kernel, np.zeros(3))
     assert np.array_equal(out, x)
 
 
@@ -35,41 +35,45 @@ def test_conv_matches_naive_oracle():
     x = r.normal(size=(2, 5, 5, 2))
     kernel = r.normal(size=(3, 3, 2, 4))
     bias = r.normal(size=4)
-    got, _ = layers.conv_forward(x, ConvParams(kernel, bias, stride=1, pad=0))
-    want = naive_conv(x, kernel, bias, 1, 0)
+    got, _ = layers.conv_forward(x, kernel, bias, stride=1)
+    want = naive_conv(x, kernel, bias, 1)
     assert max_rel_err(got, want) < 1e-10
 
 
 def test_conv_channel_mismatch():
-    p = ConvParams(np.zeros((3, 3, 4, 2)), np.zeros(2))
     with pytest.raises(ValueError, match="channels"):
-        layers.conv_forward(np.zeros((1, 5, 5, 3)), p)
+        layers.conv_forward(np.zeros((1, 5, 5, 3)), np.zeros((3, 3, 4, 2)), np.zeros(2))
 
 
-def test_conv_params_invariants():
+def test_conv_forward_refuses_bad_arguments():
+    x = np.zeros((1, 2, 2, 2))
     with pytest.raises(ValueError, match="bias"):
-        ConvParams(np.zeros((1, 1, 2, 3)), np.zeros(2))
+        layers.conv_forward(x, np.zeros((1, 1, 2, 3)), np.zeros(2))
+    with pytest.raises(ValueError, match="bias"):
+        layers.conv_forward(x, np.zeros((1, 1, 2, 3)), np.zeros(1))  # would broadcast
     with pytest.raises(ValueError, match="stride"):
-        ConvParams(np.zeros((1, 1, 2, 3)), np.zeros(3), stride=0)
+        layers.conv_forward(x, np.zeros((1, 1, 2, 3)), np.zeros(3), stride=0)
+    with pytest.raises(ValueError, match="rank 4"):
+        layers.conv_forward(x, np.zeros((2, 3)), np.zeros(3))
 
 
 def test_conv_backward_zero_grad():
     r = rng(4)
     x = r.normal(size=(1, 4, 4, 2))
-    p = ConvParams(r.normal(size=(2, 2, 2, 3)), r.normal(size=3))
-    _, rows = layers.conv_forward(x, p)
-    gi, gk, gb = layers.conv_backward(rows, x.shape, p, np.zeros((1, 3, 3, 3)))
+    kernel = r.normal(size=(2, 2, 2, 3))
+    _, rows = layers.conv_forward(x, kernel, r.normal(size=3))
+    gi, gk, gb = layers.conv_backward(rows, x.shape, kernel, np.zeros((1, 3, 3, 3)))
     assert not gi.any() and not gk.any() and not gb.any()
 
 
 def test_conv_backward_one_hot_grad_copies_patch():
     r = rng(5)
     x = r.normal(size=(1, 4, 4, 2))
-    p = ConvParams(r.normal(size=(2, 2, 2, 1)), np.zeros(1))
+    kernel = r.normal(size=(2, 2, 2, 1))
     grad_out = np.zeros((1, 3, 3, 1))
     grad_out[0, 1, 2, 0] = 1.0
-    _, rows = layers.conv_forward(x, p)
-    _, gk, gb = layers.conv_backward(rows, x.shape, p, grad_out)
+    _, rows = layers.conv_forward(x, kernel, np.zeros(1))
+    _, gk, gb = layers.conv_backward(rows, x.shape, kernel, grad_out)
     assert np.array_equal(gk[:, :, :, 0], x[0, 1:3, 2:4, :])
     assert gb[0] == 1.0
 
@@ -79,69 +83,69 @@ def test_conv_backward_matches_finite_differences():
     x = r.normal(size=(2, 5, 5, 2))
     kernel = r.normal(size=(3, 3, 2, 3))
     bias = r.normal(size=3)
-    probe = r.normal(size=(2, 3, 3, 3))  # random loss direction
+    probe = r.normal(size=(2, 2, 2, 3))  # random loss direction
 
     def loss_from(x_=None, k_=None, b_=None):
-        p = ConvParams(kernel if k_ is None else k_, bias if b_ is None else b_,
-                       stride=2, pad=1)
-        return float((layers.conv_forward(x if x_ is None else x_, p)[0] * probe).sum())
+        return float((layers.conv_forward(x if x_ is None else x_,
+                                          kernel if k_ is None else k_,
+                                          bias if b_ is None else b_, stride=2)[0]
+                      * probe).sum())
 
-    p = ConvParams(kernel, bias, stride=2, pad=1)
-    gi, gk, gb = layers.conv_backward(layers.conv_forward(x, p)[1], x.shape, p, probe)
+    rows = layers.conv_forward(x, kernel, bias, stride=2)[1]
+    gi, gk, gb = layers.conv_backward(rows, x.shape, kernel, probe, stride=2)
     assert max_rel_err(gi, fd_grad(lambda v: loss_from(x_=v), x.copy())) < 1e-6
     assert max_rel_err(gk, fd_grad(lambda v: loss_from(k_=v), kernel.copy())) < 1e-6
     assert max_rel_err(gb, fd_grad(lambda v: loss_from(b_=v), bias.copy())) < 1e-6
 
 
 def test_conv_backward_shape_mismatch():
-    p = ConvParams(np.zeros((2, 2, 2, 3)), np.zeros(3))
+    kernel = np.zeros((2, 2, 2, 3))
     rows = np.zeros((9, 8))  # (1 * 3 * 3, 2 * 2 * 2)
     with pytest.raises(ValueError, match="grad_out"):
-        layers.conv_backward(rows, (1, 4, 4, 2), p, np.zeros((1, 2, 2, 3)))
+        layers.conv_backward(rows, (1, 4, 4, 2), kernel, np.zeros((1, 2, 2, 3)))
     with pytest.raises(ValueError, match="stale rows"):
-        layers.conv_backward(rows, (1, 5, 5, 2), p, np.zeros((1, 4, 4, 3)))
+        layers.conv_backward(rows, (1, 5, 5, 2), kernel, np.zeros((1, 4, 4, 3)))
 
 
 # ---------------------------------------------------------------- 1x1 conv
 
 def test_conv1x1_stream_dims():
     x = rng(7).uniform(size=(1, 27, 27, 96))
-    p = ConvParams(rng(8).normal(size=(1, 1, 96, 200)) * 0.05, np.zeros(200))
-    assert layers.conv_forward(x, p)[0].shape == (1, 27, 27, 200)
+    kernel = rng(8).normal(size=(1, 1, 96, 200)) * 0.05
+    assert layers.conv_forward(x, kernel, np.zeros(200))[0].shape == (1, 27, 27, 200)
 
 
 def test_conv1x1_mixer_dims():
     x = rng(9).uniform(size=(1, 27, 27, 700))
-    p = ConvParams(rng(10).normal(size=(1, 1, 700, 500)) * 0.02, np.zeros(500))
-    assert layers.conv_forward(x, p)[0].shape == (1, 27, 27, 500)
+    kernel = rng(10).normal(size=(1, 1, 700, 500)) * 0.02
+    assert layers.conv_forward(x, kernel, np.zeros(500))[0].shape == (1, 27, 27, 500)
 
 
 def test_conv1x1_bit_identical_to_general_conv():
     r = rng(11)
     x = r.normal(size=(2, 4, 5, 3))
-    p = ConvParams(r.normal(size=(1, 1, 3, 2)), r.normal(size=2))
+    kernel, bias = r.normal(size=(1, 1, 3, 2)), r.normal(size=2)
     grad_out = r.normal(size=(2, 4, 5, 2))
     cols = tensor.im2col(x, 1, 1).reshape(-1, 3)
     g = grad_out.reshape(-1, 2)
-    kmat = p.kernel.reshape(3, 2)
-    lowered = (cols @ kmat + p.bias).reshape(grad_out.shape)
-    out, rows = layers.conv_forward(x, p)
+    kmat = kernel.reshape(3, 2)
+    lowered = (cols @ kmat + bias).reshape(grad_out.shape)
+    out, rows = layers.conv_forward(x, kernel, bias)
     assert np.array_equal(out, lowered)
     assert np.shares_memory(rows, x)  # a pointwise kernel's rows are a view of x
-    gi, gk, gb = layers.conv_backward(rows, x.shape, p, grad_out)
+    gi, gk, gb = layers.conv_backward(rows, x.shape, kernel, grad_out)
     assert np.array_equal(gi, tensor.col2im(g @ kmat.T, x.shape, 1, 1))
-    assert np.array_equal(gk, (cols.T @ g).reshape(p.kernel.shape))
+    assert np.array_equal(gk, (cols.T @ g).reshape(kernel.shape))
     assert np.array_equal(gb, grad_out.sum(axis=(0, 1, 2)))
 
 
-@pytest.mark.parametrize("stride, pad", [(2, 0), (1, 1), (2, 1)])
-def test_conv1x1_with_stride_or_pad_matches_naive(stride, pad):
+def test_conv1x1_with_stride_matches_naive():
     r = rng(12)
     x = r.normal(size=(2, 5, 5, 3))
     kernel, bias = r.normal(size=(1, 1, 3, 4)), r.normal(size=4)
-    got, _ = layers.conv_forward(x, ConvParams(kernel, bias, stride, pad))
-    want = naive_conv(x, kernel, bias, stride, pad)
-    assert got.shape == want.shape
+    got, _ = layers.conv_forward(x, kernel, bias, stride=2)
+    want = naive_conv(x, kernel, bias, 2)
+    assert got.shape == want.shape == (2, 3, 3, 4)
     assert max_rel_err(got, want) < 1e-10
 
 
@@ -344,6 +348,10 @@ def test_lrn_params_invariants():
         LrnParams(k=0.0)
     with pytest.raises(ValueError):
         LrnParams(beta=0.0)
+    for bad in (np.nan, np.inf, -np.inf):
+        for name in ("k", "alpha", "beta"):
+            with pytest.raises(ValueError, match=name):
+                LrnParams(**{name: bad})
 
 
 # ---------------------------------------------------------------- concat / split

@@ -289,6 +289,15 @@ def test_train_config_invariants():
         TrainConfig(momentum=1.0)
     with pytest.raises(ValueError):
         TrainConfig(batch_size=0)
+    for lr in (np.nan, np.inf):
+        with pytest.raises(ValueError, match="learning rate"):
+            TrainConfig(lr=lr)
+    with pytest.raises(ValueError, match="lr_decay_every"):
+        TrainConfig(lr_decay_every=-1)
+    for factor in (0.0, -0.5, np.nan, np.inf):
+        with pytest.raises(ValueError, match="lr_decay_factor"):
+            TrainConfig(lr_decay_factor=factor)
+    TrainConfig(lr=0.0, lr_decay_every=0, lr_decay_factor=2.0)  # edges that stay legal
 
 
 # ---------------------------------------------------------------- grad_check
