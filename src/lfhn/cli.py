@@ -9,6 +9,7 @@ mismatch. Heavy modules are imported inside the command handlers so that
 from __future__ import annotations
 
 import argparse
+import math
 import os
 import sys
 
@@ -64,18 +65,25 @@ def parse_config_file(path):
 
 
 def resolve_seed(flag_seed, file_seed=None):
-    """Flag beats config file beats the LFHN_SEED environment variable."""
+    """Flag beats config file beats the LFHN_SEED environment variable, then 0.
+
+    Raises ConfigError unless the seed that wins is an integer >= 0.
+    """
     if flag_seed is not None:
-        return flag_seed
-    if file_seed is not None:
-        return file_seed
-    env = os.environ.get("LFHN_SEED")
-    if env:
+        seed, source = flag_seed, "--seed"
+    elif file_seed is not None:
+        seed, source = file_seed, "config seed"
+    else:
+        env = os.environ.get("LFHN_SEED")
+        if not env:
+            return 0
         try:
-            return int(env)
+            seed, source = int(env), "LFHN_SEED"
         except ValueError as err:
             raise ConfigError(f"LFHN_SEED={env!r} is not an integer") from err
-    return 0
+    if seed < 0:
+        raise ConfigError(f"{source} must be >= 0, got {seed}")
+    return seed
 
 
 def _merged_config(args):
@@ -112,6 +120,13 @@ def _positive_int(text):
     return value
 
 
+def _non_negative_int(text):
+    value = int(text)
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be >= 0, got {value}")
+    return value
+
+
 def _apply_threads(args):
     if args.threads is not None:
         for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS",
@@ -127,9 +142,9 @@ def _error(message, code):
 def cmd_gen_data(args):
     from . import data
 
-    seed = resolve_seed(args.seed)
     lights = data.default_light_roster(args.lights)
     try:
+        seed = resolve_seed(args.seed)
         rows = data.generate_corpus(args.out, args.ids, lights=lights, seed=seed,
                                     height=args.size, width=args.size,
                                     channels=args.channels)
@@ -145,6 +160,7 @@ def cmd_train(args):
 
     try:
         values = _merged_config(args)
+        seed = resolve_seed(args.seed, values.get("seed"))
     except (OSError, ConfigError) as err:
         return _error(str(err), EXIT_USAGE)
     try:
@@ -155,7 +171,6 @@ def cmd_train(args):
         return _error(f"no samples found in {args.data}", EXIT_MISMATCH)
 
     values.setdefault("num_classes", max(s.identity for s in samples) + 1)
-    seed = resolve_seed(args.seed, values.get("seed"))
     try:
         cfg = _build_model_config(values, graph, sample=samples[0])
         tcfg = train_mod.TrainConfig(**{**_fields_in(values, train_mod.TrainConfig),
@@ -193,8 +208,9 @@ def cmd_eval(args):
     from .evaluate import evaluate, format_table
 
     try:
+        seed = resolve_seed(args.seed)
         net = graph.load_checkpoint(args.model)
-    except (OSError, graph.CheckpointError) as err:
+    except (OSError, ConfigError, graph.CheckpointError) as err:
         return _error(str(err), EXIT_USAGE)
     try:
         samples = data.load_corpus(args.data)
@@ -202,7 +218,6 @@ def cmd_eval(args):
         return _error(str(err), EXIT_MISMATCH)
     if not samples:
         return _error(f"no samples found in {args.data}", EXIT_MISMATCH)
-    seed = resolve_seed(args.seed)
     if args.split != "none":
         try:
             _, samples = data.split(samples, args.split, seed=seed)
@@ -247,7 +262,12 @@ def cmd_gradcheck(args):
     from . import graph
     from . import train as train_mod
 
-    seed = resolve_seed(args.seed)
+    try:
+        seed = resolve_seed(args.seed)
+    except ConfigError as err:
+        return _error(str(err), EXIT_USAGE)
+    if not 0 < args.tol < math.inf:
+        return _error(f"--tol must be finite and > 0, got {args.tol}", EXIT_USAGE)
     cfg = graph.tiny_config()
     net = graph.build_lfhn(cfg, seed=seed)
     train_mod.randomize_biases(net, seed=seed)
@@ -311,7 +331,7 @@ def build_parser():
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--threads", type=_positive_int, default=None,
                         help="pin BLAS thread pools (1 = fully deterministic path)")
-    common.add_argument("--seed", type=int, default=None,
+    common.add_argument("--seed", type=_non_negative_int, default=None,
                         help="random seed (falls back to LFHN_SEED, then 0)")
     sub = parser.add_subparsers(dest="command", required=True)
 

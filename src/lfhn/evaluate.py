@@ -75,14 +75,15 @@ def rank_table_from_predictions(predictions, samples, yaws=None) -> RankTable:
 def predict(net, images, batch_size=64) -> np.ndarray:
     """Identity decisions: argmax over the class logits, ties to lowest index.
 
-    images are uint8 or float; each batch is converted on its own.
+    images are uint8 or float; each batch is converted on its own and runs
+    an inference forward, which holds only the tensors still to be read.
     """
-    predictions = []
+    predictions = np.empty(len(images), dtype=np.intp)
     for start in range(0, len(images), batch_size):
         batch = network_input(images[start:start + batch_size])
-        logits = graph.forward(net, batch)[0]
-        predictions.append(np.argmax(logits, axis=1))
-    return np.concatenate(predictions)
+        logits = graph.forward(net, batch, inference=True)[0]
+        predictions[start:start + batch_size] = np.argmax(logits, axis=1)
+    return predictions
 
 
 def evaluate(net, samples, yaws=None, batch_size=64) -> RankTable:

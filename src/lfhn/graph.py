@@ -220,18 +220,25 @@ class NetworkGraph:
         self.nodes = list(nodes)
         self.params = dict(params)
         self.frozen = set(frozen)
-        seen = set()
+        last_reader = {}
         for node in self.nodes:
-            if node.name in seen:
+            if node.name in last_reader:
                 raise ValueError(f"duplicate node name {node.name!r}")
             for dep in node.inputs:
-                if dep not in seen:
+                if dep not in last_reader:
                     raise ValueError(f"node {node.name!r} depends on {dep!r} "
                                      "which does not precede it")
-            seen.add(node.name)
+                last_reader[dep] = node.name
+            last_reader[node.name] = node.name  # until a later node reads it
         for node in self.nodes[1:]:
             if node.kind not in OPS:
                 raise ValueError(f"node {node.name!r} has unknown kind {node.kind!r}")
+        # dead_after[name]: the tensors no node after `name` reads, which an
+        # inference forward frees once `name` has run; the output never dies
+        self.dead_after = {node.name: [] for node in self.nodes}
+        for name, reader in last_reader.items():
+            if name != self.output_name:
+                self.dead_after[reader].append(name)
 
     @property
     def output_name(self) -> str:
@@ -254,9 +261,11 @@ def build_lfhn(cfg: LfhnConfig, seed: int = 0) -> NetworkGraph:
 
 
 def _conv_forward(net, node, xs, cache):
-    out, cache[f"{node.name}#rows"] = layers.conv_forward(
+    out, rows = layers.conv_forward(
         xs[0], net.params[f"{node.name}.kernel"], net.params[f"{node.name}.bias"],
-        node.attrs["stride"])
+        node.attrs["stride"], keep_rows=cache is not None)
+    if cache is not None:
+        cache[f"{node.name}#rows"] = rows
     return out
 
 
@@ -273,10 +282,12 @@ def _fc_backward(net, node, xs, cache, g):
 
 
 # {kind: (forward step, backward step)}. forward(net, node, xs, cache) returns
-# the node's output from its input tensors xs; backward(net, node, xs, cache, g)
-# returns the gradients of xs (None where not needed) and the parameter
-# gradients by role. Layers and parameters are looked up at call time, so that
-# patches and rebound arrays take effect. Pool attrs are maxpool's keywords.
+# the node's output from its input tensors xs and may store what its backward
+# needs in cache, which is None in an inference forward. backward(net, node,
+# xs, cache, g) returns the gradients of xs (None where not needed) and the
+# parameter gradients by role. Layers and parameters are looked up at call
+# time, so that patches and rebound arrays take effect. Pool attrs are
+# maxpool's keywords.
 OPS = {
     "conv": (_conv_forward, _conv_backward),
     "relu": (lambda net, node, xs, cache: layers.relu(xs[0]),
@@ -298,11 +309,14 @@ OPS = {
 }
 
 
-def forward(net: NetworkGraph, batch):
+def forward(net: NetworkGraph, batch, inference=False):
     """Run the graph on a batch, returning (logits, activation cache).
 
     The cache maps node names to outputs; conv nodes additionally store their
     lowered input rows under "<name>#rows". backward() needs the full cache.
+    With inference=True the cache is None: each tensor is freed once the last
+    node that reads it (net.dead_after) has run and convs keep no rows, so
+    only live tensors are held. The logits are the same bits either way.
     The batch must be floating point; data.network_input scales raw pixels.
     """
     x = np.asarray(batch)
@@ -314,15 +328,23 @@ def forward(net: NetworkGraph, batch):
     if x.ndim != 4 or x.shape[1:] != expected:
         raise ValueError(f"batch shape {x.shape} does not match input "
                          f"(n, {expected[0]}, {expected[1]}, {expected[2]})")
-    cache = {"input": x}
+    tensors = {"input": x}
+    cache = None if inference else tensors
     for node in net.nodes[1:]:
-        xs = [cache[name] for name in node.inputs]
-        cache[node.name] = OPS[node.kind][0](net, node, xs, cache)
-    return cache[net.output_name], cache
+        xs = [tensors[name] for name in node.inputs]
+        tensors[node.name] = OPS[node.kind][0](net, node, xs, cache)
+        if inference:
+            for name in net.dead_after[node.name]:
+                del tensors[name]
+    return tensors[net.output_name], cache
 
 
 def backward(net: NetworkGraph, cache, grad_logits):
     """Whole-graph adjoint: gradient registry for every non-frozen parameter."""
+    if cache is None:
+        raise ValueError("no activation cache: an inference forward frees each "
+                         "tensor after its last reader; backward needs "
+                         "forward(net, batch) with inference=False")
     if "input" not in cache or net.output_name not in cache:
         raise ValueError("cache does not come from a matching forward pass")
     grad_logits = np.asarray(grad_logits, dtype=DTYPE)

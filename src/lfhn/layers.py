@@ -40,12 +40,17 @@ class LrnParams:
             raise ValueError(f"beta must be finite and > 0, got {self.beta}")
 
 
-def conv_forward(x, kernel, bias, stride=1):
+def conv_forward(x, kernel, bias, stride=1, keep_rows=True):
     """Convolve (n, h, w, cin) with a (kh, kw, cin, cout) kernel and add the bias.
 
     Returns (out, rows): rows is the lowered input that conv_backward takes,
     so the windows are gathered once per forward/backward pair. A 1x1 kernel
     at stride 1 reads every pixel once, so its rows are a reshape of x.
+
+    With keep_rows=False rows is None, and a kernel that needs lowering is
+    lowered and multiplied one image at a time, so at most one image's rows
+    exist (unless an image has one window or cout is 1). out has the same
+    bits either way.
     """
     x = np.asarray(x, dtype=DTYPE)
     kernel = np.asarray(kernel, dtype=DTYPE)
@@ -63,13 +68,22 @@ def conv_forward(x, kernel, bias, stride=1):
         raise ValueError(f"bias shape {bias.shape} does not match kernel out-channels {cout}")
     ho = tensor.conv_extent(h, kh, stride)
     wo = tensor.conv_extent(w, kw, stride)
+    weights = kernel.reshape(-1, cout)
+    rows = None
     if (kh, kw, stride) == (1, 1, 1):
         rows = x.reshape(n * ho * wo, cin)
-    else:
+    elif keep_rows or ho * wo == 1 or cout == 1:
+        # a one-row or one-column product is a matrix-vector one, whose sums
+        # split differently for one image than for the batch: keep it batched
         rows = tensor.im2col(x, kh, kw, stride).reshape(n * ho * wo, kh * kw * cin)
-    out = rows @ kernel.reshape(-1, cout)
+    if rows is None:
+        out = np.empty((n, ho * wo, cout), dtype=DTYPE)
+        for i in range(n):
+            np.matmul(tensor.im2col(x[i:i + 1], kh, kw, stride)[0], weights, out=out[i])
+    else:
+        out = rows @ weights
     out += bias
-    return out.reshape(n, ho, wo, cout), rows
+    return out.reshape(n, ho, wo, cout), rows if keep_rows else None
 
 
 def conv_backward(rows, input_shape, kernel, grad_out, stride=1, need_input_grad=True):

@@ -233,7 +233,7 @@ def grad_check(net, images, labels, epsilon=1e-5, max_per_tensor=32, seed=0,
     labels = np.asarray(labels, dtype=np.int64)
 
     def loss_at():
-        logits, _ = graph.forward(net, images)
+        logits, _ = graph.forward(net, images, inference=True)
         loss, _ = layers.softmax_xent(logits, labels)
         return loss
 

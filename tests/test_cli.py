@@ -141,10 +141,13 @@ def test_gradcheck_fails_on_nan_backward(monkeypatch, capsys):
 
 
 @pytest.mark.parametrize("flags", [["--samples", "0"], ["--samples", "-1"],
-                                   ["--epsilon", "0"], ["--epsilon", "nan"]])
+                                   ["--epsilon", "0"], ["--epsilon", "nan"],
+                                   ["--tol", "nan"], ["--tol", "-1"], ["--tol", "0"],
+                                   ["--tol", "inf"]])
 def test_gradcheck_rejects_settings_that_check_nothing(flags, capsys):
     assert cli.main(["gradcheck", *flags]) == 2
-    assert "error:" in capsys.readouterr().err
+    out = capsys.readouterr()
+    assert "error:" in out.err and "FAILED" not in out.out
 
 
 # ---------------------------------------------------------------- train / eval
@@ -364,8 +367,45 @@ def test_seed_env_fallback(tmp_path, monkeypatch):
     assert cli.resolve_seed(7) == 7
     assert cli.resolve_seed(None, 13) == 13
     monkeypatch.setenv("LFHN_SEED", "junk")
-    with pytest.raises(cli.ConfigError):
+    with pytest.raises(cli.ConfigError, match="not an integer"):
         cli.resolve_seed(None)
+    assert cli.resolve_seed(0) == 0  # a flag wins before the variable is read
+    monkeypatch.setenv("LFHN_SEED", "-3")
+    with pytest.raises(cli.ConfigError, match="LFHN_SEED must be >= 0, got -3"):
+        cli.resolve_seed(None)
+    with pytest.raises(cli.ConfigError, match="--seed must be >= 0"):
+        cli.resolve_seed(-1)
+    with pytest.raises(cli.ConfigError, match="config seed must be >= 0"):
+        cli.resolve_seed(None, -2)
+
+
+SEEDED_COMMANDS = {
+    "gen-data": ["gen-data", "--ids", "1", "--out", "{tmp}/corpus"],
+    "train": ["train", "--data", "{tmp}/corpus", "--out", "{tmp}/model"],
+    "eval": ["eval", "--model", "{tmp}/model", "--data", "{tmp}/corpus"],
+    "gradcheck": ["gradcheck", "--samples", "1"],
+}
+
+
+@pytest.mark.parametrize("env", ["abc", "-3"])
+@pytest.mark.parametrize("command", SEEDED_COMMANDS)
+def test_bad_seed_variable_exits_2_with_one_error_line(command, env, tmp_path, monkeypatch,
+                                                        capsys):
+    monkeypatch.setenv("LFHN_SEED", env)
+    argv = [arg.format(tmp=tmp_path) for arg in SEEDED_COMMANDS[command]]
+    assert cli.main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: LFHN_SEED") and err.count("\n") == 1
+    assert not os.listdir(tmp_path)
+
+
+@pytest.mark.parametrize("command", SEEDED_COMMANDS)
+def test_negative_seed_flag_exits_2(command, tmp_path, capsys):
+    argv = [arg.format(tmp=tmp_path) for arg in SEEDED_COMMANDS[command]]
+    with pytest.raises(SystemExit) as exc:
+        cli.main(argv + ["--seed", "-1"])
+    assert exc.value.code == 2
+    assert "argument --seed: must be >= 0, got -1" in capsys.readouterr().err
 
 
 def test_threads_flag_sets_env(monkeypatch):

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -137,6 +139,29 @@ def test_evaluate_requires_samples():
     net = graph.build_lfhn(graph.tiny_config(), seed=8)
     with pytest.raises(ValueError, match="no samples"):
         ev.evaluate(net, [])
+
+
+def test_predict_on_no_images_returns_an_empty_int_array():
+    net = graph.build_lfhn(graph.tiny_config(), seed=8)
+    got = ev.predict(net, np.zeros((0, 8, 8, 3), dtype=np.uint8))
+    assert got.shape == (0,) and got.dtype.kind == "i"
+
+
+def test_desk_evaluation_peaks_below_one_batch_of_root_rows():
+    # 130 images at batch 64, as desk-train's held-out side: the training
+    # forward's conv1 rows for one batch alone are 64 x 225 x 121 float64
+    net = graph.build_lfhn(graph.desk_config(10), seed=9)
+    rng = np.random.default_rng(10)
+    samples = [LabeledSample(rng.integers(0, 256, size=(67, 67, 1), dtype=np.uint8),
+                             i % 10, i % 13, 0) for i in range(130)]
+    root_rows = 64 * 15 * 15 * 11 * 11 * 8
+    tracemalloc.start()
+    try:
+        ev.evaluate(net, samples, batch_size=64)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < root_rows
 
 
 # ---------------------------------------------------------------- formatting

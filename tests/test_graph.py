@@ -1,4 +1,8 @@
+import os
 import struct
+import subprocess
+import sys
+import weakref
 from dataclasses import replace
 
 import numpy as np
@@ -54,13 +58,22 @@ def test_parameter_count_closed_form():
     assert sum(int(np.prod(s)) for s in shapes.values()) == expected
 
 
-@pytest.mark.parametrize("cfg", [
-    graph.tiny_config(),
-    graph.desk_config(10),
-    replace(graph.tiny_config(), streams=((4,),), post_concat_channels=3),
-    replace(graph.tiny_config(), relu_after_1x1=False, relu_after_hidden=False),
-], ids=["tiny", "desk", "single-stream", "no-relu"])
-def test_recorded_shapes_match_activations(cfg):
+# 115x115 at the paper's root kernel and stride, with narrow widths: conv1
+# lowers 27x27 windows per image, more rows than at the desk size
+CONFIGS = {
+    "tiny": graph.tiny_config(),
+    "desk": graph.desk_config(10),
+    "single-stream": replace(graph.tiny_config(), streams=((4,),), post_concat_channels=3),
+    "no-relu": replace(graph.tiny_config(), relu_after_1x1=False, relu_after_hidden=False),
+    "115x115": LfhnConfig(input_height=115, input_width=115, root_channels=8,
+                          streams=((8, 6), (5,)), post_concat_channels=4, fc_hidden=8,
+                          num_classes=5),
+}
+
+
+@pytest.mark.parametrize("config", CONFIGS)
+def test_recorded_shapes_match_activations(config):
+    cfg = CONFIGS[config]
     trace = graph.shape_trace(cfg)
     net = graph.build_lfhn(cfg, seed=0)
     x = np.random.default_rng(0).uniform(size=(1,) + dict(trace)["input"])
@@ -136,6 +149,107 @@ def test_forward_deterministic_across_rebuilds():
     a, _ = graph.forward(graph.build_lfhn(graph.tiny_config(), seed=6), x)
     b, _ = graph.forward(graph.build_lfhn(graph.tiny_config(), seed=6), x)
     assert np.array_equal(a, b)
+
+
+def _same_bits(a, b):
+    return a.shape == b.shape and np.array_equal(a.view(np.uint64), b.view(np.uint64))
+
+
+@pytest.mark.parametrize("batch", [1, 5])
+@pytest.mark.parametrize("config", CONFIGS)
+def test_inference_forward_gives_the_training_logits_bit_for_bit(config, batch):
+    cfg = CONFIGS[config]
+    net = graph.build_lfhn(cfg, seed=1)
+    train.randomize_biases(net, seed=1)
+    x = np.random.default_rng(batch).uniform(
+        size=(batch, cfg.input_height, cfg.input_width, cfg.input_channels))
+    logits, cache = graph.forward(net, x, inference=True)
+    assert cache is None
+    assert _same_bits(logits, graph.forward(net, x)[0])
+
+
+def test_inference_logits_are_bit_equal_in_a_single_blas_thread():
+    # --threads 1 promises determinism, so check the same equality there
+    tests = os.path.dirname(os.path.abspath(__file__))
+    script = f"""
+import sys
+sys.path.insert(0, {tests!r})
+from test_graph import CONFIGS, test_inference_forward_gives_the_training_logits_bit_for_bit
+for config in CONFIGS:
+    test_inference_forward_gives_the_training_logits_bit_for_bit(config, 5)
+print("bit-equal")
+"""
+    env = {**os.environ, "OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1"}
+    src = os.path.join(os.path.dirname(tests), "src")
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    done = subprocess.run([sys.executable, "-c", script], env=env,
+                          capture_output=True, text=True, timeout=300)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.split() == ["bit-equal"]
+
+
+def test_inference_forward_drops_each_tensor_after_its_last_reader(monkeypatch):
+    # weak references to every ReLU output; at fc7, the last node, only
+    # relu6 (fc7's input) may still be alive in an inference forward
+    net = graph.build_lfhn(graph.tiny_config(), seed=2)
+    x = np.random.default_rng(3).uniform(size=(2, 8, 8, 3))
+    relu, fc_forward = layers.relu, layers.fc_forward
+    outputs, alive_at_fc = [], []
+
+    def recording_relu(*args):
+        out = relu(*args)
+        outputs.append(weakref.ref(out))
+        return out
+
+    def counting_fc(*args):
+        alive_at_fc.append(sum(ref() is not None for ref in outputs))
+        return fc_forward(*args)
+
+    monkeypatch.setattr(layers, "relu", recording_relu)
+    monkeypatch.setattr(layers, "fc_forward", counting_fc)
+    graph.forward(net, x, inference=True)
+    assert len(outputs) == 6 and alive_at_fc[-1] == 1
+    outputs.clear()
+    alive_at_fc.clear()
+    graph.forward(net, x)
+    assert alive_at_fc[-1] == 6  # the training cache keeps every one
+
+
+def test_liveness_frees_norm1_after_the_last_stream_reads_it():
+    net = graph.build_lfhn(graph.desk_config(10), seed=0)
+    # conv2 and conv4 open the two streams; both read norm1
+    assert "norm1" in net.dead_after["conv4"]
+    assert "norm1" not in net.dead_after["conv2"]
+    died = [name for names in net.dead_after.values() for name in names]
+    assert sorted(died) == sorted(n.name for n in net.nodes[:-1])
+
+
+def test_liveness_of_a_hand_built_graph():
+    # conv1 is read by relu1 and, later, by concat; "side" is read by nothing
+    cfg = graph.tiny_config()
+    rng = np.random.default_rng(4)
+    nodes = [graph.Node("input", "input", (), {}),
+             graph.Node("conv1", "conv", ("input",), {"stride": 1}),
+             graph.Node("relu1", "relu", ("conv1",), {}),
+             graph.Node("side", "relu", ("conv1",), {}),
+             graph.Node("concat", "concat", ("relu1", "conv1"), {}),
+             graph.Node("flatten", "flatten", ("concat",), {}),
+             graph.Node("fc2", "fc", ("flatten",), {})]
+    params = {"conv1.kernel": rng.normal(size=(2, 2, 3, 4)), "conv1.bias": rng.normal(size=4),
+              "fc2.weight": rng.normal(size=(7 * 7 * 8, 3)), "fc2.bias": rng.normal(size=3)}
+    net = graph.NetworkGraph(cfg, nodes, params)
+    assert net.dead_after == {"input": [], "conv1": ["input"], "relu1": [],
+                              "side": ["side"], "concat": ["conv1", "relu1"],
+                              "flatten": ["concat"], "fc2": ["flatten"]}
+    x = rng.uniform(size=(3, 8, 8, 3))
+    assert _same_bits(graph.forward(net, x, inference=True)[0], graph.forward(net, x)[0])
+
+
+def test_backward_refuses_an_inference_result():
+    net = graph.build_lfhn(graph.tiny_config(), seed=11)
+    logits, cache = graph.forward(net, np.zeros((1, 8, 8, 3)), inference=True)
+    with pytest.raises(ValueError, match="inference forward"):
+        graph.backward(net, cache, np.zeros_like(logits))
 
 
 def test_training_pass_gathers_root_windows_once(monkeypatch):

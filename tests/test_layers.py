@@ -107,6 +107,24 @@ def test_conv_backward_shape_mismatch():
         layers.conv_backward(rows, (1, 5, 5, 2), kernel, np.zeros((1, 4, 4, 3)))
 
 
+@pytest.mark.parametrize("x_shape, kernel_shape, stride", [
+    ((3, 67, 67, 1), (11, 11, 1, 16), 4),   # the desk root
+    ((2, 9, 11, 3), (3, 3, 3, 5), 2),
+    ((3, 4, 5, 6), (1, 1, 6, 7), 1),
+    ((3, 5, 5, 2), (5, 5, 2, 4), 1),        # one window per image
+    ((3, 7, 7, 2), (3, 3, 2, 1), 2),        # one output channel
+], ids=["11x11-s4", "3x3-s2", "1x1", "one-window", "one-channel"])
+def test_conv_forward_without_rows_has_the_same_bits(x_shape, kernel_shape, stride):
+    r = rng(13)
+    x, kernel = r.normal(size=x_shape), r.normal(size=kernel_shape)
+    bias = r.normal(size=kernel_shape[-1])
+    with_rows, rows = layers.conv_forward(x, kernel, bias, stride)
+    without, none = layers.conv_forward(x, kernel, bias, stride, keep_rows=False)
+    assert rows is not None and none is None
+    assert with_rows.shape == without.shape
+    assert np.array_equal(with_rows.view(np.uint64), without.view(np.uint64))
+
+
 # ---------------------------------------------------------------- 1x1 conv
 
 def test_conv1x1_stream_dims():
