@@ -1,9 +1,10 @@
 """Command line front end: gen-data | train | eval | gradcheck | shapes.
 
 Exit codes: 0 success, 1 check failure (a failed gradcheck, or training that
-diverged to a non-finite loss), 2 usage or config error, 3 data/model
-mismatch. Heavy modules are imported inside the command handlers so that
---threads can pin the BLAS thread pools before numpy loads.
+diverged to a non-finite loss), 2 usage or config error (an output path that
+cannot be written included), 3 data/model mismatch. Heavy modules are
+imported inside the command handlers so that --threads can pin the BLAS
+thread pools before numpy loads.
 """
 
 from __future__ import annotations
@@ -134,6 +135,21 @@ def _apply_threads(args):
             os.environ[var] = str(args.threads)
 
 
+def _check_output_path(path, what):
+    """Raise ConfigError unless path names a file that can be written.
+
+    Checked before any data is loaded, so a run fails before its work
+    rather than after it.
+    """
+    parent = os.path.dirname(os.path.abspath(path))
+    if os.path.isdir(path):
+        raise ConfigError(f"{what} {path} is a directory")
+    if not os.path.isdir(parent):
+        raise ConfigError(f"{what} {path}: directory {parent} does not exist")
+    if not os.access(parent, os.W_OK):
+        raise ConfigError(f"{what} {path}: directory {parent} is not writable")
+
+
 def _error(message, code):
     print(f"error: {message}", file=sys.stderr)
     return code
@@ -161,6 +177,9 @@ def cmd_train(args):
     try:
         values = _merged_config(args)
         seed = resolve_seed(args.seed, values.get("seed"))
+        log_path = values.get("log") or f"{args.out}.log.csv"
+        _check_output_path(args.out, "checkpoint")
+        _check_output_path(log_path, "epoch log")
     except (OSError, ConfigError) as err:
         return _error(str(err), EXIT_USAGE)
     try:
@@ -188,7 +207,6 @@ def cmd_train(args):
         print("warning: freeze_root set without root_weights; "
               "freezing the randomly initialized root layer", file=sys.stderr)
 
-    log_path = values.get("log") or f"{args.out}.log.csv"
     try:
         _, log = train_mod.train(net, samples, tcfg, log_path=log_path)
         graph.save_checkpoint(net, args.out)
@@ -196,6 +214,8 @@ def cmd_train(args):
         return _error(f"{err}; no checkpoint written", EXIT_CHECK_FAILED)
     except ValueError as err:
         return _error(str(err), EXIT_MISMATCH)
+    except OSError as err:
+        return _error(str(err), EXIT_USAGE)
     if log:
         epoch, loss, acc = log[-1]
         print(f"epoch {epoch}: mean_loss={loss:.6f} train_acc={acc:.4f}")
@@ -209,6 +229,8 @@ def cmd_eval(args):
 
     try:
         seed = resolve_seed(args.seed)
+        if args.out:
+            _check_output_path(args.out, "table")
         net = graph.load_checkpoint(args.model)
     except (OSError, ConfigError, graph.CheckpointError) as err:
         return _error(str(err), EXIT_USAGE)
@@ -235,8 +257,11 @@ def cmd_eval(args):
               "excluded from the mean", file=sys.stderr)
     print(format_table(table, args.style))
     if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(format_table(table, "csv") + "\n")
+        try:
+            with open(args.out, "w", encoding="utf-8") as fh:
+                fh.write(format_table(table, "csv") + "\n")
+        except OSError as err:
+            return _error(str(err), EXIT_USAGE)
         print(f"wrote {args.out}", file=sys.stderr)
     return EXIT_OK
 

@@ -75,9 +75,12 @@ def rank_table_from_predictions(predictions, samples, yaws=None) -> RankTable:
 def predict(net, images, batch_size=64) -> np.ndarray:
     """Identity decisions: argmax over the class logits, ties to lowest index.
 
-    images are uint8 or float; each batch is converted on its own and runs
-    an inference forward, which holds only the tensors still to be read.
+    images is an array or a list of same-shape images, all uint8 or all
+    float; a list that mixes dtypes raises ValueError. Each batch is stacked
+    and converted on its own and runs an inference forward, which holds only
+    the tensors still to be read.
     """
+    check_image_dtypes(images)
     predictions = np.empty(len(images), dtype=np.intp)
     for start in range(0, len(images), batch_size):
         batch = network_input(images[start:start + batch_size])
@@ -100,14 +103,8 @@ def evaluate(net, samples, yaws=None, batch_size=64) -> RankTable:
         raise ValueError(f"model was trained for {k} classes but the corpus contains "
                          f"identity {bad}, a label out of range [0, {k})")
     target = (net.config.input_height, net.config.input_width)
-    images = []
-    for s in samples:
-        image = s.image
-        if image.shape[:2] != target:
-            image = center_crop(image, *target)
-        images.append(image)
-    check_image_dtypes(images)
-    images = np.stack(images)
+    images = [s.image if s.image.shape[:2] == target else center_crop(s.image, *target)
+              for s in samples]
     return rank_table_from_predictions(predict(net, images, batch_size), samples, yaws)
 
 

@@ -13,6 +13,7 @@ backward step. Nodes record their output and parameter shapes when built.
 
 from __future__ import annotations
 
+import collections
 import contextlib
 import math
 import os
@@ -239,6 +240,15 @@ class NetworkGraph:
         for name, reader in last_reader.items():
             if name != self.output_name:
                 self.dead_after[reader].append(name)
+        # relu nodes that rectify their input in place: they are its only
+        # reader, and it is an array its producer allocated, not the
+        # caller's batch or a flatten view of another tensor
+        readers = collections.Counter(dep for node in self.nodes for dep in node.inputs)
+        kinds = {node.name: node.kind for node in self.nodes}
+        self.relu_in_place = {
+            node.name for node in self.nodes
+            if node.kind == "relu" and readers[node.inputs[0]] == 1
+            and kinds[node.inputs[0]] not in ("input", "flatten")}
 
     @property
     def output_name(self) -> str:
@@ -290,7 +300,8 @@ def _fc_backward(net, node, xs, cache, g):
 # maxpool's keywords.
 OPS = {
     "conv": (_conv_forward, _conv_backward),
-    "relu": (lambda net, node, xs, cache: layers.relu(xs[0]),
+    "relu": (lambda net, node, xs, cache: layers.relu(
+                 xs[0], out=xs[0] if node.name in net.relu_in_place else None),
              lambda net, node, xs, cache, g: ([layers.relu_backward(xs[0], g)], {})),
     "maxpool": (lambda net, node, xs, cache: layers.maxpool_forward(xs[0], **node.attrs),
                 lambda net, node, xs, cache, g: (
@@ -313,11 +324,14 @@ def forward(net: NetworkGraph, batch, inference=False):
     """Run the graph on a batch, returning (logits, activation cache).
 
     The cache maps node names to outputs; conv nodes additionally store their
-    lowered input rows under "<name>#rows". backward() needs the full cache.
-    With inference=True the cache is None: each tensor is freed once the last
-    node that reads it (net.dead_after) has run and convs keep no rows, so
-    only live tensors are held. The logits are the same bits either way.
-    The batch must be floating point; data.network_input scales raw pixels.
+    lowered input rows under "<name>#rows". backward() needs the full cache
+    and consumes it. With inference=True the cache is None: each tensor is
+    freed once the last node that reads it (net.dead_after) has run and convs
+    keep no rows, so only live tensors are held. In both modes a relu in
+    net.relu_in_place rectifies its input in place, so a conv or fc read only
+    by a ReLU shares one tensor with it; the batch itself is never written.
+    The logits are the same bits either way. The batch must be floating
+    point; data.network_input scales raw pixels.
     """
     x = np.asarray(batch)
     if not np.issubdtype(x.dtype, np.floating):
@@ -340,11 +354,20 @@ def forward(net: NetworkGraph, batch, inference=False):
 
 
 def backward(net: NetworkGraph, cache, grad_logits):
-    """Whole-graph adjoint: gradient registry for every non-frozen parameter."""
+    """Whole-graph adjoint: gradient registry for every non-frozen parameter.
+
+    Consumes the cache: a node's output and rows are dropped once its own
+    backward step has run, since every node that reads them in backward
+    (the node and its consumers) has run by then. Only "input", the
+    caller's batch, is left.
+    """
     if cache is None:
         raise ValueError("no activation cache: an inference forward frees each "
                          "tensor after its last reader; backward needs "
                          "forward(net, batch) with inference=False")
+    if cache.keys() == {"input"}:
+        raise ValueError("the activation cache was consumed by an earlier backward; "
+                         "run forward again")
     if "input" not in cache or net.output_name not in cache:
         raise ValueError("cache does not come from a matching forward pass")
     grad_logits = np.asarray(grad_logits, dtype=DTYPE)
@@ -355,16 +378,17 @@ def backward(net: NetworkGraph, cache, grad_logits):
     param_grads = {}
     for node in reversed(net.nodes[1:]):
         g = node_grads.pop(node.name, None)
-        if g is None:
-            continue
-        xs = [cache[name] for name in node.inputs]
-        input_grads, grads = OPS[node.kind][1](net, node, xs, cache, g)
-        for name, gi in zip(node.inputs, input_grads):
-            if gi is not None:
-                node_grads[name] = node_grads[name] + gi if name in node_grads else gi
-        if node.name not in net.frozen:
-            for role, value in grads.items():
-                param_grads[f"{node.name}.{role}"] = value
+        if g is not None:
+            xs = [cache[name] for name in node.inputs]
+            input_grads, grads = OPS[node.kind][1](net, node, xs, cache, g)
+            for name, gi in zip(node.inputs, input_grads):
+                if gi is not None:
+                    node_grads[name] = node_grads[name] + gi if name in node_grads else gi
+            if node.name not in net.frozen:
+                for role, value in grads.items():
+                    param_grads[f"{node.name}.{role}"] = value
+        cache.pop(node.name, None)
+        cache.pop(f"{node.name}#rows", None)
     return param_grads
 
 

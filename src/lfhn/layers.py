@@ -2,7 +2,7 @@
 
 Each backward function is the exact adjoint of its forward given the gradient
 of a scalar loss with respect to the forward output. Nothing here mutates its
-inputs, so layer calls are safe to share across threads.
+inputs, except relu when it is handed its input as out.
 """
 
 from __future__ import annotations
@@ -119,9 +119,13 @@ def conv_backward(rows, input_shape, kernel, grad_out, stride=1, need_input_grad
     return grad_input, grad_kernel, grad_bias
 
 
-def relu(x) -> np.ndarray:
-    """Ramp activation max(0, x)."""
-    return np.maximum(np.asarray(x, dtype=DTYPE), 0.0)
+def relu(x, out=None) -> np.ndarray:
+    """Ramp activation max(0, x), written into out when given (out=x rectifies in place).
+
+    relu(x) > 0 exactly where x > 0 (nan compares false on both sides), so
+    relu_backward may be handed the output in place of the input.
+    """
+    return np.maximum(np.asarray(x, dtype=DTYPE), 0.0, out=out)
 
 
 def relu_backward(x, grad_out) -> np.ndarray:
@@ -163,8 +167,9 @@ def pool_winners(x, out, window, stride) -> np.ndarray:
     # scanning in reverse leaves the lowest flat offset that holds the max; a
     # window whose max is nan matches nothing and keeps the last offset
     indices = np.full(out.shape, views[-1][0], dtype=np.intp)
+    mask = np.empty(out.shape, dtype=bool)
     for offset, view in reversed(views[:-1]):
-        np.copyto(indices, offset, where=view == out)
+        np.putmask(indices, np.equal(view, out, out=mask), offset)
     indices += (np.arange(ho)[:, None] * (stride * x.shape[2])
                 + np.arange(wo) * stride)[:, :, None]
     return indices

@@ -65,12 +65,13 @@ def sgd_step(params, grads, velocity, lr, momentum):
 
 
 def center_crop(image, target_h, target_w) -> np.ndarray:
+    """The centered target_h x target_w window of an (h, w, c) image, as a view."""
     h, w = image.shape[:2]
     if target_h > h or target_w > w:
         raise ValueError(f"crop target {target_h}x{target_w} larger than source {h}x{w}")
     oy = (h - target_h) // 2
     ox = (w - target_w) // 2
-    return np.ascontiguousarray(image[oy:oy + target_h, ox:ox + target_w, :])
+    return image[oy:oy + target_h, ox:ox + target_w, :]
 
 
 def augment(image, target_h, target_w, rng) -> np.ndarray:

@@ -77,10 +77,26 @@ def test_criterion_2_gradient_correctness():
         x = rng.uniform(size=(2, 8, 8, 3))
         y = rng.integers(0, 3, size=2)
         # the pinned fixture must sit clear of every rectifier kink so the
-        # finite differences measure the same function the adjoint does
+        # finite differences measure the same function the adjoint does. The
+        # ReLUs rectify in place, so each pre-activation is recomputed from
+        # its producer's cached input
         _, cache = graph.forward(net, x)
-        closest = min(abs(cache[n.inputs[0]]).min()
-                      for n in net.nodes if n.kind == "relu")
+        nodes = {n.name: n for n in net.nodes}
+
+        def pre_activation(relu):
+            src = nodes[relu.inputs[0]]
+            x_in = cache[src.inputs[0]]
+            if src.kind == "conv":
+                return layers.conv_forward(x_in, net.params[f"{src.name}.kernel"],
+                                           net.params[f"{src.name}.bias"],
+                                           src.attrs["stride"])[0]
+            assert src.kind == "fc", src.kind
+            return layers.fc_forward(x_in, net.params[f"{src.name}.weight"],
+                                     net.params[f"{src.name}.bias"])
+
+        relus = [n for n in net.nodes if n.kind == "relu"]
+        assert len(relus) == 6
+        closest = min(abs(pre_activation(n)).min() for n in relus)
         assert closest > 1e-4, "fixture too close to a rectifier kink"
         report = train.grad_check(net, x, y, epsilon=1e-5, max_per_tensor=32, seed=15)
         assert report.passed(1e-5), "\n".join(report.format_lines())

@@ -229,6 +229,67 @@ def test_divergent_training_exits_1_without_checkpoint(tmp_path, small_corpus, c
     assert not (tmp_path / "model.lfhn.log.csv").exists()
 
 
+def _refuse_to_load(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("data loaded before the output paths were checked")
+
+    monkeypatch.setattr(data, "load_corpus", refuse)
+    monkeypatch.setattr(graph, "load_checkpoint", refuse)
+
+
+@pytest.mark.parametrize("out, log", [("missing/m.lfhn", None),
+                                      ("model.lfhn", "missing/x.csv"),
+                                      (".", None)])  # the directory itself
+def test_train_unwritable_output_exits_2_before_loading_data(tmp_path, small_corpus,
+                                                             capsys, monkeypatch, out, log):
+    args = ["train", "--data", str(small_corpus), "--out", str(tmp_path / out),
+            "--epochs", "1"]
+    if log is not None:
+        args += ["--log", str(tmp_path / log)]
+    _refuse_to_load(monkeypatch)
+    capsys.readouterr()
+    assert cli.main(args) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: ")
+    assert str(tmp_path / (log or out)) in err[0]
+    assert not (tmp_path / "model.lfhn").exists() and not (tmp_path / "missing").exists()
+
+
+def test_eval_unwritable_table_exits_2_before_loading(tmp_path, small_corpus, capsys,
+                                                      monkeypatch):
+    model = tmp_path / "model.lfhn"
+    graph.save_checkpoint(graph.build_lfhn(graph.tiny_config(), seed=0), model)
+    _refuse_to_load(monkeypatch)
+    capsys.readouterr()
+    rc = cli.main(["eval", "--model", str(model), "--data", str(small_corpus),
+                   "--out", str(tmp_path / "missing" / "t.csv")])
+    assert rc == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: ") and "missing" in err[0]
+
+
+def test_a_failed_write_exits_2_with_one_error_line(tmp_path, small_corpus, capsys,
+                                                    monkeypatch):
+    # a path that passes the early check but fails when written, as when the
+    # directory goes away during the run
+    monkeypatch.setattr(cli, "_check_output_path", lambda path, what: None)
+    model = tmp_path / "model.lfhn"
+    missing = tmp_path / "missing"
+    rc = cli.main(["train", "--data", str(small_corpus), "--out", str(missing / "m.lfhn"),
+                   "--epochs", "1", "--log", str(tmp_path / "log.csv")])
+    assert rc == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: ") and str(missing) in err[0]
+    assert cli.main(["train", "--data", str(small_corpus), "--out", str(model),
+                     "--epochs", "1"]) == 0
+    capsys.readouterr()
+    rc = cli.main(["eval", "--model", str(model), "--data", str(small_corpus),
+                   "--out", str(missing / "t.csv")])
+    assert rc == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: ") and str(missing) in err[0]
+
+
 def test_eval_class_count_mismatch_exits_3(tmp_path, small_corpus, capsys):
     model = tmp_path / "model.lfhn"
     cfg = replace(graph.tiny_config(num_classes=1),

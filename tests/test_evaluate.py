@@ -133,6 +133,8 @@ def test_evaluate_rejects_mixed_image_dtypes():
                LabeledSample(np.zeros((8, 8, 3), dtype=np.uint8), 1, 0, 0)]
     with pytest.raises(ValueError, match="mix dtypes"):
         ev.evaluate(net, samples)
+    with pytest.raises(ValueError, match="mix dtypes"):
+        ev.predict(net, [s.image for s in samples])
 
 
 def test_evaluate_requires_samples():
@@ -162,6 +164,28 @@ def test_desk_evaluation_peaks_below_one_batch_of_root_rows():
     finally:
         tracemalloc.stop()
     assert peak < root_rows
+
+
+def test_evaluation_memory_does_not_grow_with_the_image_count():
+    # 71x71 images are center-cropped to the 67x67 input. Stacking every
+    # crop would add a 67x67 copy per image; stacking per batch adds only
+    # the list entry and the prediction
+    net = graph.build_lfhn(graph.desk_config(10), seed=9)
+    rng = np.random.default_rng(10)
+    samples = [LabeledSample(rng.integers(0, 256, size=(71, 71, 1), dtype=np.uint8),
+                             i % 10, i % 13, 0) for i in range(400)]
+    ev.evaluate(net, samples[:1])  # first-call allocations stay out of the peaks
+    peaks = []
+    for n in (40, 400):
+        tracemalloc.start()
+        try:
+            table = ev.evaluate(net, samples[:n], batch_size=8)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert peaks[1] - peaks[0] < (400 - 40) * 67 * 67 // 4
+    crops = np.stack([train.center_crop(s.image, 67, 67) for s in samples])
+    assert table == ev.rank_table_from_predictions(ev.predict(net, crops, 8), samples)
 
 
 # ---------------------------------------------------------------- formatting

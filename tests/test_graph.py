@@ -196,8 +196,8 @@ def test_inference_forward_drops_each_tensor_after_its_last_reader(monkeypatch):
     relu, fc_forward = layers.relu, layers.fc_forward
     outputs, alive_at_fc = [], []
 
-    def recording_relu(*args):
-        out = relu(*args)
+    def recording_relu(*args, **kwargs):
+        out = relu(*args, **kwargs)
         outputs.append(weakref.ref(out))
         return out
 
@@ -250,6 +250,113 @@ def test_backward_refuses_an_inference_result():
     logits, cache = graph.forward(net, np.zeros((1, 8, 8, 3)), inference=True)
     with pytest.raises(ValueError, match="inference forward"):
         graph.backward(net, cache, np.zeros_like(logits))
+
+
+def _in_place_probe_graph():
+    """A hand-built graph with every case of the in-place rule.
+
+    relu0 reads the caller's batch, so it copies. conv1 is read by relu1 and
+    by concat, so relu1 copies; nothing after concat rectifies conv1's
+    negative values. relu2 and relu4 are their input's only reader and
+    rectify in place.
+    """
+    rng = np.random.default_rng(24)
+    nodes = [graph.Node("input", "input", (), {}),
+             graph.Node("relu0", "relu", ("input",), {}),
+             graph.Node("conv1", "conv", ("relu0",), {"stride": 1}),
+             graph.Node("relu1", "relu", ("conv1",), {}),
+             graph.Node("relu2", "relu", ("relu1",), {}),
+             graph.Node("concat", "concat", ("relu2", "conv1"), {}),
+             graph.Node("flatten", "flatten", ("concat",), {}),
+             graph.Node("fc2", "fc", ("flatten",), {}),
+             graph.Node("relu4", "relu", ("fc2",), {}),
+             graph.Node("fc3", "fc", ("relu4",), {})]
+    params = {"conv1.kernel": rng.normal(size=(2, 2, 3, 4)), "conv1.bias": rng.normal(size=4),
+              "fc2.weight": rng.normal(size=(7 * 7 * 8, 5)), "fc2.bias": rng.normal(size=5),
+              "fc3.weight": rng.normal(size=(5, 3)), "fc3.bias": rng.normal(size=3)}
+    return graph.NetworkGraph(graph.tiny_config(), nodes, params)
+
+
+def _flat_input_graph():
+    """relu1 reads a flatten view of the caller's batch, so it must copy."""
+    rng = np.random.default_rng(31)
+    nodes = [graph.Node("input", "input", (), {}),
+             graph.Node("flatten", "flatten", ("input",), {}),
+             graph.Node("relu1", "relu", ("flatten",), {}),
+             graph.Node("fc2", "fc", ("relu1",), {}),
+             graph.Node("relu2", "relu", ("fc2",), {}),
+             graph.Node("fc3", "fc", ("relu2",), {})]
+    params = {"fc2.weight": rng.normal(size=(8 * 8 * 3, 5)), "fc2.bias": rng.normal(size=5),
+              "fc3.weight": rng.normal(size=(5, 3)), "fc3.bias": rng.normal(size=3)}
+    return graph.NetworkGraph(graph.tiny_config(), nodes, params)
+
+
+HAND_BUILT = {"hand-built": _in_place_probe_graph, "flat-input": _flat_input_graph}
+
+
+def test_relu_in_place_rule():
+    assert _in_place_probe_graph().relu_in_place == {"relu2", "relu4"}
+    assert _flat_input_graph().relu_in_place == {"relu2"}
+    net = graph.build_lfhn(graph.desk_config(10), seed=0)
+    assert net.relu_in_place == {n.name for n in net.nodes if n.kind == "relu"}
+    assert graph.build_lfhn(CONFIGS["no-relu"], seed=0).relu_in_place == {"relu1"}
+
+
+def _step_bytes(net, x, labels):
+    """Inference and training logits, gradients and parameters after one SGD
+    step, as bytes, computed on a copy of net's parameters."""
+    net = graph.NetworkGraph(net.config, net.nodes,
+                             {k: v.copy() for k, v in net.params.items()}, net.frozen)
+    inference = graph.forward(net, x, inference=True)[0]
+    logits, cache = graph.forward(net, x)
+    _, grad_logits = layers.softmax_xent(logits, labels)
+    grads = graph.backward(net, cache, grad_logits)
+    grad_bytes = {k: g.tobytes() for k, g in grads.items()}
+    train.sgd_step(net.params, grads, {}, 0.05, 0.9)
+    return (inference.tobytes(), logits.tobytes(), grad_bytes,
+            {k: p.tobytes() for k, p in net.params.items()})
+
+
+@pytest.mark.parametrize("config", ["tiny", "desk", "no-relu", *HAND_BUILT])
+def test_relu_in_place_gives_the_copy_reference_bits(config, monkeypatch):
+    if config in HAND_BUILT:
+        net = HAND_BUILT[config]()
+    else:
+        net = graph.build_lfhn(CONFIGS[config], seed=25)
+        train.randomize_biases(net, seed=25)
+    cfg = net.config
+    rng = np.random.default_rng(26)
+    # signed inputs, so that a ReLU written over the batch would change it
+    x = rng.normal(size=(4, cfg.input_height, cfg.input_width, cfg.input_channels))
+    labels = rng.integers(0, cfg.num_classes, size=4)
+    before = x.copy()
+    got = _step_bytes(net, x, labels)
+    relu = layers.relu
+    monkeypatch.setattr(layers, "relu", lambda x, out=None: relu(x))
+    assert got == _step_bytes(net, x, labels)
+    assert np.array_equal(x, before)
+
+
+def test_training_forward_keeps_one_tensor_per_conv_relu_pair():
+    net = graph.build_lfhn(graph.desk_config(10), seed=27)
+    x = np.random.default_rng(28).normal(size=(2, 67, 67, 1))
+    before = x.copy()
+    _, cache = graph.forward(net, x)
+    for node in net.nodes:
+        if node.kind == "relu":
+            assert cache[node.name] is cache[node.inputs[0]], node.name
+    assert cache["input"] is x and np.array_equal(x, before)
+
+
+def test_backward_consumes_the_cache():
+    net = graph.build_lfhn(graph.tiny_config(), seed=29)
+    x = np.random.default_rng(30).uniform(size=(2, 8, 8, 3))
+    logits, cache = graph.forward(net, x)
+    _, grad_logits = layers.softmax_xent(logits, [0, 2])
+    graph.backward(net, cache, grad_logits)
+    assert cache.keys() == {"input"} and cache["input"] is x
+    with pytest.raises(ValueError, match="cache was consumed by an earlier backward"):
+        graph.backward(net, cache, grad_logits)
 
 
 def test_training_pass_gathers_root_windows_once(monkeypatch):
