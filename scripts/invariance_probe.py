@@ -16,7 +16,7 @@ from lfhn.train import TrainConfig
 
 def probe(samples, protocol, ids, epochs, lr, seed):
     train_part, test_part = data.split(samples, protocol)
-    net = graph.build_lfhn(graph.desk_config(ids, channels=1), seed=seed)
+    net = graph.build_lfhn(graph.desk_config(ids), seed=seed)
     cfg = TrainConfig(lr=lr, momentum=0.9, batch_size=32, epochs=epochs, seed=seed)
     _, log = train.train(net, train_part, cfg)
     table = evaluate.evaluate(net, test_part)

@@ -29,17 +29,17 @@ def main():
     samples = data.load_corpus(corpus_dir)
     print(f"{len(samples)} samples, {args.ids} identities")
 
-    net = graph.build_lfhn(graph.desk_config(args.ids, channels=1), seed=args.seed)
+    net = graph.build_lfhn(graph.desk_config(args.ids), seed=args.seed)
     cfg = TrainConfig(lr=args.lr, momentum=0.9, batch_size=32,
                       epochs=args.epochs, seed=args.seed)
     started = time.perf_counter()
-    _, log = train.train(net, samples, cfg,
-                         log_path=os.path.join(args.workdir, "epochs.csv"))
+    _, log = train.train(net, samples, cfg)
     print(f"trained {args.epochs} epochs in {time.perf_counter() - started:.1f}s")
     for epoch, loss, acc in log[:: max(1, args.epochs // 10)] + [log[-1]]:
         print(f"  epoch {epoch:3d}  loss {loss:.4f}  acc {acc:.4f}")
 
     graph.save_checkpoint(net, os.path.join(args.workdir, "model.lfhn"))
+    train.write_log(log, os.path.join(args.workdir, "epochs.csv"))
     table = evaluate.evaluate(net, samples)
     print(evaluate.format_table(table, "paper"))
 

@@ -25,7 +25,7 @@ class ConfigError(ValueError):
 
 
 # config file keys that name files rather than model or training fields
-PATH_KEYS = ("data", "out", "log", "root_weights")
+PATH_KEYS = ("log", "root_weights")
 
 
 def _config_schema():
@@ -208,14 +208,20 @@ def cmd_train(args):
               "freezing the randomly initialized root layer", file=sys.stderr)
 
     try:
-        _, log = train_mod.train(net, samples, tcfg, log_path=log_path)
-        graph.save_checkpoint(net, args.out)
+        _, log = train_mod.train(net, samples, tcfg)
     except train_mod.TrainingDiverged as err:
         return _error(f"{err}; no checkpoint written", EXIT_CHECK_FAILED)
     except ValueError as err:
         return _error(str(err), EXIT_MISMATCH)
+    # the checkpoint first, so that a failed save leaves no epoch log
+    try:
+        graph.save_checkpoint(net, args.out)
     except OSError as err:
-        return _error(str(err), EXIT_USAGE)
+        return _error(f"checkpoint {args.out}: {err.strerror or err}", EXIT_USAGE)
+    try:
+        train_mod.write_log(log, log_path)
+    except OSError as err:
+        return _error(f"epoch log {log_path}: {err.strerror or err}", EXIT_USAGE)
     if log:
         epoch, loss, acc = log[-1]
         print(f"epoch {epoch}: mean_loss={loss:.6f} train_acc={acc:.4f}")

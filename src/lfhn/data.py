@@ -288,14 +288,16 @@ def check_image_dtypes(images):
         raise ValueError(f"images mix dtypes {', '.join(sorted(map(str, dtypes)))}")
 
 
-def generate_corpus(out_dir, n_identities, poses=None, lights=None, seed=0,
+def generate_corpus(out_dir, n_identities, lights=None, seed=0,
                     height=67, width=67, channels=1):
     """Render and write every (identity, pose, light) triple plus a manifest.
 
+    The poses are the default 13-bin roster; lights defaults to
+    default_light_roster().
     Re-running with the same arguments reproduces byte-identical files.
     Returns the manifest rows as dicts.
     """
-    poses = default_pose_roster() if poses is None else tuple(poses)
+    poses = default_pose_roster()
     lights = default_light_roster() if lights is None else tuple(lights)
     os.makedirs(out_dir, exist_ok=True)
     suffix = "pgm" if channels == 1 else "ppm"

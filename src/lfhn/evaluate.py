@@ -103,8 +103,7 @@ def evaluate(net, samples, yaws=None, batch_size=64) -> RankTable:
         raise ValueError(f"model was trained for {k} classes but the corpus contains "
                          f"identity {bad}, a label out of range [0, {k})")
     target = (net.config.input_height, net.config.input_width)
-    images = [s.image if s.image.shape[:2] == target else center_crop(s.image, *target)
-              for s in samples]
+    images = [center_crop(s.image, *target) for s in samples]
     return rank_table_from_predictions(predict(net, images, batch_size), samples, yaws)
 
 

@@ -100,10 +100,10 @@ def tiny_config(num_classes: int = 3) -> LfhnConfig:
     )
 
 
-def desk_config(num_classes: int, channels: int = 1) -> LfhnConfig:
-    """67x67 variant small enough to train on a synthetic corpus in minutes."""
+def desk_config(num_classes: int) -> LfhnConfig:
+    """67x67x1 variant small enough to train on a synthetic corpus in minutes."""
     return LfhnConfig(
-        input_height=67, input_width=67, input_channels=channels,
+        input_height=67, input_width=67, input_channels=1,
         root_kernel=11, root_channels=16, root_stride=4,
         streams=((16, 24), (16,)), post_concat_channels=24,
         fc_hidden=64, num_classes=num_classes,
@@ -480,8 +480,8 @@ def save_checkpoint(net: NetworkGraph, path):
         raise
 
 
-def load_checkpoint(path, num_classes=None) -> NetworkGraph:
-    """Rebuild a saved network; optionally insist on a class count."""
+def load_checkpoint(path) -> NetworkGraph:
+    """Rebuild a saved network."""
     with open(path, "rb") as fh:
 
         def take(n, what):
@@ -503,11 +503,6 @@ def load_checkpoint(path, num_classes=None) -> NetworkGraph:
             raise CheckpointError(f"unsupported checkpoint version {version}")
         (config_len,) = struct.unpack("<I", take(4, "config length"))
         cfg, frozen = _config_from_block(text(config_len, "config"))
-        if num_classes is not None and cfg.num_classes != num_classes:
-            raise CheckpointError(
-                f"shape disagreement: checkpoint was built for {cfg.num_classes} "
-                f"classes, caller expects {num_classes}"
-            )
         try:
             expected = parameter_shapes(cfg)
         except GraphConfigError as err:

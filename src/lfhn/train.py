@@ -65,7 +65,8 @@ def sgd_step(params, grads, velocity, lr, momentum):
 
 
 def center_crop(image, target_h, target_w) -> np.ndarray:
-    """The centered target_h x target_w window of an (h, w, c) image, as a view."""
+    """The centered target_h x target_w window of an (h, w, c) image, as a view;
+    the whole image when its extents already match."""
     h, w = image.shape[:2]
     if target_h > h or target_w > w:
         raise ValueError(f"crop target {target_h}x{target_w} larger than source {h}x{w}")
@@ -77,8 +78,9 @@ def center_crop(image, target_h, target_w) -> np.ndarray:
 def augment(image, target_h, target_w, rng) -> np.ndarray:
     """Training-path augmentation: uniform random crop, then a coin-flip mirror.
 
-    When source and target extents match the crop offset is forced to zero.
-    The evaluation path uses center_crop and no mirror instead.
+    Returns a view of image, like center_crop; stacking the batch makes the
+    one copy. When source and target extents match the crop offset is forced
+    to zero. The evaluation path uses center_crop and no mirror instead.
     """
     h, w = image.shape[:2]
     if target_h > h or target_w > w:
@@ -88,16 +90,17 @@ def augment(image, target_h, target_w, rng) -> np.ndarray:
     out = image[oy:oy + target_h, ox:ox + target_w, :]
     if rng.random() < 0.5:
         out = out[:, ::-1, :]
-    return np.ascontiguousarray(out)
+    return out
 
 
-def train(net, samples, cfg: TrainConfig, log_path=None):
-    """Train in place over seeded shuffled epochs.
+def train(net, samples, cfg: TrainConfig):
+    """Train in place over seeded shuffled epochs; writes no file.
 
     Returns (net, log) where log is a list of (epoch, mean_loss, train_acc)
-    rows; train_acc counts the predictions made during the epoch's own
-    forward passes. With a fixed seed the run is fully reproducible. Raises
-    TrainingDiverged at the first non-finite batch loss, before its update.
+    rows, which write_log saves; train_acc counts the predictions made
+    during the epoch's own forward passes. With a fixed seed the run is
+    fully reproducible. Raises TrainingDiverged at the first non-finite
+    batch loss, before its update.
     Sample images are uint8 as loaded or float in [0, 1], one dtype for all;
     each batch is stacked from its own samples, then data.network_input
     converts it.
@@ -146,8 +149,6 @@ def train(net, samples, cfg: TrainConfig, log_path=None):
             # free this batch's activations and gradients before the next forward
             del cache, grads
         log.append((epoch, total_loss / n, correct / n))
-    if log_path is not None:
-        write_log(log, log_path)
     return net, log
 
 
@@ -199,7 +200,7 @@ def relative_error(a: float, b: float) -> float:
     return np.inf if np.isnan(err) else err
 
 
-def randomize_biases(net, seed=0, scale=0.1):
+def randomize_biases(net, seed=0):
     """Move biases to a generic point before a finite-difference check.
 
     Freshly built networks have all-zero biases, which parks 1x1 conv
@@ -211,7 +212,7 @@ def randomize_biases(net, seed=0, scale=0.1):
     rng = np.random.default_rng(seed)
     for name in net.params:
         if name.endswith(".bias"):
-            net.params[name] = rng.normal(0.0, scale, net.params[name].shape)
+            net.params[name] = rng.normal(0.0, 0.1, net.params[name].shape)
     return net
 
 

@@ -40,7 +40,7 @@ def corpus(tmp_path_factory):
 
 
 def _desk_training(samples, seed=0, epochs=60):
-    net = graph.build_lfhn(graph.desk_config(10, channels=1), seed=seed)
+    net = graph.build_lfhn(graph.desk_config(10), seed=seed)
     cfg = TrainConfig(lr=0.02, momentum=0.9, batch_size=32, epochs=epochs, seed=seed)
     return train.train(net, samples, cfg)
 

@@ -290,6 +290,22 @@ def test_a_failed_write_exits_2_with_one_error_line(tmp_path, small_corpus, caps
     assert len(err) == 1 and err[0].startswith("error: ") and str(missing) in err[0]
 
 
+def test_a_failed_checkpoint_write_leaves_no_epoch_log(tmp_path, small_corpus, capsys,
+                                                      monkeypatch):
+    def fail(src, dst):
+        raise PermissionError(13, "Permission denied", src, None, dst)
+
+    monkeypatch.setattr(graph.os, "replace", fail)
+    model = tmp_path / "model.lfhn"
+    log = tmp_path / "log.csv"
+    rc = cli.main(["train", "--data", str(small_corpus), "--out", str(model),
+                   "--epochs", "1", "--log", str(log)])
+    assert rc == 2
+    err = capsys.readouterr().err.splitlines()
+    assert err == [f"error: checkpoint {model}: Permission denied"]
+    assert sorted(os.listdir(tmp_path)) == ["corpus"]
+
+
 def test_eval_class_count_mismatch_exits_3(tmp_path, small_corpus, capsys):
     model = tmp_path / "model.lfhn"
     cfg = replace(graph.tiny_config(num_classes=1),
@@ -374,6 +390,19 @@ def test_config_file_unknown_key(tmp_path, small_corpus):
     rc = cli.main(["train", "--data", str(small_corpus),
                    "--out", str(tmp_path / "m.lfhn"), "--config", str(cfg)])
     assert rc == 2
+
+
+@pytest.mark.parametrize("key", ["out", "data"])
+def test_config_file_path_flags_are_not_keys(tmp_path, small_corpus, capsys, key):
+    # --out and --data are required flags, so a file value could only be ignored
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(f"{key} = {tmp_path / 'fromfile'}\n")
+    model = tmp_path / "flag.lfhn"
+    rc = cli.main(["train", "--data", str(small_corpus), "--out", str(model),
+                   "--config", str(cfg), "--epochs", "1"])
+    assert rc == 2
+    assert f"unknown config key {key!r}" in capsys.readouterr().err
+    assert not model.exists() and not (tmp_path / "fromfile").exists()
 
 
 BAD_CONFIG_LINES = ["lr = nan", "lr = inf", "lr_decay_every = -1", "lr_decay_factor = 0",
@@ -484,14 +513,6 @@ def test_threads_below_one_exits_2(threads, monkeypatch):
         cli.main(["shapes", "--threads", threads])
     assert exc.value.code == 2
     assert "OPENBLAS_NUM_THREADS" not in os.environ
-
-
-def test_every_exported_name_resolves():
-    # the exports load lazily, so a stale entry would fail only on first use
-    import lfhn
-
-    for name in lfhn.__all__:
-        assert getattr(lfhn, name).__name__ == name
 
 
 def test_threads_flag_reaches_openblas():

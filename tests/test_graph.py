@@ -604,14 +604,6 @@ def test_checkpoint_rejects_text_that_is_not_utf8(tmp_path):
         graph.load_checkpoint(path)
 
 
-def test_checkpoint_rejects_class_count_mismatch(tmp_path):
-    net = graph.build_lfhn(graph.tiny_config(num_classes=10), seed=21)
-    path = tmp_path / "model.lfhn"
-    graph.save_checkpoint(net, path)
-    with pytest.raises(CheckpointError, match="10.*12"):
-        graph.load_checkpoint(path, num_classes=12)
-
-
 def test_load_root_weights(tmp_path):
     net = graph.build_lfhn(graph.tiny_config(), seed=22)
     kernel_shape = net.params["conv1.kernel"].shape

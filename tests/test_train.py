@@ -113,15 +113,13 @@ def test_train_lr_zero_keeps_parameters():
 
 
 @pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
-def test_train_stops_at_first_non_finite_loss(tmp_path):
+def test_train_stops_at_first_non_finite_loss():
     samples = _toy_samples(2, 3, seed=6)
     net = graph.build_lfhn(graph.tiny_config(), seed=7)
     net.params["fc7.bias"][0] = np.inf
     before = {k: v.copy() for k, v in net.params.items()}
-    log_path = tmp_path / "log.csv"
     with pytest.raises(train.TrainingDiverged, match="epoch 0, batch 0"):
-        train.train(net, samples, TrainConfig(epochs=2, seed=8), log_path=log_path)
-    assert not log_path.exists()
+        train.train(net, samples, TrainConfig(epochs=2, seed=8))
     for name in before:
         assert np.array_equal(net.params[name], before[name])
 
@@ -204,8 +202,8 @@ def test_training_on_stored_pixels_matches_training_on_scaled_floats(tmp_path, a
         net = graph.build_lfhn(cfg, seed=4)
         log_path = tmp_path / f"log{len(results)}.csv"
         _, log = train.train(net, samples, TrainConfig(lr=0.05, batch_size=8, epochs=2,
-                                                      seed=5, augment=augment),
-                             log_path=log_path)
+                                                      seed=5, augment=augment))
+        train.write_log(log, log_path)
         table = evaluate.format_table(evaluate.evaluate(net, samples, batch_size=16))
         params = {k: v.tobytes() for k, v in net.params.items()}
         results.append((params, log, log_path.read_text(), table))
@@ -277,8 +275,8 @@ def test_train_log_csv_format(tmp_path):
     samples = _toy_samples(2, 2, seed=21)
     net = graph.build_lfhn(graph.tiny_config(num_classes=2), seed=22)
     path = tmp_path / "log.csv"
-    _, log = train.train(net, samples, TrainConfig(lr=0.01, epochs=2, seed=23),
-                         log_path=path)
+    _, log = train.train(net, samples, TrainConfig(lr=0.01, epochs=2, seed=23))
+    train.write_log(log, path)
     lines = path.read_text().splitlines()
     assert lines[0] == "epoch,mean_loss,train_acc"
     assert len(lines) == 3
