@@ -191,16 +191,13 @@ def light_field(light: LightSpec, height, width) -> np.ndarray:
     return light.ambient + (1.0 - light.ambient) * ramp
 
 
-def render(template: IdentityTemplate, pose: PoseSpec, light: LightSpec,
-           clamp: bool = True) -> np.ndarray:
+def render(template: IdentityTemplate, pose: PoseSpec, light: LightSpec) -> np.ndarray:
     """Image = clamp(project(reflectance, pose) * light, 0, 1), per channel."""
     posed = project(template.reflectance, pose.yaw_deg)
     h, w = posed.shape
     field = light_field(light, h, w)
     image = (posed * field)[:, :, None] * template.tint[None, None, :]
-    if clamp:
-        image = np.clip(image, 0.0, 1.0)
-    return image
+    return np.clip(image, 0.0, 1.0)
 
 
 def write_image(path, pixels: np.ndarray):

@@ -270,51 +270,43 @@ def build_lfhn(cfg: LfhnConfig, seed: int = 0) -> NetworkGraph:
     return NetworkGraph(cfg, _architecture(cfg), params)
 
 
-def _conv_forward(net, node, xs, cache):
-    out, rows = layers.conv_forward(
-        xs[0], net.params[f"{node.name}.kernel"], net.params[f"{node.name}.bias"],
-        node.attrs["stride"], keep_rows=cache is not None)
-    if cache is not None:
-        cache[f"{node.name}#rows"] = rows
-    return out
-
-
-def _conv_backward(net, node, xs, cache, g):
-    gi, gk, gb = layers.conv_backward(cache[f"{node.name}#rows"], xs[0].shape,
-                                      net.params[f"{node.name}.kernel"], g,
+def _conv_backward(net, node, xs, out, g):
+    gi, gk, gb = layers.conv_backward(xs[0], net.params[f"{node.name}.kernel"], g,
                                       node.attrs["stride"], node.inputs[0] != "input")
     return [gi], {"kernel": gk, "bias": gb}
 
 
-def _fc_backward(net, node, xs, cache, g):
+def _fc_backward(net, node, xs, out, g):
     gi, gw, gb = layers.fc_backward(xs[0], net.params[f"{node.name}.weight"], g)
     return [gi], {"weight": gw, "bias": gb}
 
 
-# {kind: (forward step, backward step)}. forward(net, node, xs, cache) returns
-# the node's output from its input tensors xs and may store what its backward
-# needs in cache, which is None in an inference forward. backward(net, node,
-# xs, cache, g) returns the gradients of xs (None where not needed) and the
-# parameter gradients by role. Layers and parameters are looked up at call
-# time, so that patches and rebound arrays take effect. Pool attrs are
-# maxpool's keywords.
+# {kind: (forward step, backward step)}. forward(net, node, xs) returns the
+# node's output from its input tensors xs. backward(net, node, xs, out, g)
+# returns the gradients of xs (None where not needed) and the parameter
+# gradients by role, given the node's output out and its gradient g. Layers
+# and parameters are looked up at call time, so that patches and rebound
+# arrays take effect. Pool attrs are maxpool's keywords.
 OPS = {
-    "conv": (_conv_forward, _conv_backward),
-    "relu": (lambda net, node, xs, cache: layers.relu(
+    "conv": (lambda net, node, xs: layers.conv_forward(
+                 xs[0], net.params[f"{node.name}.kernel"], net.params[f"{node.name}.bias"],
+                 node.attrs["stride"]),
+             _conv_backward),
+    "relu": (lambda net, node, xs: layers.relu(
                  xs[0], out=xs[0] if node.name in net.relu_in_place else None),
-             lambda net, node, xs, cache, g: ([layers.relu_backward(xs[0], g)], {})),
-    "maxpool": (lambda net, node, xs, cache: layers.maxpool_forward(xs[0], **node.attrs),
-                lambda net, node, xs, cache, g: (
-                    [layers.maxpool_backward(xs[0], cache[node.name], g, **node.attrs)], {})),
-    "lrn": (lambda net, node, xs, cache: layers.lrn_forward(xs[0], node.attrs["params"]),
-            lambda net, node, xs, cache, g: (
+             lambda net, node, xs, out, g: ([layers.relu_backward(xs[0], g)], {})),
+    "maxpool": (lambda net, node, xs: layers.maxpool_forward(xs[0], **node.attrs),
+                lambda net, node, xs, out, g: (
+                    [layers.maxpool_backward(xs[0], out, g, **node.attrs)], {})),
+    "lrn": (lambda net, node, xs: layers.lrn_forward(xs[0], node.attrs["params"]),
+            lambda net, node, xs, out, g: (
                 [layers.lrn_backward(xs[0], node.attrs["params"], g)], {})),
-    "concat": (lambda net, node, xs, cache: layers.concat_channels(xs),
-               lambda net, node, xs, cache, g: (
+    "concat": (lambda net, node, xs: layers.concat_channels(xs),
+               lambda net, node, xs, out, g: (
                    layers.split_channels(g, [x.shape[-1] for x in xs]), {})),
-    "flatten": (lambda net, node, xs, cache: xs[0].reshape(xs[0].shape[0], -1),
-                lambda net, node, xs, cache, g: ([g.reshape(xs[0].shape)], {})),
-    "fc": (lambda net, node, xs, cache: layers.fc_forward(
+    "flatten": (lambda net, node, xs: xs[0].reshape(xs[0].shape[0], -1),
+                lambda net, node, xs, out, g: ([g.reshape(xs[0].shape)], {})),
+    "fc": (lambda net, node, xs: layers.fc_forward(
                xs[0], net.params[f"{node.name}.weight"], net.params[f"{node.name}.bias"]),
            _fc_backward),
 }
@@ -323,13 +315,13 @@ OPS = {
 def forward(net: NetworkGraph, batch, inference=False):
     """Run the graph on a batch, returning (logits, activation cache).
 
-    The cache maps node names to outputs; conv nodes additionally store their
-    lowered input rows under "<name>#rows". backward() needs the full cache
-    and consumes it. With inference=True the cache is None: each tensor is
-    freed once the last node that reads it (net.dead_after) has run and convs
-    keep no rows, so only live tensors are held. In both modes a relu in
-    net.relu_in_place rectifies its input in place, so a conv or fc read only
-    by a ReLU shares one tensor with it; the batch itself is never written.
+    The cache maps "input" and every node name to its tensor. backward()
+    needs the full cache and consumes it. With inference=True the cache is
+    None: each tensor is freed once the last node that reads it
+    (net.dead_after) has run, so only live tensors are held. In both modes a
+    relu in net.relu_in_place rectifies its input in place, so a conv or fc
+    read only by a ReLU shares one tensor with it; the batch itself is never
+    written.
     The logits are the same bits either way. The batch must be floating
     point; data.network_input scales raw pixels.
     """
@@ -343,21 +335,20 @@ def forward(net: NetworkGraph, batch, inference=False):
         raise ValueError(f"batch shape {x.shape} does not match input "
                          f"(n, {expected[0]}, {expected[1]}, {expected[2]})")
     tensors = {"input": x}
-    cache = None if inference else tensors
     for node in net.nodes[1:]:
         xs = [tensors[name] for name in node.inputs]
-        tensors[node.name] = OPS[node.kind][0](net, node, xs, cache)
+        tensors[node.name] = OPS[node.kind][0](net, node, xs)
         if inference:
             for name in net.dead_after[node.name]:
                 del tensors[name]
-    return tensors[net.output_name], cache
+    return tensors[net.output_name], None if inference else tensors
 
 
 def backward(net: NetworkGraph, cache, grad_logits):
     """Whole-graph adjoint: gradient registry for every non-frozen parameter.
 
-    Consumes the cache: a node's output and rows are dropped once its own
-    backward step has run, since every node that reads them in backward
+    Consumes the cache: a node's output is dropped once its own backward
+    step has run, since every node that reads it in backward
     (the node and its consumers) has run by then. Only "input", the
     caller's batch, is left.
     """
@@ -380,7 +371,7 @@ def backward(net: NetworkGraph, cache, grad_logits):
         g = node_grads.pop(node.name, None)
         if g is not None:
             xs = [cache[name] for name in node.inputs]
-            input_grads, grads = OPS[node.kind][1](net, node, xs, cache, g)
+            input_grads, grads = OPS[node.kind][1](net, node, xs, cache[node.name], g)
             for name, gi in zip(node.inputs, input_grads):
                 if gi is not None:
                     node_grads[name] = node_grads[name] + gi if name in node_grads else gi
@@ -388,7 +379,6 @@ def backward(net: NetworkGraph, cache, grad_logits):
                 for role, value in grads.items():
                     param_grads[f"{node.name}.{role}"] = value
         cache.pop(node.name, None)
-        cache.pop(f"{node.name}#rows", None)
     return param_grads
 
 
@@ -424,6 +414,7 @@ def parse_value(kind, text):
 
 
 def _config_from_block(text: str):
+    types = field_types(LfhnConfig)
     values = {}
     for line in text.splitlines():
         if not line:
@@ -431,9 +422,13 @@ def _config_from_block(text: str):
         key, sep, value = line.partition("=")
         if not sep:
             raise CheckpointError(f"malformed config line {line!r}")
+        if key not in types and key != "frozen":
+            raise CheckpointError(f"invalid config block: unknown key {key!r}")
+        if key in values:
+            raise CheckpointError(f"invalid config block: key {key!r} given twice")
         values[key] = value
     kwargs = {}
-    for key, kind in field_types(LfhnConfig).items():
+    for key, kind in types.items():
         if key not in values:
             raise CheckpointError(f"invalid config block: missing key {key!r}")
         try:
@@ -507,6 +502,10 @@ def load_checkpoint(path) -> NetworkGraph:
             expected = parameter_shapes(cfg)
         except GraphConfigError as err:
             raise CheckpointError(f"invalid config block: {err}") from err
+        unknown = set(frozen) - {name.rpartition(".")[0] for name in expected}
+        if unknown:
+            raise CheckpointError(f"invalid config block: frozen {sorted(unknown)} "
+                                  "are not nodes with parameters")
         (count,) = struct.unpack("<I", take(4, "parameter count"))
         if count != len(expected):
             raise CheckpointError(f"checkpoint stores {count} parameters, "

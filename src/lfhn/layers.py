@@ -40,17 +40,12 @@ class LrnParams:
             raise ValueError(f"beta must be finite and > 0, got {self.beta}")
 
 
-def conv_forward(x, kernel, bias, stride=1, keep_rows=True):
+def conv_forward(x, kernel, bias, stride=1) -> np.ndarray:
     """Convolve (n, h, w, cin) with a (kh, kw, cin, cout) kernel and add the bias.
 
-    Returns (out, rows): rows is the lowered input that conv_backward takes,
-    so the windows are gathered once per forward/backward pair. A 1x1 kernel
-    at stride 1 reads every pixel once, so its rows are a reshape of x.
-
-    With keep_rows=False rows is None, and a kernel that needs lowering is
-    lowered and multiplied one image at a time, so at most one image's rows
-    exist (unless an image has one window or cout is 1). out has the same
-    bits either way.
+    A 1x1 kernel at stride 1 reads every pixel once: its lowered rows are a
+    reshape of x. Any other kernel is lowered and multiplied one image at a
+    time, so at most one image's rows exist.
     """
     x = np.asarray(x, dtype=DTYPE)
     kernel = np.asarray(kernel, dtype=DTYPE)
@@ -69,32 +64,28 @@ def conv_forward(x, kernel, bias, stride=1, keep_rows=True):
     ho = tensor.conv_extent(h, kh, stride)
     wo = tensor.conv_extent(w, kw, stride)
     weights = kernel.reshape(-1, cout)
-    rows = None
     if (kh, kw, stride) == (1, 1, 1):
-        rows = x.reshape(n * ho * wo, cin)
-    elif keep_rows or ho * wo == 1 or cout == 1:
-        # a one-row or one-column product is a matrix-vector one, whose sums
-        # split differently for one image than for the batch: keep it batched
-        rows = tensor.im2col(x, kh, kw, stride).reshape(n * ho * wo, kh * kw * cin)
-    if rows is None:
+        out = x.reshape(n * ho * wo, cin) @ weights
+    else:
         out = np.empty((n, ho * wo, cout), dtype=DTYPE)
         for i in range(n):
             np.matmul(tensor.im2col(x[i:i + 1], kh, kw, stride)[0], weights, out=out[i])
-    else:
-        out = rows @ weights
     out += bias
-    return out.reshape(n, ho, wo, cout), rows if keep_rows else None
+    return out.reshape(n, ho, wo, cout)
 
 
-def conv_backward(rows, input_shape, kernel, grad_out, stride=1, need_input_grad=True):
-    """Adjoint of conv_forward, given the rows it returned for an input of input_shape.
+def conv_backward(x, kernel, grad_out, stride=1, need_input_grad=True):
+    """Adjoint of conv_forward at its input x.
 
-    Returns (grad_input, grad_kernel, grad_bias); grad_input is None when
-    need_input_grad is False (the root layer of a network never needs it).
+    x is lowered again here, in one batch: a reshape for a 1x1 kernel at
+    stride 1, one im2col otherwise. Returns (grad_input, grad_kernel,
+    grad_bias); grad_input is None when need_input_grad is False (the root
+    layer of a network never needs it).
     """
+    x = np.asarray(x, dtype=DTYPE)
     grad_out = np.asarray(grad_out, dtype=DTYPE)
     kernel = np.asarray(kernel, dtype=DTYPE)
-    n, h, w, _ = input_shape
+    n, h, w, _ = x.shape
     kh, kw, cin, cout = kernel.shape
     ho = tensor.conv_extent(h, kh, stride)
     wo = tensor.conv_extent(w, kw, stride)
@@ -103,19 +94,18 @@ def conv_backward(rows, input_shape, kernel, grad_out, stride=1, need_input_grad
             f"grad_out shape {grad_out.shape} does not match forward output "
             f"{(n, ho, wo, cout)}"
         )
-    if rows.shape != (n * ho * wo, kh * kw * cin):
-        raise ValueError(f"rows shape {rows.shape} does not match input {tuple(input_shape)} "
-                         "and kernel; stale rows?")
+    pointwise = (kh, kw, stride) == (1, 1, 1)
+    rows = x if pointwise else tensor.im2col(x, kh, kw, stride)
     g = grad_out.reshape(n * ho * wo, cout)
-    grad_kernel = (rows.T @ g).reshape(kernel.shape)
+    grad_kernel = (rows.reshape(n * ho * wo, kh * kw * cin).T @ g).reshape(kernel.shape)
     grad_bias = grad_out.sum(axis=(0, 1, 2))
     grad_input = None
     if need_input_grad:
         gcols = g @ kernel.reshape(-1, cout).T
-        if (kh, kw, stride) == (1, 1, 1):
-            grad_input = gcols.reshape(input_shape)
+        if pointwise:
+            grad_input = gcols.reshape(x.shape)
         else:
-            grad_input = tensor.col2im(gcols, input_shape, kh, kw, stride)
+            grad_input = tensor.col2im(gcols, x.shape, kh, kw, stride)
     return grad_input, grad_kernel, grad_bias
 
 

@@ -89,7 +89,7 @@ def test_criterion_2_gradient_correctness():
             if src.kind == "conv":
                 return layers.conv_forward(x_in, net.params[f"{src.name}.kernel"],
                                            net.params[f"{src.name}.bias"],
-                                           src.attrs["stride"])[0]
+                                           src.attrs["stride"])
             assert src.kind == "fc", src.kind
             return layers.fc_forward(x_in, net.params[f"{src.name}.weight"],
                                      net.params[f"{src.name}.bias"])
@@ -110,25 +110,23 @@ def test_criterion_2_gradient_correctness():
         x = r.normal(size=(2, 5, 5, 2))
         kernel, bias = r.normal(size=(3, 3, 2, 3)), r.normal(size=3)
         probe = r.normal(size=(2, 3, 3, 3))
-        gi, gk, gb = layers.conv_backward(layers.conv_forward(x, kernel, bias)[1],
-                                          x.shape, kernel, probe)
+        gi, gk, gb = layers.conv_backward(x, kernel, probe)
         assert max_rel_err(gi, fd_grad(
-            lambda v: float((layers.conv_forward(v, kernel, bias)[0] * probe).sum()),
+            lambda v: float((layers.conv_forward(v, kernel, bias) * probe).sum()),
             x.copy())) < 1e-6
         assert max_rel_err(gk, fd_grad(
-            lambda v: float((layers.conv_forward(x, v, bias)[0] * probe).sum()),
+            lambda v: float((layers.conv_forward(x, v, bias) * probe).sum()),
             kernel.copy())) < 1e-6
         assert max_rel_err(gb, fd_grad(
-            lambda v: float((layers.conv_forward(x, kernel, v)[0] * probe).sum()),
+            lambda v: float((layers.conv_forward(x, kernel, v) * probe).sum()),
             bias.copy())) < 1e-6
         # 1x1 conv
         k1, b1 = r.normal(size=(1, 1, 3, 4)), r.normal(size=4)
         x1 = r.normal(size=(2, 3, 3, 3))
         probe1 = r.normal(size=(2, 3, 3, 4))
-        gi, gk, gb = layers.conv_backward(layers.conv_forward(x1, k1, b1)[1],
-                                          x1.shape, k1, probe1)
+        gi, gk, gb = layers.conv_backward(x1, k1, probe1)
         assert max_rel_err(gi, fd_grad(
-            lambda v: float((layers.conv_forward(v, k1, b1)[0] * probe1).sum()),
+            lambda v: float((layers.conv_forward(v, k1, b1) * probe1).sum()),
             x1.copy())) < 1e-6
         # fc
         xf = r.normal(size=(3, 4))
@@ -179,7 +177,7 @@ def test_criterion_3_oracle_equivalence():
             x = rng.normal(size=(1, h, w, cin))
             kernel = rng.normal(size=(kh, kw, cin, cout))
             bias = rng.normal(size=cout)
-            got, _ = layers.conv_forward(x, kernel, bias, stride)
+            got = layers.conv_forward(x, kernel, bias, stride)
             want = naive_conv(x, kernel, bias, stride)
             assert max_rel_err(got, want) < 1e-10, f"case {checked}"
             checked += 1
@@ -191,7 +189,7 @@ def test_criterion_3_oracle_equivalence():
             x = rng.normal(size=(2, h, w, cin))
             kernel = rng.normal(size=(1, 1, cin, cout))
             bias = rng.normal(size=cout)
-            fast, _ = layers.conv_forward(x, kernel, bias)
+            fast = layers.conv_forward(x, kernel, bias)
             lowered = (tensor.im2col(x, 1, 1).reshape(-1, cin)
                        @ kernel.reshape(cin, cout) + bias)
             assert max_rel_err(fast, lowered.reshape(fast.shape)) < 1e-12, f"case {case}"

@@ -326,14 +326,20 @@ def test_eval_rejects_corrupt_model(tmp_path, small_corpus):
 
 
 @pytest.mark.parametrize("old, new", [(b"input_height=8", b"input_height=9"),
-                                      (b"input_height", b"\xffnput_height")])
+                                      (b"input_height", b"\xffnput_height"),
+                                      (b"frozen=", b"bogus=1\nfrozen="),
+                                      (b"frozen=", b"lrn_k=3.0\nfrozen="),
+                                      (b"frozen=", b"frozen=conv99")])
 def test_eval_rejects_malformed_config_block_with_one_error_line(tmp_path, small_corpus,
                                                                  capsys, old, new):
     model = tmp_path / "model.lfhn"
     graph.save_checkpoint(graph.build_lfhn(graph.tiny_config(), seed=0), model)
     blob = model.read_bytes()
     assert blob.count(old) == 1
-    model.write_bytes(blob.replace(old, new))  # same length, so the block length holds
+    # the config block follows the magic, the version and its own length
+    length = int.from_bytes(blob[8:12], "little")
+    text = blob[12:12 + length].replace(old, new)
+    model.write_bytes(blob[:8] + len(text).to_bytes(4, "little") + text + blob[12 + length:])
     capsys.readouterr()
     rc = cli.main(["eval", "--model", str(model), "--data", str(small_corpus)])
     assert rc == 2

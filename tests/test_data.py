@@ -53,9 +53,9 @@ def test_lighting_is_multiplicative_before_clamping():
     t = data.make_template(2, 4, 20, 20)
     pose = PoseSpec(-30.0)
     light = data.default_light_roster()[3]
-    unit = data.render(t, pose, LightSpec(None, ambient=1.0), clamp=False)
+    unit = data.render(t, pose, LightSpec(None, ambient=1.0))
     field = data.light_field(light, 20, 20)
-    lit = data.render(t, pose, light, clamp=False)
+    lit = data.render(t, pose, light)
     assert np.abs(unit * field[:, :, None] - lit).max() < 1e-12
 
 

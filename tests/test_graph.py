@@ -359,15 +359,18 @@ def test_backward_consumes_the_cache():
         graph.backward(net, cache, grad_logits)
 
 
-def test_training_pass_gathers_root_windows_once(monkeypatch):
+def test_training_cache_holds_node_outputs_and_backward_lowers_the_root_batch(monkeypatch):
+    net = graph.build_lfhn(graph.desk_config(10), seed=5)
+    x = np.random.default_rng(6).uniform(size=(2, 67, 67, 1))
+    logits, cache = graph.forward(net, x)
+    assert cache.keys() == {node.name for node in net.nodes}  # "input" is the first node
     calls = []
     im2col = tensor.im2col
-    monkeypatch.setattr(tensor, "im2col", lambda *a, **k: calls.append(a[1:]) or im2col(*a, **k))
-    net = graph.build_lfhn(graph.desk_config(10), seed=5)
-    logits, cache = graph.forward(net, np.random.default_rng(6).uniform(size=(2, 67, 67, 1)))
+    monkeypatch.setattr(tensor, "im2col",
+                        lambda *a, **k: calls.append((a[0].shape, *a[1:])) or im2col(*a, **k))
     _, grad_logits = layers.softmax_xent(logits, [1, 7])
     grads = graph.backward(net, cache, grad_logits)
-    assert calls == [(11, 11, 4)]  # conv1's forward; its backward reuses the rows
+    assert calls == [(x.shape, 11, 11, 4)]  # conv1 only, once for the whole batch
     assert set(grads) == set(net.params)
 
 
@@ -580,6 +583,18 @@ def test_checkpoint_rejects_bad_bool_in_config(tmp_path):
     _tiny_checkpoint_with_config(
         path, lambda text: text.replace(b"relu_after_1x1=true", b"relu_after_1x1=maybe"))
     with pytest.raises(CheckpointError, match="relu_after_1x1"):
+        graph.load_checkpoint(path)
+
+
+@pytest.mark.parametrize("old, new, match", [
+    (b"frozen=", b"bogus=1\nfrozen=", "unknown key 'bogus'"),
+    (b"frozen=", b"lrn_k=3.0\nfrozen=", "key 'lrn_k' given twice"),
+    (b"frozen=", b"frozen=conv99,norm1", r"\['conv99', 'norm1'\] are not nodes with parameters"),
+], ids=["unknown-key", "repeated-key", "frozen-without-parameters"])
+def test_checkpoint_refuses_config_it_would_ignore(tmp_path, old, new, match):
+    path = tmp_path / "model.lfhn"
+    _tiny_checkpoint_with_config(path, lambda text: text.replace(old, new))
+    with pytest.raises(CheckpointError, match=match):
         graph.load_checkpoint(path)
 
 

@@ -18,26 +18,29 @@ rng = np.random.default_rng
 def test_conv_full_scale_output_shape():
     x = rng(0).uniform(size=(1, 227, 227, 3))
     kernel = rng(1).normal(size=(11, 11, 3, 96)) * 0.01
-    out, rows = layers.conv_forward(x, kernel, np.zeros(96), stride=4)
+    out = layers.conv_forward(x, kernel, np.zeros(96), stride=4)
     assert out.shape == (1, 55, 55, 96)
-    assert rows.shape == (3025, 363)
 
 
 def test_conv_identity_kernel():
     x = rng(2).uniform(size=(2, 4, 4, 3))
     kernel = np.eye(3).reshape(1, 1, 3, 3)
-    out, _ = layers.conv_forward(x, kernel, np.zeros(3))
+    out = layers.conv_forward(x, kernel, np.zeros(3))
     assert np.array_equal(out, x)
 
 
 def test_conv_matches_naive_oracle():
     r = rng(3)
-    x = r.normal(size=(2, 5, 5, 2))
-    kernel = r.normal(size=(3, 3, 2, 4))
-    bias = r.normal(size=4)
-    got, _ = layers.conv_forward(x, kernel, bias, stride=1)
-    want = naive_conv(x, kernel, bias, 1)
-    assert max_rel_err(got, want) < 1e-10
+    for x_shape, kernel_shape, stride in [
+            ((2, 5, 5, 2), (3, 3, 2, 4), 1),
+            ((3, 5, 5, 2), (5, 5, 2, 4), 1),   # one window per image
+            ((3, 7, 7, 2), (3, 3, 2, 1), 2)]:  # one output channel
+        x = r.normal(size=x_shape)
+        kernel = r.normal(size=kernel_shape)
+        bias = r.normal(size=kernel_shape[-1])
+        got = layers.conv_forward(x, kernel, bias, stride)
+        want = naive_conv(x, kernel, bias, stride)
+        assert max_rel_err(got, want) < 1e-10, (x_shape, kernel_shape, stride)
 
 
 def test_conv_channel_mismatch():
@@ -61,8 +64,7 @@ def test_conv_backward_zero_grad():
     r = rng(4)
     x = r.normal(size=(1, 4, 4, 2))
     kernel = r.normal(size=(2, 2, 2, 3))
-    _, rows = layers.conv_forward(x, kernel, r.normal(size=3))
-    gi, gk, gb = layers.conv_backward(rows, x.shape, kernel, np.zeros((1, 3, 3, 3)))
+    gi, gk, gb = layers.conv_backward(x, kernel, np.zeros((1, 3, 3, 3)))
     assert not gi.any() and not gk.any() and not gb.any()
 
 
@@ -72,8 +74,7 @@ def test_conv_backward_one_hot_grad_copies_patch():
     kernel = r.normal(size=(2, 2, 2, 1))
     grad_out = np.zeros((1, 3, 3, 1))
     grad_out[0, 1, 2, 0] = 1.0
-    _, rows = layers.conv_forward(x, kernel, np.zeros(1))
-    _, gk, gb = layers.conv_backward(rows, x.shape, kernel, grad_out)
+    _, gk, gb = layers.conv_backward(x, kernel, grad_out)
     assert np.array_equal(gk[:, :, :, 0], x[0, 1:3, 2:4, :])
     assert gb[0] == 1.0
 
@@ -88,11 +89,10 @@ def test_conv_backward_matches_finite_differences():
     def loss_from(x_=None, k_=None, b_=None):
         return float((layers.conv_forward(x if x_ is None else x_,
                                           kernel if k_ is None else k_,
-                                          bias if b_ is None else b_, stride=2)[0]
+                                          bias if b_ is None else b_, stride=2)
                       * probe).sum())
 
-    rows = layers.conv_forward(x, kernel, bias, stride=2)[1]
-    gi, gk, gb = layers.conv_backward(rows, x.shape, kernel, probe, stride=2)
+    gi, gk, gb = layers.conv_backward(x, kernel, probe, stride=2)
     assert max_rel_err(gi, fd_grad(lambda v: loss_from(x_=v), x.copy())) < 1e-6
     assert max_rel_err(gk, fd_grad(lambda v: loss_from(k_=v), kernel.copy())) < 1e-6
     assert max_rel_err(gb, fd_grad(lambda v: loss_from(b_=v), bias.copy())) < 1e-6
@@ -100,29 +100,8 @@ def test_conv_backward_matches_finite_differences():
 
 def test_conv_backward_shape_mismatch():
     kernel = np.zeros((2, 2, 2, 3))
-    rows = np.zeros((9, 8))  # (1 * 3 * 3, 2 * 2 * 2)
     with pytest.raises(ValueError, match="grad_out"):
-        layers.conv_backward(rows, (1, 4, 4, 2), kernel, np.zeros((1, 2, 2, 3)))
-    with pytest.raises(ValueError, match="stale rows"):
-        layers.conv_backward(rows, (1, 5, 5, 2), kernel, np.zeros((1, 4, 4, 3)))
-
-
-@pytest.mark.parametrize("x_shape, kernel_shape, stride", [
-    ((3, 67, 67, 1), (11, 11, 1, 16), 4),   # the desk root
-    ((2, 9, 11, 3), (3, 3, 3, 5), 2),
-    ((3, 4, 5, 6), (1, 1, 6, 7), 1),
-    ((3, 5, 5, 2), (5, 5, 2, 4), 1),        # one window per image
-    ((3, 7, 7, 2), (3, 3, 2, 1), 2),        # one output channel
-], ids=["11x11-s4", "3x3-s2", "1x1", "one-window", "one-channel"])
-def test_conv_forward_without_rows_has_the_same_bits(x_shape, kernel_shape, stride):
-    r = rng(13)
-    x, kernel = r.normal(size=x_shape), r.normal(size=kernel_shape)
-    bias = r.normal(size=kernel_shape[-1])
-    with_rows, rows = layers.conv_forward(x, kernel, bias, stride)
-    without, none = layers.conv_forward(x, kernel, bias, stride, keep_rows=False)
-    assert rows is not None and none is None
-    assert with_rows.shape == without.shape
-    assert np.array_equal(with_rows.view(np.uint64), without.view(np.uint64))
+        layers.conv_backward(np.zeros((1, 4, 4, 2)), kernel, np.zeros((1, 2, 2, 3)))
 
 
 # ---------------------------------------------------------------- 1x1 conv
@@ -130,13 +109,13 @@ def test_conv_forward_without_rows_has_the_same_bits(x_shape, kernel_shape, stri
 def test_conv1x1_stream_dims():
     x = rng(7).uniform(size=(1, 27, 27, 96))
     kernel = rng(8).normal(size=(1, 1, 96, 200)) * 0.05
-    assert layers.conv_forward(x, kernel, np.zeros(200))[0].shape == (1, 27, 27, 200)
+    assert layers.conv_forward(x, kernel, np.zeros(200)).shape == (1, 27, 27, 200)
 
 
 def test_conv1x1_mixer_dims():
     x = rng(9).uniform(size=(1, 27, 27, 700))
     kernel = rng(10).normal(size=(1, 1, 700, 500)) * 0.02
-    assert layers.conv_forward(x, kernel, np.zeros(500))[0].shape == (1, 27, 27, 500)
+    assert layers.conv_forward(x, kernel, np.zeros(500)).shape == (1, 27, 27, 500)
 
 
 def test_conv1x1_bit_identical_to_general_conv():
@@ -148,10 +127,9 @@ def test_conv1x1_bit_identical_to_general_conv():
     g = grad_out.reshape(-1, 2)
     kmat = kernel.reshape(3, 2)
     lowered = (cols @ kmat + bias).reshape(grad_out.shape)
-    out, rows = layers.conv_forward(x, kernel, bias)
+    out = layers.conv_forward(x, kernel, bias)
     assert np.array_equal(out, lowered)
-    assert np.shares_memory(rows, x)  # a pointwise kernel's rows are a view of x
-    gi, gk, gb = layers.conv_backward(rows, x.shape, kernel, grad_out)
+    gi, gk, gb = layers.conv_backward(x, kernel, grad_out)
     assert np.array_equal(gi, tensor.col2im(g @ kmat.T, x.shape, 1, 1))
     assert np.array_equal(gk, (cols.T @ g).reshape(kernel.shape))
     assert np.array_equal(gb, grad_out.sum(axis=(0, 1, 2)))
@@ -161,7 +139,7 @@ def test_conv1x1_with_stride_matches_naive():
     r = rng(12)
     x = r.normal(size=(2, 5, 5, 3))
     kernel, bias = r.normal(size=(1, 1, 3, 4)), r.normal(size=4)
-    got, _ = layers.conv_forward(x, kernel, bias, stride=2)
+    got = layers.conv_forward(x, kernel, bias, stride=2)
     want = naive_conv(x, kernel, bias, 2)
     assert got.shape == want.shape == (2, 3, 3, 4)
     assert max_rel_err(got, want) < 1e-10
