@@ -20,8 +20,8 @@ def probe(samples, protocol, ids, epochs, lr, seed):
     cfg = TrainConfig(lr=lr, momentum=0.9, batch_size=32, epochs=epochs, seed=seed)
     _, log = train.train(net, train_part, cfg)
     table = evaluate.evaluate(net, test_part)
-    print(f"\n{protocol}: trained on {len(train_part)}, tested on {len(test_part)} "
-          f"(final train acc {log[-1][2]:.3f})")
+    final = f" (final train acc {log[-1][2]:.3f})" if log else ""
+    print(f"\n{protocol}: trained on {len(train_part)}, tested on {len(test_part)}{final}")
     print(evaluate.format_table(table, "paper"))
     return table
 

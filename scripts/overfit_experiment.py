@@ -35,8 +35,10 @@ def main():
     started = time.perf_counter()
     _, log = train.train(net, samples, cfg)
     print(f"trained {args.epochs} epochs in {time.perf_counter() - started:.1f}s")
-    for epoch, loss, acc in log[:: max(1, args.epochs // 10)] + [log[-1]]:
-        print(f"  epoch {epoch:3d}  loss {loss:.4f}  acc {acc:.4f}")
+    stride = max(1, args.epochs // 10)
+    for epoch, loss, acc in log:
+        if epoch % stride == 0 or epoch == len(log) - 1:
+            print(f"  epoch {epoch:3d}  loss {loss:.4f}  acc {acc:.4f}")
 
     graph.save_checkpoint(net, os.path.join(args.workdir, "model.lfhn"))
     train.write_log(log, os.path.join(args.workdir, "epochs.csv"))

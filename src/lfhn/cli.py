@@ -42,7 +42,7 @@ def _config_schema():
 
 
 def parse_config_file(path):
-    """Read `key = value` lines; `#` starts a comment, unknown keys are errors."""
+    """Read `key = value` lines; `#` starts a comment, unknown or repeated keys are errors."""
     from .graph import parse_value
 
     schema = _config_schema()
@@ -58,6 +58,8 @@ def parse_config_file(path):
             key = key.strip()
             if key not in schema:
                 raise ConfigError(f"{path}:{lineno}: unknown config key {key!r}")
+            if key in values:
+                raise ConfigError(f"{path}:{lineno}: config key {key!r} given twice")
             try:
                 values[key] = parse_value(schema[key], value.strip())
             except ValueError as err:

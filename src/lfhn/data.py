@@ -248,11 +248,16 @@ def read_image(path) -> np.ndarray:
     """Read a binary PGM/PPM into an (h, w, c) uint8 array of its stored pixels."""
     with open(path, "rb") as fh:
         data = fh.read()
-    (magic, w_tok, h_tok, maxval), offset = _header_tokens(data, 4)
+    try:
+        (magic, w_tok, h_tok, maxval_tok), offset = _header_tokens(data, 4)
+        w, h, maxval = int(w_tok), int(h_tok), int(maxval_tok)
+    except ValueError as err:
+        raise ValueError(f"{path}: bad image header: {err}") from err
     if magic not in (b"P5", b"P6"):
         raise ValueError(f"{path}: unsupported image magic {magic!r}")
-    w, h = int(w_tok), int(h_tok)
-    if int(maxval) != 255:
+    if w < 1 or h < 1:
+        raise ValueError(f"{path}: image extents {w}x{h} must be >= 1")
+    if maxval != 255:
         raise ValueError(f"{path}: only maxval 255 is supported")
     channels = 1 if magic == b"P5" else 3
     expected = h * w * channels

@@ -264,9 +264,7 @@ def build_lfhn(cfg: LfhnConfig, seed: int = 0) -> NetworkGraph:
             params[name] = np.zeros(shape, dtype=DTYPE)
         else:
             fan_in = int(np.prod(shape[:-1]))
-            # normal() already draws float64; copy=False keeps one fc6-sized array
-            std = np.sqrt(2.0 / fan_in)
-            params[name] = rng.normal(0.0, std, shape).astype(DTYPE, copy=False)
+            params[name] = rng.normal(0.0, np.sqrt(2.0 / fan_in), shape)
     return NetworkGraph(cfg, _architecture(cfg), params)
 
 
@@ -478,8 +476,15 @@ def save_checkpoint(net: NetworkGraph, path):
 def load_checkpoint(path) -> NetworkGraph:
     """Rebuild a saved network."""
     with open(path, "rb") as fh:
+        size = os.fstat(fh.fileno()).st_size
+
+        def check_left(n, what):
+            # refuse a length past the end of the file before reading or allocating it
+            if n > size - fh.tell():
+                raise CheckpointError(f"truncated checkpoint while reading {what}")
 
         def take(n, what):
+            check_left(n, what)
             data = fh.read(n)
             if len(data) != n:
                 raise CheckpointError(f"truncated checkpoint while reading {what}")
@@ -521,9 +526,7 @@ def load_checkpoint(path) -> NetworkGraph:
             if shape != expected[name]:
                 raise CheckpointError(f"shape disagreement for {name!r}: file has "
                                       f"{shape}, config implies {expected[name]}")
-            # refuse a record longer than the rest of the file before allocating it
-            if 8 * math.prod(shape) > os.fstat(fh.fileno()).st_size - fh.tell():
-                raise CheckpointError(f"truncated checkpoint while reading {name}")
+            check_left(8 * math.prod(shape), name)
             arr = np.empty(shape, dtype="<f8")
             if fh.readinto(arr) != arr.nbytes:
                 raise CheckpointError(f"truncated checkpoint while reading {name}")

@@ -2,7 +2,9 @@
 
 Each backward function is the exact adjoint of its forward given the gradient
 of a scalar loss with respect to the forward output. Nothing here mutates its
-inputs, except relu when it is handed its input as out.
+inputs, except relu when it is handed its input as out. Every function
+computes on the arrays it is handed, in their dtype; graph.forward and
+graph.backward fix that at float64.
 """
 
 from __future__ import annotations
@@ -12,7 +14,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import tensor
-from .tensor import DTYPE
 
 
 @dataclass(frozen=True)
@@ -47,9 +48,6 @@ def conv_forward(x, kernel, bias, stride=1) -> np.ndarray:
     reshape of x. Any other kernel is lowered and multiplied one image at a
     time, so at most one image's rows exist.
     """
-    x = np.asarray(x, dtype=DTYPE)
-    kernel = np.asarray(kernel, dtype=DTYPE)
-    bias = np.asarray(bias, dtype=DTYPE)
     if x.ndim != 4 or kernel.ndim != 4:
         raise ValueError(f"conv input and kernel must be rank 4, got shapes "
                          f"{x.shape} and {kernel.shape}")
@@ -67,7 +65,7 @@ def conv_forward(x, kernel, bias, stride=1) -> np.ndarray:
     if (kh, kw, stride) == (1, 1, 1):
         out = x.reshape(n * ho * wo, cin) @ weights
     else:
-        out = np.empty((n, ho * wo, cout), dtype=DTYPE)
+        out = np.empty((n, ho * wo, cout), dtype=x.dtype)
         for i in range(n):
             np.matmul(tensor.im2col(x[i:i + 1], kh, kw, stride)[0], weights, out=out[i])
     out += bias
@@ -82,9 +80,6 @@ def conv_backward(x, kernel, grad_out, stride=1, need_input_grad=True):
     grad_bias); grad_input is None when need_input_grad is False (the root
     layer of a network never needs it).
     """
-    x = np.asarray(x, dtype=DTYPE)
-    grad_out = np.asarray(grad_out, dtype=DTYPE)
-    kernel = np.asarray(kernel, dtype=DTYPE)
     n, h, w, _ = x.shape
     kh, kw, cin, cout = kernel.shape
     ho = tensor.conv_extent(h, kh, stride)
@@ -115,13 +110,12 @@ def relu(x, out=None) -> np.ndarray:
     relu(x) > 0 exactly where x > 0 (nan compares false on both sides), so
     relu_backward may be handed the output in place of the input.
     """
-    return np.maximum(np.asarray(x, dtype=DTYPE), 0.0, out=out)
+    return np.maximum(x, 0.0, out=out)
 
 
 def relu_backward(x, grad_out) -> np.ndarray:
     """Pass gradient where x > 0; the subgradient at exactly 0 is 0."""
-    x = np.asarray(x, dtype=DTYPE)
-    return np.asarray(grad_out, dtype=DTYPE) * (x > 0.0)
+    return grad_out * (x > 0.0)
 
 
 def _pool_views(x, window, stride, ho, wo):
@@ -134,7 +128,6 @@ def _pool_views(x, window, stride, ho, wo):
 
 def maxpool_forward(x, window=3, stride=2) -> np.ndarray:
     """Channel-wise max over spatial windows; maxpool_backward finds the winners."""
-    x = np.asarray(x, dtype=DTYPE)
     if x.ndim != 4:
         raise ValueError(f"pool input must be rank 4, got shape {x.shape}")
     _, h, w, _ = x.shape
@@ -168,9 +161,6 @@ def pool_winners(x, out, window, stride) -> np.ndarray:
 def maxpool_backward(x, out, grad_out, window=3, stride=2) -> np.ndarray:
     """Adjoint of maxpool_forward(x) = out: route gradient to each window's
     winner, accumulating across overlaps."""
-    x = np.asarray(x, dtype=DTYPE)
-    out = np.asarray(out, dtype=DTYPE)
-    grad_out = np.asarray(grad_out, dtype=DTYPE)
     n, h, w, c = x.shape
     pooled = (n, tensor.conv_extent(h, window, stride),
               tensor.conv_extent(w, window, stride), c)
@@ -191,7 +181,7 @@ def _window_sum_channels(v, half):
     c = v.shape[-1]
     # running sums with half + 1 leading zeros and half trailing copies of the
     # total, so both window ends are plain slices: cs[j] = v[:clip(j - half, 0, c)].sum()
-    cs = np.zeros(v.shape[:-1] + (c + 2 * half + 1,), dtype=DTYPE)
+    cs = np.zeros(v.shape[:-1] + (c + 2 * half + 1,), dtype=v.dtype)
     np.cumsum(v, axis=-1, out=cs[..., half + 1:half + 1 + c])
     cs[..., half + 1 + c:] = cs[..., half + c:half + 1 + c]
     return cs[..., 2 * half + 1:] - cs[..., :c]
@@ -203,15 +193,12 @@ def lrn_forward(x, p: LrnParams) -> np.ndarray:
     The local region spans nearby channels only, centered on each channel and
     truncated at the tensor edges.
     """
-    x = np.asarray(x, dtype=DTYPE)
     ssum = _window_sum_channels(x * x, p.size // 2)
     return x / (p.k + (p.alpha / p.size) * ssum) ** p.beta
 
 
 def lrn_backward(x, p: LrnParams, grad_out) -> np.ndarray:
     """Exact derivative of lrn_forward including the shared-denominator terms."""
-    x = np.asarray(x, dtype=DTYPE)
-    grad_out = np.asarray(grad_out, dtype=DTYPE)
     if grad_out.shape != x.shape:
         raise ValueError(f"grad_out shape {grad_out.shape} does not match input {x.shape}")
     half = p.size // 2
@@ -227,41 +214,37 @@ def concat_channels(inputs) -> np.ndarray:
     """Concatenate along the channel axis; all inputs must agree spatially."""
     if not inputs:
         raise ValueError("concat_channels needs at least one input")
-    arrays = [np.asarray(a, dtype=DTYPE) for a in inputs]
-    lead = arrays[0].shape[:-1]
-    for a in arrays[1:]:
+    lead = inputs[0].shape[:-1]
+    for a in inputs[1:]:
         if a.shape[:-1] != lead:
             raise ValueError(
                 f"concat spatial mismatch: {a.shape[:-1]} versus {lead}"
             )
-    return np.concatenate(arrays, axis=-1)
+    return np.concatenate(inputs, axis=-1)
 
 
 def split_channels(grad, extents):
-    """Exact inverse of concat_channels for a channel-extent list."""
-    grad = np.asarray(grad, dtype=DTYPE)
+    """Exact inverse of concat_channels for a channel-extent list: views of grad."""
     if sum(extents) != grad.shape[-1]:
         raise ValueError(
             f"channel extents {list(extents)} do not sum to {grad.shape[-1]}"
         )
     cuts = np.cumsum(extents)[:-1]
-    return [np.ascontiguousarray(part) for part in np.split(grad, cuts, axis=-1)]
+    return np.split(grad, cuts, axis=-1)
 
 
 def fc_forward(x, weight, bias) -> np.ndarray:
     """Affine map out[j] = sum_i x[i] * weight[i, j] + bias[j], batched over rows."""
-    out = np.asarray(x, dtype=DTYPE) @ np.asarray(weight, dtype=DTYPE)
-    out += np.asarray(bias, dtype=DTYPE)
+    out = x @ weight
+    out += bias
     return out
 
 
 def fc_backward(x, weight, grad_out):
     """Adjoint of fc_forward: (grad_input, grad_weight, grad_bias)."""
-    x = np.asarray(x, dtype=DTYPE)
-    grad_out = np.asarray(grad_out, dtype=DTYPE)
     grad_weight = x.T @ grad_out
     grad_bias = grad_out.sum(axis=0)
-    grad_input = grad_out @ np.asarray(weight, dtype=DTYPE).T
+    grad_input = grad_out @ weight.T
     return grad_input, grad_weight, grad_bias
 
 
@@ -271,7 +254,6 @@ def softmax_xent(logits, labels):
     logits is (n, k); labels is an int vector of length n. The returned
     gradient is (softmax - onehot) / n, matching the batch-mean loss.
     """
-    logits = np.asarray(logits, dtype=DTYPE)
     if logits.ndim == 1:
         logits = logits[None]
     labels = np.atleast_1d(np.asarray(labels, dtype=np.int64))

@@ -1,10 +1,11 @@
-"""Dense float64 tensor helpers shared by every layer.
+"""Dense tensor helpers shared by every layer, and the network's dtype.
 
 Activations use (batch, height, width, channels) axis order and kernels use
-(kernel_h, kernel_w, in_channels, out_channels); everything is a row-major
-float64 numpy array. This module owns the extent arithmetic and the window
-lowering of convolution: im2col turns sliding-window convolution into one
-matrix product, and col2im is its adjoint. No window is padded.
+(kernel_h, kernel_w, in_channels, out_channels); the network hands these
+helpers row-major DTYPE arrays, and they keep the dtype they are handed.
+This module owns the extent arithmetic and the window lowering of
+convolution: im2col turns sliding-window convolution into one matrix
+product, and col2im is its adjoint. No window is padded.
 """
 
 from __future__ import annotations
@@ -30,7 +31,6 @@ def im2col(x, kh, kw, stride=1) -> np.ndarray:
     A batched (n, h, w, c) input yields (n, ho*wo, kh*kw*c), each row in
     (kh, kw, c) order.
     """
-    x = np.asarray(x, dtype=DTYPE)
     if x.ndim != 4:
         raise ValueError(f"im2col expects a rank-4 tensor, got shape {x.shape}")
     n, h, w, c = x.shape
@@ -48,7 +48,7 @@ def col2im(cols, input_shape, kh, kw, stride=1) -> np.ndarray:
     n, h, w, c = input_shape
     ho = conv_extent(h, kh, stride)
     wo = conv_extent(w, kw, stride)
-    cols = np.asarray(cols, dtype=DTYPE).reshape(n, ho * wo, kh * kw * c)
+    cols = cols.reshape(n, ho * wo, kh * kw * c)
     per_image = h * w * c
     # image pixel of each (output position, window offset), in im2col's order
     ys = np.repeat(np.arange(ho) * stride, wo)[:, None] + np.repeat(np.arange(kh), kw)

@@ -8,7 +8,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import data, graph, layers
-from .tensor import DTYPE
 
 
 class TrainingDiverged(RuntimeError):
@@ -56,7 +55,6 @@ def sgd_step(params, grads, velocity, lr, momentum):
         v = velocity.get(name)
         if v is None:
             v = velocity[name] = np.zeros_like(params[name])
-        g = np.asarray(g, dtype=DTYPE)
         v *= momentum
         g *= lr
         v -= g

@@ -217,6 +217,21 @@ def test_train_on_mixed_shape_corpus_exits_3_naming_the_file(tmp_path, small_cor
     assert not (tmp_path / "model.lfhn").exists()
 
 
+@pytest.mark.parametrize("extents", ["0 0", "-2 -3"])
+def test_train_on_image_with_extents_below_one_exits_3_naming_the_file(tmp_path, capsys,
+                                                                       extents):
+    corpus = tmp_path / "corpus"
+    corpus.mkdir()
+    bad = corpus / "id000_p00_l00.pgm"
+    w, h = map(int, extents.split())
+    bad.write_bytes(f"P5\n{extents}\n255\n".encode() + bytes(w * h))
+    rc = cli.main(["train", "--data", str(corpus), "--out", str(tmp_path / "model.lfhn"),
+                   "--epochs", "1"])
+    assert rc == 3
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith(f"error: {bad}: image extents"), err
+
+
 @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning",
                             "ignore:invalid value encountered:RuntimeWarning")
 def test_divergent_training_exits_1_without_checkpoint(tmp_path, small_corpus, capsys):
@@ -347,6 +362,23 @@ def test_eval_rejects_malformed_config_block_with_one_error_line(tmp_path, small
     assert len(err) == 1 and err[0].startswith("error: "), err
 
 
+def test_eval_refuses_a_rank_past_the_end_of_the_file_with_one_error_line(tmp_path,
+                                                                          small_corpus, capsys):
+    model = tmp_path / "model.lfhn"
+    graph.save_checkpoint(graph.build_lfhn(graph.tiny_config(), seed=0), model)
+    blob = bytearray(model.read_bytes())
+    # the high byte of conv1.kernel's rank: 0xF7 makes the rank 4,143,972,356
+    high = blob.index(b"conv1.kernel") + len(b"conv1.kernel") + 3
+    assert blob[high] == 0
+    blob[high] = 0xF7
+    model.write_bytes(bytes(blob))
+    capsys.readouterr()
+    rc = cli.main(["eval", "--model", str(model), "--data", str(small_corpus)])
+    assert rc == 2
+    err = capsys.readouterr().err.splitlines()
+    assert err == ["error: truncated checkpoint while reading shape"], err
+
+
 def test_train_lr_zero_leaves_parameters_at_init(tmp_path, small_corpus):
     model = tmp_path / "model.lfhn"
     rc = cli.main(["train", "--data", str(small_corpus), "--out", str(model),
@@ -433,6 +465,20 @@ def test_shapes_config_bad_value_exits_2(tmp_path, capsys, line):
     cfg.write_text(line + "\n")
     assert cli.main(["shapes", "--config", str(cfg)]) == 2
     assert capsys.readouterr().err.startswith("error: ")
+
+
+def test_config_file_repeated_key_exits_2(tmp_path, small_corpus, capsys):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("lr = 0.5\nepochs = 1\nlr = 0.01\n")
+    with pytest.raises(cli.ConfigError, match=f"{cfg}:3: config key 'lr' given twice"):
+        cli.parse_config_file(cfg)
+    model = tmp_path / "m.lfhn"
+    rc = cli.main(["train", "--data", str(small_corpus), "--out", str(model),
+                   "--config", str(cfg)])
+    assert rc == 2
+    assert capsys.readouterr().err == f"error: {cfg}:3: config key 'lr' given twice\n"
+    assert not model.exists()
+    assert cli.main(["shapes", "--config", str(cfg)]) == 2
 
 
 def test_config_file_parsing_and_comments(tmp_path):

@@ -1,5 +1,6 @@
 import hashlib
 import os
+import re
 
 import numpy as np
 import pytest
@@ -146,6 +147,24 @@ def test_read_image_rejects_truncated_raster(tmp_path):
     bad = tmp_path / "id000_p00_l00.pgm"
     bad.write_bytes(b"P5\n4 4\n255\n\x00\x01")
     with pytest.raises(ValueError, match="raster"):
+        data.read_image(bad)
+
+
+@pytest.mark.parametrize("w, h", [(0, 0), (-2, -3), (4, 0)])
+def test_read_image_refuses_extents_below_one_naming_the_file(tmp_path, w, h):
+    bad = tmp_path / "id000_p00_l00.pgm"
+    # as many raster bytes as the extents multiply to, so only the extents are wrong
+    bad.write_bytes(f"P5\n{w} {h}\n255\n".encode() + bytes(w * h))
+    message = f"{bad}: image extents {w}x{h} must be >= 1"
+    with pytest.raises(ValueError, match=re.escape(message)):
+        data.read_image(bad)
+
+
+@pytest.mark.parametrize("header", [b"P5\n4", b"P5\n4 x\n255\n"])
+def test_read_image_names_the_file_on_a_bad_header(tmp_path, header):
+    bad = tmp_path / "id000_p00_l00.pgm"
+    bad.write_bytes(header)
+    with pytest.raises(ValueError, match=re.escape(f"{bad}: bad image header")):
         data.read_image(bad)
 
 

@@ -136,6 +136,19 @@ def test_forward_rejects_unscaled_integer_batches(dtype):
         graph.forward(net, np.zeros((1, 8, 8, 3), dtype=dtype))
 
 
+def test_float32_batch_gives_float64_logits_cache_and_gradients():
+    # the layers compute in the dtype they are handed; forward and backward fix it
+    net = graph.build_lfhn(graph.tiny_config(), seed=24)
+    x = np.random.default_rng(25).uniform(size=(2, 8, 8, 3)).astype(np.float32)
+    float64 = np.dtype(np.float64)
+    assert graph.forward(net, x, inference=True)[0].dtype == float64
+    logits, cache = graph.forward(net, x)
+    assert {t.dtype for t in cache.values()} == {float64}
+    _, grad_logits = layers.softmax_xent(logits, [0, 2])
+    grads = graph.backward(net, cache, grad_logits.astype(np.float32))
+    assert grads and {g.dtype for g in grads.values()} == {float64}
+
+
 def test_forward_matches_independent_graph_walk():
     net = graph.build_lfhn(graph.tiny_config(), seed=3)
     train.randomize_biases(net, seed=3)
@@ -517,6 +530,23 @@ def test_checkpoint_rejects_record_longer_than_the_file(tmp_path):
     at = blob.index(b"fc6.weight") + len(b"fc6.weight") + 4
     path.write_bytes(blob[:at] + struct.pack("<2I", 45, 4_000_000_000) + blob[at + 8:])
     with pytest.raises(CheckpointError, match="truncated checkpoint while reading fc6.weight"):
+        graph.load_checkpoint(path)
+
+
+@pytest.mark.parametrize("field", ["config length", "name length", "rank"])
+def test_checkpoint_refuses_a_length_past_the_end_of_the_file(tmp_path, field):
+    path = tmp_path / "model.lfhn"
+    graph.save_checkpoint(graph.build_lfhn(graph.tiny_config(), seed=0), path)
+    blob = bytearray(path.read_bytes())
+    name = blob.index(b"conv1.kernel")
+    # the field's little-endian high byte, 0x00 -> 0xF7, makes it about 4.1e9
+    high, what = {"config length": (11, "config"),
+                  "name length": (name - 1, "parameter name"),
+                  "rank": (name + len(b"conv1.kernel") + 3, "shape")}[field]
+    assert blob[high] == 0
+    blob[high] = 0xF7
+    path.write_bytes(bytes(blob))
+    with pytest.raises(CheckpointError, match=f"truncated checkpoint while reading {what}$"):
         graph.load_checkpoint(path)
 
 

@@ -373,6 +373,12 @@ def test_split_inverts_concat():
     assert np.array_equal(sa, a) and np.array_equal(sb, b)
 
 
+def test_split_returns_views_of_the_gradient():
+    grad = rng(30).normal(size=(2, 3, 4, 7))
+    parts = layers.split_channels(grad, [5, 2])
+    assert all(np.shares_memory(part, grad) for part in parts)
+
+
 def test_concat_spatial_mismatch():
     with pytest.raises(ValueError, match="mismatch"):
         layers.concat_channels([np.zeros((1, 3, 3, 2)), np.zeros((1, 4, 3, 2))])
