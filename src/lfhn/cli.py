@@ -47,23 +47,27 @@ def parse_config_file(path):
 
     schema = _config_schema()
     values = {}
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.split("#", 1)[0].strip()
-            if not line:
-                continue
-            key, sep, value = line.partition("=")
-            if not sep:
-                raise ConfigError(f"{path}:{lineno}: expected key = value, got {raw!r}")
-            key = key.strip()
-            if key not in schema:
-                raise ConfigError(f"{path}:{lineno}: unknown config key {key!r}")
-            if key in values:
-                raise ConfigError(f"{path}:{lineno}: config key {key!r} given twice")
-            try:
-                values[key] = parse_value(schema[key], value.strip())
-            except ValueError as err:
-                raise ConfigError(f"{path}:{lineno}: bad value for {key}: {err}") from err
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            lines = list(fh)
+    except UnicodeDecodeError as err:
+        raise ConfigError(f"{path}: not UTF-8 text: {err}") from err
+    for lineno, raw in enumerate(lines, start=1):
+        line = raw.split("#", 1)[0].strip()
+        if not line:
+            continue
+        key, sep, value = line.partition("=")
+        if not sep:
+            raise ConfigError(f"{path}:{lineno}: expected key = value, got {raw!r}")
+        key = key.strip()
+        if key not in schema:
+            raise ConfigError(f"{path}:{lineno}: unknown config key {key!r}")
+        if key in values:
+            raise ConfigError(f"{path}:{lineno}: config key {key!r} given twice")
+        try:
+            values[key] = parse_value(schema[key], value.strip())
+        except ValueError as err:
+            raise ConfigError(f"{path}:{lineno}: bad value for {key}: {err}") from err
     return values
 
 

@@ -249,8 +249,10 @@ def read_image(path) -> np.ndarray:
     with open(path, "rb") as fh:
         data = fh.read()
     try:
-        (magic, w_tok, h_tok, maxval_tok), offset = _header_tokens(data, 4)
-        w, h, maxval = int(w_tok), int(h_tok), int(maxval_tok)
+        (magic, *numbers), offset = _header_tokens(data, 4)
+        if not all(t.removeprefix(b"-").isdigit() for t in numbers):  # int() takes "1_0", "+4"
+            raise ValueError(f"numbers {b' '.join(numbers)!r} are not decimal digits")
+        w, h, maxval = map(int, numbers)
     except ValueError as err:
         raise ValueError(f"{path}: bad image header: {err}") from err
     if magic not in (b"P5", b"P6"):

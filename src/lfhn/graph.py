@@ -15,9 +15,11 @@ from __future__ import annotations
 
 import collections
 import contextlib
+import functools
 import math
 import os
 import struct
+import types
 import typing
 from dataclasses import dataclass, field, fields
 
@@ -380,18 +382,17 @@ def backward(net: NetworkGraph, cache, grad_logits):
     return param_grads
 
 
-def field_types(cls) -> dict:
-    """{field name: type} of a config dataclass, in field order."""
+@functools.cache
+def field_types(cls) -> types.MappingProxyType:
+    """Read-only {field name: type} of a config dataclass, in field order."""
     hints = typing.get_type_hints(cls)
-    return {f.name: hints[f.name] for f in fields(cls)}
+    return types.MappingProxyType({f.name: hints[f.name] for f in fields(cls)})
 
 
 def format_value(kind, value) -> str:
     """Text form of a config value; parse_value(kind, ...) reads it back."""
     if kind is bool:
         return "true" if value else "false"
-    if kind is float:
-        return repr(value)
     if kind is tuple:
         return "|".join(",".join(str(w) for w in s) for s in value)
     return str(value)
@@ -411,33 +412,50 @@ def parse_value(kind, text):
     return kind(text)
 
 
-def _config_from_block(text: str):
-    types = field_types(LfhnConfig)
-    values = {}
-    for line in text.splitlines():
-        if not line:
-            continue
-        key, sep, value = line.partition("=")
-        if not sep:
-            raise CheckpointError(f"malformed config line {line!r}")
-        if key not in types and key != "frozen":
-            raise CheckpointError(f"invalid config block: unknown key {key!r}")
-        if key in values:
-            raise CheckpointError(f"invalid config block: key {key!r} given twice")
-        values[key] = value
+def _config_block(cfg: LfhnConfig, frozen) -> bytes:
+    """The checkpoint's config block: a key=value line per field, then frozen."""
+    lines = [f"{key}={format_value(kind, getattr(cfg, key))}"
+             for key, kind in field_types(LfhnConfig).items()]
+    lines.append(f"frozen={','.join(sorted(frozen))}")
+    return "\n".join(lines).encode("utf-8")
+
+
+def _record_header(name: str, shape) -> bytes:
+    """A record's bytes before its data: u32 name length, UTF-8 name, u32 rank and extents."""
+    encoded = name.encode("utf-8")
+    try:
+        return struct.pack(f"<I{len(encoded)}sI{len(shape)}I",
+                           len(encoded), encoded, len(shape), *shape)
+    except struct.error as err:
+        raise CheckpointError(f"{name}: shape {shape} does not fit a record's "
+                              "u32 fields") from err
+
+
+def _config_from_block(blob: bytes):
+    """(config, frozen set) of a config block, which must be _config_block's bytes for them."""
+    try:
+        text = blob.decode("utf-8")
+    except UnicodeDecodeError as err:
+        raise CheckpointError(f"config is not UTF-8 text: {err}") from err
+    # {key: value} of the first line of each key; a repeated key shows as an extra line
+    values = dict(line.partition("=")[::2] for line in reversed(text.split("\n")))
     kwargs = {}
-    for key, kind in types.items():
-        if key not in values:
-            raise CheckpointError(f"invalid config block: missing key {key!r}")
-        try:
-            kwargs[key] = parse_value(kind, values[key])
-        except ValueError as err:
-            raise CheckpointError(f"invalid config block: {key}: {err}") from err
+    for key, kind in field_types(LfhnConfig).items():
+        if key in values:
+            try:
+                kwargs[key] = parse_value(kind, values[key])
+            except ValueError as err:
+                raise CheckpointError(f"invalid config block: {key}: {err}") from err
     try:
         cfg = LfhnConfig(**kwargs)
     except ValueError as err:
         raise CheckpointError(f"invalid config block: {err}") from err
-    frozen = tuple(n for n in values.get("frozen", "").split(",") if n)
+    frozen = set(filter(None, values.get("frozen", "").split(",")))
+    got, want = text.split("\n"), _config_block(cfg, frozen).decode("utf-8").split("\n")
+    for n in range(max(len(got), len(want))):
+        if got[n:n + 1] != want[n:n + 1]:
+            raise CheckpointError(f"invalid config block: line {n + 1} reads {got[n:n + 1]}, "
+                                  f"but saving its config writes {want[n:n + 1]}")
     return cfg, frozen
 
 
@@ -447,24 +465,15 @@ def save_checkpoint(net: NetworkGraph, path):
     The records go to "<path>.tmp", which replaces path only once it is
     complete, so a failed save leaves an earlier checkpoint at path intact.
     """
-    lines = [f"{key}={format_value(kind, getattr(net.config, key))}"
-             for key, kind in field_types(LfhnConfig).items()]
-    lines.append(f"frozen={','.join(sorted(net.frozen))}")
-    config_blob = "\n".join(lines).encode("utf-8")
+    block = _config_block(net.config, net.frozen)
     tmp = os.fspath(path) + ".tmp"
     try:
         with open(tmp, "wb") as fh:
-            fh.write(CHECKPOINT_MAGIC)
-            fh.write(struct.pack("<I", CHECKPOINT_VERSION))
-            fh.write(struct.pack("<I", len(config_blob)))
-            fh.write(config_blob)
+            fh.write(CHECKPOINT_MAGIC + struct.pack("<2I", CHECKPOINT_VERSION, len(block)))
+            fh.write(block)
             fh.write(struct.pack("<I", len(net.params)))
             for name, arr in net.params.items():
-                encoded = name.encode("utf-8")
-                fh.write(struct.pack("<I", len(encoded)))
-                fh.write(encoded)
-                fh.write(struct.pack("<I", arr.ndim))
-                fh.write(struct.pack(f"<{arr.ndim}I", *arr.shape))
+                fh.write(_record_header(name, arr.shape))
                 fh.write(np.ascontiguousarray(arr, dtype="<f8"))
         os.replace(tmp, path)
     except BaseException:
@@ -474,70 +483,53 @@ def save_checkpoint(net: NetworkGraph, path):
 
 
 def load_checkpoint(path) -> NetworkGraph:
-    """Rebuild a saved network."""
+    """Rebuild a saved network.
+
+    Only the config text and the float64 data are read as values. Every
+    other byte must be what save_checkpoint writes for the config the file
+    holds, so a file that loads re-saves to its own bytes.
+    """
     with open(path, "rb") as fh:
         size = os.fstat(fh.fileno()).st_size
 
-        def check_left(n, what):
-            # refuse a length past the end of the file before reading or allocating it
+        def left(n, what):
+            # n, refused before it is read or allocated if it runs past the end of the file
             if n > size - fh.tell():
                 raise CheckpointError(f"truncated checkpoint while reading {what}")
+            return n
 
-        def take(n, what):
-            check_left(n, what)
-            data = fh.read(n)
-            if len(data) != n:
-                raise CheckpointError(f"truncated checkpoint while reading {what}")
-            return data
-
-        def text(n, what):
-            try:
-                return take(n, what).decode("utf-8")
-            except UnicodeDecodeError as err:
-                raise CheckpointError(f"{what} is not UTF-8 text: {err}") from err
-
-        if take(4, "magic") != CHECKPOINT_MAGIC:
+        if fh.read(left(4, "magic")) != CHECKPOINT_MAGIC:
             raise CheckpointError("bad magic bytes: not a checkpoint file")
-        (version,) = struct.unpack("<I", take(4, "version"))
+        version = int.from_bytes(fh.read(left(4, "version")), "little")
         if version != CHECKPOINT_VERSION:
             raise CheckpointError(f"unsupported checkpoint version {version}")
-        (config_len,) = struct.unpack("<I", take(4, "config length"))
-        cfg, frozen = _config_from_block(text(config_len, "config"))
+        config_len = int.from_bytes(fh.read(left(4, "config length")), "little")
+        cfg, frozen = _config_from_block(fh.read(left(config_len, "config")))
         try:
             expected = parameter_shapes(cfg)
         except GraphConfigError as err:
             raise CheckpointError(f"invalid config block: {err}") from err
-        unknown = set(frozen) - {name.rpartition(".")[0] for name in expected}
+        unknown = frozen - {name.rpartition(".")[0] for name in expected}
         if unknown:
             raise CheckpointError(f"invalid config block: frozen {sorted(unknown)} "
                                   "are not nodes with parameters")
-        (count,) = struct.unpack("<I", take(4, "parameter count"))
-        if count != len(expected):
-            raise CheckpointError(f"checkpoint stores {count} parameters, "
-                                  f"config implies {len(expected)}")
+        if fh.read(left(4, "parameter count")) != struct.pack("<I", len(expected)):
+            raise CheckpointError(f"parameter count is not the {len(expected)} "
+                                  "the config implies")
         params = {}
-        for _ in range(count):
-            (name_len,) = struct.unpack("<I", take(4, "name length"))
-            name = text(name_len, "parameter name")
-            if name not in expected:
-                raise CheckpointError(f"unexpected parameter {name!r}")
-            (ndim,) = struct.unpack("<I", take(4, "rank"))
-            shape = struct.unpack(f"<{ndim}I", take(4 * ndim, "shape"))
-            if shape != expected[name]:
-                raise CheckpointError(f"shape disagreement for {name!r}: file has "
-                                      f"{shape}, config implies {expected[name]}")
-            check_left(8 * math.prod(shape), name)
+        for name, shape in expected.items():
+            header = _record_header(name, shape)
+            if fh.read(left(len(header), name)) != header:
+                raise CheckpointError(f"record header is not that of {name} {shape}, "
+                                      "which the config implies")
+            left(8 * math.prod(shape), name)
             arr = np.empty(shape, dtype="<f8")
             if fh.readinto(arr) != arr.nbytes:
                 raise CheckpointError(f"truncated checkpoint while reading {name}")
             params[name] = arr
         if fh.read(1):
             raise CheckpointError("trailing bytes after the last parameter record")
-    net = NetworkGraph(cfg, _architecture(cfg), params, frozen)
-    missing = set(expected) - set(params)
-    if missing:
-        raise CheckpointError(f"missing parameters: {sorted(missing)}")
-    return net
+    return NetworkGraph(cfg, _architecture(cfg), params, frozen)
 
 
 def load_root_weights(net: NetworkGraph, path):
@@ -548,11 +540,12 @@ def load_root_weights(net: NetworkGraph, path):
     """
     kernel = net.params["conv1.kernel"]
     bias = net.params["conv1.bias"]
-    expected = kernel.size + bias.size
+    expected = 8 * (kernel.size + bias.size)
+    size = os.path.getsize(path)
+    if size != expected:
+        raise ValueError(f"root weight file holds {size} bytes, expected {expected}: "
+                         f"float64 values for shape {kernel.shape} + bias")
     raw = np.fromfile(path, dtype="<f8")
-    if raw.size != expected:
-        raise ValueError(f"root weight file holds {raw.size} floats, "
-                         f"expected {expected} for shape {kernel.shape} + bias")
     net.params["conv1.kernel"] = np.ascontiguousarray(
         raw[:kernel.size].reshape(kernel.shape), dtype=DTYPE)
     net.params["conv1.bias"] = np.ascontiguousarray(

@@ -6,6 +6,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from lfhn import cli, data, graph, layers
 
@@ -376,7 +377,8 @@ def test_eval_refuses_a_rank_past_the_end_of_the_file_with_one_error_line(tmp_pa
     rc = cli.main(["eval", "--model", str(model), "--data", str(small_corpus)])
     assert rc == 2
     err = capsys.readouterr().err.splitlines()
-    assert err == ["error: truncated checkpoint while reading shape"], err
+    assert err == ["error: record header is not that of conv1.kernel (2, 2, 3, 4), "
+                   "which the config implies"], err
 
 
 def test_train_lr_zero_leaves_parameters_at_init(tmp_path, small_corpus):
@@ -418,6 +420,21 @@ def test_train_with_root_weights_file(tmp_path, small_corpus):
     loaded = graph.load_checkpoint(model)
     assert np.array_equal(loaded.params["conv1.kernel"],
                           blob[:kernel_size].reshape(11, 11, c, 96))
+
+
+def test_train_refuses_root_weights_with_a_partial_float_exit_3(tmp_path, small_corpus,
+                                                                capsys):
+    c = data.load_corpus(small_corpus)[0].image.shape[-1]
+    weights = tmp_path / "root.f64"
+    # the default root's 11x11xcx96 kernel and 96 biases, then 3 stray bytes
+    weights.write_bytes(bytes(8 * (11 * 11 * c * 96 + 96) + 3))
+    model = tmp_path / "model.lfhn"
+    rc = cli.main(["train", "--data", str(small_corpus), "--out", str(model),
+                   "--epochs", "1", "--root-weights", str(weights)])
+    assert rc == 3
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and "root weight file holds" in err[0], err
+    assert not model.exists()
 
 
 # ---------------------------------------------------------------- config files
@@ -479,6 +496,42 @@ def test_config_file_repeated_key_exits_2(tmp_path, small_corpus, capsys):
     assert capsys.readouterr().err == f"error: {cfg}:3: config key 'lr' given twice\n"
     assert not model.exists()
     assert cli.main(["shapes", "--config", str(cfg)]) == 2
+
+
+@pytest.mark.parametrize("command", ["shapes", "train"])
+def test_config_file_that_is_not_utf8_exits_2_naming_the_file(tmp_path, small_corpus, capsys,
+                                                              command):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_bytes(b"lr = 0.5\n\xff\n")
+    with pytest.raises(cli.ConfigError, match=f"{cfg}: not UTF-8 text"):
+        cli.parse_config_file(cfg)
+    model = tmp_path / "m.lfhn"
+    argv = {"shapes": ["shapes"],
+            "train": ["train", "--data", str(small_corpus), "--out", str(model)]}[command]
+    assert cli.main(argv + ["--config", str(cfg)]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith(f"error: {cfg}: not UTF-8 text"), err
+    assert not model.exists()
+
+
+# pieces of run config text, valid and not, that random bytes rarely produce
+CONFIG_PIECES = [b"lr = 0.5", b"epochs = 3", b"streams = 8,4|6", b"freeze_root = yes",
+                 b"log = x.csv", b"lrn_k", b" = ", b"=", b"#", b"\n", b"\r", b",", b"|",
+                 b"1_0", b"\xff", b"\xc3\xa9", b"\x00"]
+
+
+@settings(derandomize=True, max_examples=300, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(st.one_of(st.binary(max_size=40),
+                 st.lists(st.sampled_from(CONFIG_PIECES), max_size=12).map(b"".join)))
+def test_config_file_parses_or_raises_config_error(tmp_path, blob):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_bytes(blob)
+    try:
+        values = cli.parse_config_file(cfg)
+    except cli.ConfigError:
+        return
+    assert set(values) <= set(cli._config_schema())
 
 
 def test_config_file_parsing_and_comments(tmp_path):

@@ -168,6 +168,15 @@ def test_read_image_names_the_file_on_a_bad_header(tmp_path, header):
         data.read_image(bad)
 
 
+@pytest.mark.parametrize("numbers", [b"1_0 1 255", b"+4 1 255", b"4 1 2_55", b"4 \xd9\xa1 255"])
+def test_read_image_refuses_header_numbers_that_are_not_plain_digits(tmp_path, numbers):
+    bad = tmp_path / "id000_p00_l00.pgm"
+    # 10 raster bytes: enough for any extent that int() would read from these headers
+    bad.write_bytes(b"P5\n" + numbers + b"\n" + bytes(10))
+    with pytest.raises(ValueError, match=re.escape(f"{bad}: bad image header")):
+        data.read_image(bad)
+
+
 def test_image_round_trip_pgm_and_ppm(tmp_path):
     rng = np.random.default_rng(3)
     gray = rng.integers(0, 256, size=(5, 7), dtype=np.uint8)

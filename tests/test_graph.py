@@ -540,14 +540,63 @@ def test_checkpoint_refuses_a_length_past_the_end_of_the_file(tmp_path, field):
     blob = bytearray(path.read_bytes())
     name = blob.index(b"conv1.kernel")
     # the field's little-endian high byte, 0x00 -> 0xF7, makes it about 4.1e9
-    high, what = {"config length": (11, "config"),
-                  "name length": (name - 1, "parameter name"),
-                  "rank": (name + len(b"conv1.kernel") + 3, "shape")}[field]
+    header = r"record header is not that of conv1\.kernel \(2, 2, 3, 4\)"
+    high, match = {"config length": (11, "truncated checkpoint while reading config$"),
+                   "name length": (name - 1, header),
+                   "rank": (name + len(b"conv1.kernel") + 3, header)}[field]
     assert blob[high] == 0
     blob[high] = 0xF7
     path.write_bytes(bytes(blob))
-    with pytest.raises(CheckpointError, match=f"truncated checkpoint while reading {what}$"):
+    with pytest.raises(CheckpointError, match=match):
         graph.load_checkpoint(path)
+
+
+def test_checkpoint_refuses_an_extent_too_large_for_a_u32(tmp_path):
+    path = tmp_path / "model.lfhn"
+    # fc6.weight would be 45 x 2**32, whose record header cannot hold the extent
+    _tiny_checkpoint_with_config(
+        path, lambda text: text.replace(b"fc_hidden=8", b"fc_hidden=4294967296"))
+    with pytest.raises(CheckpointError, match=r"fc6\.weight: shape \(45, 4294967296\) "
+                                              "does not fit a record's u32 fields"):
+        graph.load_checkpoint(path)
+
+
+# replacement bytes for the mutation scan: NUL, the \x0b that splitlines()
+# breaks on, space, "+" and "_" that int() and float() accept, a digit, and
+# a byte that is never UTF-8; each byte is also tried with its case bit flipped
+MUTATION_VALUES = (0x00, 0x0B, 0x20, 0x2B, 0x30, 0x5F, 0xFF)
+
+
+def test_checkpoint_loads_only_the_bytes_its_save_writes(tmp_path):
+    """Every one-byte change outside the float data, and every truncation
+    at a header byte or a multiple of 7, is refused or re-saves to itself."""
+    net = graph.build_lfhn(graph.tiny_config(), seed=0)
+    net.frozen.add("conv1")
+    path, resaved = tmp_path / "model.lfhn", tmp_path / "resaved.lfhn"
+    graph.save_checkpoint(net, path)
+    blob = path.read_bytes()
+    pos = _config_block(blob)[1] + 4
+    offsets = list(range(pos))  # magic, version, config length, config, count
+    for name, shape in graph.parameter_shapes(net.config).items():
+        header = 8 + len(name) + 4 * len(shape)
+        offsets += range(pos, pos + header)
+        pos += header + 8 * int(np.prod(shape))
+    assert pos == len(blob) and len(offsets) == 656
+    cases = [blob[:n] for n in sorted({*offsets, *range(0, len(blob), 7)})]
+    for i in offsets:
+        for value in sorted({*MUTATION_VALUES, blob[i] ^ 0x20} - {blob[i]}):
+            cases.append(blob[:i] + bytes([value]) + blob[i + 1:])
+    loaded = 0
+    for case in cases:
+        path.write_bytes(case)
+        try:
+            loaded_net = graph.load_checkpoint(path)
+        except CheckpointError:
+            continue
+        graph.save_checkpoint(loaded_net, resaved)
+        assert resaved.read_bytes() == case
+        loaded += 1
+    assert loaded  # canonical edits load, such as lrn_beta=0.75 -> 0.05
 
 
 def test_loaded_checkpoint_is_trainable(tmp_path):
@@ -617,8 +666,8 @@ def test_checkpoint_rejects_bad_bool_in_config(tmp_path):
 
 
 @pytest.mark.parametrize("old, new, match", [
-    (b"frozen=", b"bogus=1\nfrozen=", "unknown key 'bogus'"),
-    (b"frozen=", b"lrn_k=3.0\nfrozen=", "key 'lrn_k' given twice"),
+    (b"frozen=", b"bogus=1\nfrozen=", r"line 17 reads \['bogus=1'\]"),
+    (b"frozen=", b"lrn_k=3.0\nfrozen=", r"line 17 reads \['lrn_k=3.0'\]"),
     (b"frozen=", b"frozen=conv99,norm1", r"\['conv99', 'norm1'\] are not nodes with parameters"),
 ], ids=["unknown-key", "repeated-key", "frozen-without-parameters"])
 def test_checkpoint_refuses_config_it_would_ignore(tmp_path, old, new, match):
@@ -645,7 +694,7 @@ def test_checkpoint_rejects_text_that_is_not_utf8(tmp_path):
     blob = path.read_bytes()
     at = blob.index(b"conv1.kernel")
     path.write_bytes(blob[:at] + b"\xff" + blob[at + 1:])
-    with pytest.raises(CheckpointError, match="parameter name is not UTF-8"):
+    with pytest.raises(CheckpointError, match=r"record header is not that of conv1\.kernel"):
         graph.load_checkpoint(path)
 
 
@@ -668,3 +717,14 @@ def test_load_root_weights_size_mismatch(tmp_path):
     np.zeros(7, dtype="<f8").tofile(path)
     with pytest.raises(ValueError, match="expected"):
         graph.load_root_weights(net, path)
+
+
+def test_load_root_weights_refuses_a_partial_float(tmp_path):
+    net = graph.build_lfhn(graph.tiny_config(), seed=24)
+    before = net.params["conv1.kernel"].copy()
+    path = tmp_path / "root.f64"
+    # every value the kernel and bias need, plus 3 stray bytes that np.fromfile would drop
+    path.write_bytes(np.ones(4 * 2 * 2 * 3 + 4, dtype="<f8").tobytes() + b"\x00" * 3)
+    with pytest.raises(ValueError, match="holds 419 bytes, expected 416"):
+        graph.load_root_weights(net, path)
+    assert np.array_equal(net.params["conv1.kernel"], before)
