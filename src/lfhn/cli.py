@@ -2,9 +2,9 @@
 
 Exit codes: 0 success, 1 check failure (a failed gradcheck, or training that
 diverged to a non-finite loss), 2 usage or config error (an output path that
-cannot be written included), 3 data/model mismatch. Heavy modules are
-imported inside the command handlers so that --threads can pin the BLAS
-thread pools before numpy loads.
+cannot be written, or that names an input or the other output, included),
+3 data/model mismatch. Heavy modules are imported inside the command handlers
+so that --threads can pin the BLAS thread pools before numpy loads.
 """
 
 from __future__ import annotations
@@ -156,6 +156,15 @@ def _check_output_path(path, what):
         raise ConfigError(f"{what} {path}: directory {parent} is not writable")
 
 
+def _check_no_overwrite(inputs, outputs):
+    """Raise ConfigError if an output path resolves to an input or an earlier output."""
+    seen = {os.path.realpath(p): (what, p) for what, p in inputs.items() if p}
+    for what, path in outputs.items():
+        other, other_path = seen.setdefault(os.path.realpath(path), (what, path))
+        if other != what:
+            raise ConfigError(f"{what} {path} is also the {other} {other_path}")
+
+
 def _error(message, code):
     print(f"error: {message}", file=sys.stderr)
     return code
@@ -184,6 +193,8 @@ def cmd_train(args):
         values = _merged_config(args)
         seed = resolve_seed(args.seed, values.get("seed"))
         log_path = values.get("log") or f"{args.out}.log.csv"
+        inputs = {"run config": args.config, "root weights": values.get("root_weights")}
+        _check_no_overwrite(inputs, {"checkpoint": args.out, "epoch log": log_path})
         _check_output_path(args.out, "checkpoint")
         _check_output_path(log_path, "epoch log")
     except (OSError, ConfigError) as err:
@@ -201,7 +212,7 @@ def cmd_train(args):
         tcfg = train_mod.TrainConfig(**{**_fields_in(values, train_mod.TrainConfig),
                                         "seed": seed})
         net = graph.build_lfhn(cfg, seed=seed)
-    except (ValueError, graph.GraphConfigError) as err:
+    except ValueError as err:
         return _error(str(err), EXIT_USAGE)
 
     if values.get("root_weights"):
@@ -242,6 +253,7 @@ def cmd_eval(args):
     try:
         seed = resolve_seed(args.seed)
         if args.out:
+            _check_no_overwrite({"checkpoint": args.model}, {"table": args.out})
             _check_output_path(args.out, "table")
         net = graph.load_checkpoint(args.model)
     except (OSError, ConfigError, graph.CheckpointError) as err:
@@ -351,7 +363,7 @@ def cmd_shapes(args):
         # the training keys of the file are checked too, though no training runs
         train_mod.TrainConfig(**_fields_in(values, train_mod.TrainConfig))
         trace = graph.shape_trace(cfg)
-    except (ValueError, graph.GraphConfigError) as err:
+    except ValueError as err:
         return _error(str(err), EXIT_USAGE)
     for name, shape in trace:
         printed = "x".join(str(e) for e in shape)

@@ -13,7 +13,6 @@ from __future__ import annotations
 import csv
 import os
 import re
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -270,26 +269,23 @@ def read_image(path) -> np.ndarray:
 
 
 def network_input(images) -> np.ndarray:
-    """The float64 network input for an image or a batch of images.
+    """The float64 network input for an image, or a batch as an array or a list.
 
     uint8 pixels are scaled to [0, 1]; float pixels, already in [0, 1], pass
-    through without a copy when they are float64. Any other dtype raises,
-    so raw 0-255 values never reach the network unscaled.
+    through without a copy when they are float64. A list of images that mix
+    dtypes raises ValueError, as stacking would promote raw 0-255 values
+    unscaled; so does any other dtype.
     """
+    if isinstance(images, list):
+        dtypes = {np.asarray(image).dtype for image in images}
+        if len(dtypes) > 1:
+            raise ValueError(f"images mix dtypes {', '.join(sorted(map(str, dtypes)))}")
     images = np.asarray(images)
     if images.dtype == np.uint8:
         return images.astype(DTYPE) / 255.0
     if np.issubdtype(images.dtype, np.floating):
         return images.astype(DTYPE, copy=False)
     raise ValueError(f"images must be uint8 or float, got dtype {images.dtype}")
-
-
-def check_image_dtypes(images):
-    """Raise ValueError if the images mix dtypes: stacking uint8 with float
-    images would promote the raw 0-255 values unscaled."""
-    dtypes = {image.dtype for image in images}
-    if len(dtypes) > 1:
-        raise ValueError(f"images mix dtypes {', '.join(sorted(map(str, dtypes)))}")
 
 
 def generate_corpus(out_dir, n_identities, lights=None, seed=0,
@@ -364,7 +360,7 @@ def split(samples, protocol, seed=0):
     "holdout-light:<ids>" and "holdout-pose:<ids>" with comma-separated ids
     (defaults: the last light id present; the lowest and highest pose ids
     present, i.e. the two profile bins). The partition is disjoint and
-    exhaustive.
+    exhaustive; either side may be empty.
     """
     if not samples:
         raise ValueError("empty sample list")
@@ -390,6 +386,4 @@ def split(samples, protocol, seed=0):
         test = [s for s in samples if key(s) in held]
     else:
         raise ValueError(f"unknown split protocol {name!r}")
-    if not test:
-        warnings.warn(f"split {protocol!r} produced an empty test set")
     return train, test

@@ -7,7 +7,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import graph
-from .data import check_image_dtypes, default_pose_roster, network_input
+from .data import default_pose_roster, network_input
 from .train import center_crop
 
 
@@ -75,12 +75,11 @@ def rank_table_from_predictions(predictions, samples, yaws=None) -> RankTable:
 def predict(net, images, batch_size=64) -> np.ndarray:
     """Identity decisions: argmax over the class logits, ties to lowest index.
 
-    images is an array or a list of same-shape images, all uint8 or all
-    float; a list that mixes dtypes raises ValueError. Each batch is stacked
-    and converted on its own and runs an inference forward, which holds only
+    images is an array or a list of same-shape images, uint8 or float.
+    network_input stacks and converts each batch on its own, and refuses one
+    that mixes dtypes; each batch runs an inference forward, which holds only
     the tensors still to be read.
     """
-    check_image_dtypes(images)
     predictions = np.empty(len(images), dtype=np.intp)
     for start in range(0, len(images), batch_size):
         batch = network_input(images[start:start + batch_size])

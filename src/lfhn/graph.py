@@ -36,10 +36,6 @@ POOL_WINDOW = 3
 POOL_STRIDE = 2
 
 
-class GraphConfigError(ValueError):
-    """A configuration that cannot produce integral feature extents."""
-
-
 class CheckpointError(ValueError):
     """Malformed, truncated, or architecture-mismatched checkpoint file."""
 
@@ -129,14 +125,14 @@ def _tiled_extent(name, extent, window, stride):
     try:
         return conv_extent(extent, window, stride)
     except ValueError as err:
-        raise GraphConfigError(f"{name}: {err}") from err
+        raise ValueError(f"{name}: {err}") from err
 
 
 def _architecture(cfg: LfhnConfig):
     """Node list of the template in topological order, each node with its shape.
 
     Spatial nodes record (h, w, c) and the flatten/fc tail records (dim,).
-    Raises GraphConfigError naming the node whose extents do not work out.
+    Raises ValueError naming the node whose extents do not work out.
     """
     nodes = [Node("input", "input", (), {},
                   (cfg.input_height, cfg.input_width, cfg.input_channels))]
@@ -198,8 +194,8 @@ def shape_trace(cfg: LfhnConfig):
     """Per-node output shapes without allocating any activation.
 
     Returns [(node_name, shape)] where spatial nodes report (h, w, c) and the
-    flatten/fc tail reports (dim,). Raises GraphConfigError naming the node
-    whose extents do not work out.
+    flatten/fc tail reports (dim,). Raises ValueError naming the node whose
+    extents do not work out.
     """
     return [(node.name, node.shape) for node in _architecture(cfg)]
 
@@ -507,7 +503,7 @@ def load_checkpoint(path) -> NetworkGraph:
         cfg, frozen = _config_from_block(fh.read(left(config_len, "config")))
         try:
             expected = parameter_shapes(cfg)
-        except GraphConfigError as err:
+        except ValueError as err:
             raise CheckpointError(f"invalid config block: {err}") from err
         unknown = frozen - {name.rpartition(".")[0] for name in expected}
         if unknown:

@@ -99,9 +99,9 @@ def train(net, samples, cfg: TrainConfig):
     during the epoch's own forward passes. With a fixed seed the run is
     fully reproducible. Raises TrainingDiverged at the first non-finite
     batch loss, before its update.
-    Sample images are uint8 as loaded or float in [0, 1], one dtype for all;
-    each batch is stacked from its own samples, then data.network_input
-    converts it.
+    Sample images are uint8 as loaded or float in [0, 1]; data.network_input
+    stacks and converts each batch on its own, and refuses one that mixes
+    dtypes.
     """
     if not samples:
         raise ValueError("empty dataset")
@@ -111,7 +111,6 @@ def train(net, samples, cfg: TrainConfig):
     if bad.size:
         raise ValueError(f"label {bad[0]} out of range [0, {k}) for {k} classes")
     images = [s.image for s in samples]
-    data.check_image_dtypes(images)
 
     if cfg.freeze_root:
         net.frozen.add("conv1")
@@ -130,12 +129,10 @@ def train(net, samples, cfg: TrainConfig):
         for start in range(0, n, cfg.batch_size):
             idx = order[start:start + cfg.batch_size]
             if cfg.augment:
-                batch = np.stack([augment(images[i], target_h, target_w, rng)
-                                  for i in idx])
+                batch = [augment(images[i], target_h, target_w, rng) for i in idx]
             else:
-                batch = np.stack([images[i] for i in idx])
-            batch = data.network_input(batch)
-            logits, cache = graph.forward(net, batch)
+                batch = [images[i] for i in idx]
+            logits, cache = graph.forward(net, data.network_input(batch))
             loss, grad_logits = layers.softmax_xent(logits, labels[idx])
             if not np.isfinite(loss):
                 raise TrainingDiverged(f"training diverged: loss {loss} at epoch {epoch}, "

@@ -204,6 +204,16 @@ def test_eval_lists_absent_pose_bins_on_one_line(tmp_path, small_corpus, capsys)
         "pose_id", "0", "12", "mean"]
 
 
+def test_eval_split_that_leaves_nothing_exits_3_with_one_error_line(tmp_path, small_corpus,
+                                                                   capsys):
+    model = tmp_path / "model.lfhn"
+    graph.save_checkpoint(graph.build_lfhn(graph.tiny_config(), seed=0), model)
+    rc = cli.main(["eval", "--model", str(model), "--data", str(small_corpus),
+                   "--split", "holdout-light:99"])
+    assert rc == 3
+    assert capsys.readouterr().err == "error: split 'holdout-light:99' left nothing to evaluate\n"
+
+
 def test_train_on_mixed_shape_corpus_exits_3_naming_the_file(tmp_path, small_corpus, capsys):
     big = tmp_path / "big"
     assert cli.main(["gen-data", "--ids", "3", "--out", str(big),
@@ -231,6 +241,19 @@ def test_train_on_image_with_extents_below_one_exits_3_naming_the_file(tmp_path,
     assert rc == 3
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and err[0].startswith(f"error: {bad}: image extents"), err
+
+
+def test_train_on_corpus_with_a_truncated_file_exits_3_naming_it(tmp_path, small_corpus,
+                                                                 capsys):
+    cut = small_corpus / "id001_p06_l03.pgm"
+    cut.write_bytes(cut.read_bytes()[:-1])
+    capsys.readouterr()
+    rc = cli.main(["train", "--data", str(small_corpus), "--out", str(tmp_path / "model.lfhn"),
+                   "--epochs", "1"])
+    assert rc == 3
+    err = capsys.readouterr().err.splitlines()
+    assert err == [f"error: {cut}: raster holds 1224 bytes, expected 1225"]
+    assert not (tmp_path / "model.lfhn").exists()
 
 
 @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning",
@@ -282,6 +305,46 @@ def test_eval_unwritable_table_exits_2_before_loading(tmp_path, small_corpus, ca
     assert rc == 2
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and err[0].startswith("error: ") and "missing" in err[0]
+
+
+@pytest.mark.parametrize("extra, config, message", [
+    (["--log", "{d}/./m.lfhn"], "", "epoch log {d}/./m.lfhn is also the checkpoint {d}/m.lfhn"),
+    ([], "log = {d}/m.lfhn\n", "epoch log {d}/m.lfhn is also the checkpoint {d}/m.lfhn"),
+    (["--log", "{d}/run.cfg"], "", "epoch log {d}/run.cfg is also the run config {d}/run.cfg"),
+    (["--root-weights", "{d}/m.lfhn"], "",
+     "checkpoint {d}/m.lfhn is also the root weights {d}/m.lfhn"),
+], ids=["log", "config-log", "log-is-config", "out-is-root-weights"])
+def test_train_output_naming_an_input_or_the_other_output_exits_2_before_loading(
+        tmp_path, small_corpus, capsys, monkeypatch, extra, config, message):
+    d = tmp_path
+    (d / "run.cfg").write_text(config.format(d=d))
+    (d / "m.lfhn").write_bytes(b"kept")
+    _refuse_to_load(monkeypatch)
+    capsys.readouterr()
+    rc = cli.main(["train", "--data", str(small_corpus), "--out", f"{d}/m.lfhn",
+                   "--config", f"{d}/run.cfg", "--epochs", "1"]
+                  + [arg.format(d=d) for arg in extra])
+    assert rc == 2
+    assert capsys.readouterr().err.splitlines() == [f"error: {message.format(d=d)}"]
+    assert (d / "m.lfhn").read_bytes() == b"kept"
+    assert (d / "run.cfg").read_text() == config.format(d=d)
+
+
+def test_eval_table_naming_the_checkpoint_exits_2_before_loading(tmp_path, small_corpus,
+                                                                 capsys, monkeypatch):
+    model = tmp_path / "model.lfhn"
+    graph.save_checkpoint(graph.build_lfhn(graph.tiny_config(), seed=0), model)
+    saved = model.read_bytes()
+    link = tmp_path / "link.csv"
+    link.symlink_to(model)
+    _refuse_to_load(monkeypatch)
+    capsys.readouterr()
+    rc = cli.main(["eval", "--model", str(model), "--data", str(small_corpus),
+                   "--out", str(link)])
+    assert rc == 2
+    assert capsys.readouterr().err.splitlines() == [
+        f"error: table {link} is also the checkpoint {model}"]
+    assert model.read_bytes() == saved
 
 
 def test_a_failed_write_exits_2_with_one_error_line(tmp_path, small_corpus, capsys,

@@ -177,6 +177,41 @@ def test_read_image_refuses_header_numbers_that_are_not_plain_digits(tmp_path, n
         data.read_image(bad)
 
 
+# replacement bytes for the read_image scan: NUL, the whitespace bytes, the
+# comment mark, the signs and "_" that int() accepts, digits, the magic's "P",
+# DEL, and bytes that are never ASCII
+IMAGE_MUTATION_VALUES = b"\x00\t\n\x0b\r #+-_0159P\x7f\x80\xff"
+
+
+def test_read_image_loads_or_names_the_file_after_any_byte_edit_or_cut(tmp_path):
+    """Every edit of a header byte or of the first two raster bytes to a value
+    of IMAGE_MUTATION_VALUES, and every truncation, of a small P5 and a small
+    P6 file either loads as (h, w, c) uint8 or raises ValueError naming the file."""
+    outcomes = {"loaded": 0, "refused": 0}
+    for name, pixels in (("g.pgm", np.arange(6, dtype=np.uint8).reshape(2, 3)),
+                         ("c.ppm", np.arange(6, dtype=np.uint8).reshape(1, 2, 3))):
+        path = tmp_path / name
+        data.write_image(path, pixels)
+        blob = path.read_bytes()
+        header = len(blob) - pixels.size
+        cases = [blob[:n] for n in range(len(blob))]
+        for i in range(header + 2):
+            cases += [blob[:i] + bytes([v]) + blob[i + 1:]
+                      for v in IMAGE_MUTATION_VALUES if v != blob[i]]
+        for case in cases:
+            path.write_bytes(case)
+            try:
+                image = data.read_image(path)
+            except ValueError as err:
+                assert str(err).startswith(f"{path}: "), (case, err)
+                outcomes["refused"] += 1
+                continue
+            assert image.dtype == np.uint8 and image.ndim == 3, case
+            assert image.shape[2] == (1 if case.startswith(b"P5") else 3), case
+            outcomes["loaded"] += 1
+    assert sum(outcomes.values()) == 484 and min(outcomes.values()) > 0, outcomes
+
+
 def test_image_round_trip_pgm_and_ppm(tmp_path):
     rng = np.random.default_rng(3)
     gray = rng.integers(0, 256, size=(5, 7), dtype=np.uint8)
@@ -261,13 +296,6 @@ def test_holdout_defaults():
     assert {s.pose_id for s in test} == {0, 4}
     _, test = data.split(samples, "holdout-light")
     assert {s.light_id for s in test} == {3}
-
-
-def test_split_fraction_one_warns_about_empty_test():
-    samples = _label_grid(2, 2, 2)
-    with pytest.warns(UserWarning, match="empty test"):
-        train, test = data.split(samples, "random:1.0", seed=0)
-    assert len(train) == len(samples) and not test
 
 
 def test_split_unknown_protocol():

@@ -210,6 +210,30 @@ def test_training_on_stored_pixels_matches_training_on_scaled_floats(tmp_path, a
     assert results[0] == results[1]
 
 
+def test_batches_of_one_dtype_each_train_and_predict_like_all_uint8(tmp_path):
+    # the dtype rule holds per batch: at batch size 1, alternating stored
+    # uint8 images with the same pixels as floats gives the all-uint8 bits
+    size = 10
+    data.generate_corpus(tmp_path, 2, lights=data.default_light_roster(2), seed=3,
+                         height=size, width=size)
+    stored = data.load_corpus(tmp_path)
+    alternating = [replace(s, image=s.image.astype(np.float64) / 255.0) if i % 2 else s
+                   for i, s in enumerate(stored)]
+    cfg = replace(graph.tiny_config(num_classes=2), input_height=size,
+                  input_width=size, input_channels=1)
+    results = []
+    for samples in (stored, alternating):
+        net = graph.build_lfhn(cfg, seed=4)
+        _, log = train.train(net, samples, TrainConfig(lr=0.05, batch_size=1, epochs=2,
+                                                      seed=5))
+        log_path = tmp_path / f"log{len(results)}.csv"
+        train.write_log(log, log_path)
+        decisions = evaluate.predict(net, [s.image for s in samples], batch_size=1)
+        params = {k: v.tobytes() for k, v in net.params.items()}
+        results.append((params, log_path.read_text(), decisions.tolist()))
+    assert results[0] == results[1]
+
+
 def test_train_and_evaluate_hold_no_float64_copy_of_the_dataset():
     rng = np.random.default_rng(23)
     n, shape = 4000, (8, 8, 3)
