@@ -206,14 +206,23 @@ def cmd_train(args):
     if not samples:
         return _error(f"no samples found in {args.data}", EXIT_MISMATCH)
 
+    inferred = "num_classes" not in values
     values.setdefault("num_classes", max(s.identity for s in samples) + 1)
     try:
         cfg = _build_model_config(values, graph, sample=samples[0])
         tcfg = train_mod.TrainConfig(**{**_fields_in(values, train_mod.TrainConfig),
                                         "seed": seed})
-        net = graph.build_lfhn(cfg, seed=seed)
+        graph.parameter_shapes(cfg)  # a config that does not tile fails here, naming the node
     except ValueError as err:
         return _error(str(err), EXIT_USAGE)
+    try:
+        net = graph.build_lfhn(cfg, seed=seed)
+    except (MemoryError, ValueError) as err:  # numpy: too many bytes, or too many elements
+        classes = f"{cfg.num_classes} classes"
+        if inferred:
+            classes += (", inferred from the corpus's largest identity id "
+                        f"{cfg.num_classes - 1}")
+        return _error(f"cannot build the network for {classes}: {err}", EXIT_USAGE)
 
     if values.get("root_weights"):
         try:
@@ -379,7 +388,8 @@ def build_parser():
     )
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--threads", type=_positive_int, default=None,
-                        help="pin BLAS thread pools (1 = fully deterministic path)")
+                        help="pin the BLAS thread pools only; checkpoint loads read "
+                             "on one thread per CPU (1 = fully deterministic path)")
     common.add_argument("--seed", type=_non_negative_int, default=None,
                         help="random seed (falls back to LFHN_SEED, then 0)")
     sub = parser.add_subparsers(dest="command", required=True)

@@ -35,6 +35,10 @@ CHECKPOINT_VERSION = 1
 POOL_WINDOW = 3
 POOL_STRIDE = 2
 
+# load_checkpoint starts no more reader threads than one per this many bytes
+# of float data, so a small checkpoint is read on the calling thread alone
+READ_SPAN_BYTES = 8 << 20
+
 
 class CheckpointError(ValueError):
     """Malformed, truncated, or architecture-mismatched checkpoint file."""
@@ -513,19 +517,65 @@ def load_checkpoint(path) -> NetworkGraph:
             raise CheckpointError(f"parameter count is not the {len(expected)} "
                                   "the config implies")
         params = {}
+        records = []  # (file offset, byte view of the array, name): read once all are known
         for name, shape in expected.items():
             header = _record_header(name, shape)
             if fh.read(left(len(header), name)) != header:
                 raise CheckpointError(f"record header is not that of {name} {shape}, "
                                       "which the config implies")
-            left(8 * math.prod(shape), name)
-            arr = np.empty(shape, dtype="<f8")
-            if fh.readinto(arr) != arr.nbytes:
-                raise CheckpointError(f"truncated checkpoint while reading {name}")
-            params[name] = arr
+            nbytes = left(8 * math.prod(shape), name)
+            params[name] = np.empty(shape, dtype="<f8")
+            records.append((fh.tell(), memoryview(params[name]).cast("B"), name))
+            fh.seek(nbytes, os.SEEK_CUR)
         if fh.read(1):
             raise CheckpointError("trailing bytes after the last parameter record")
+        _read_records(fh.fileno(), records)
     return NetworkGraph(cfg, _architecture(cfg), params, frozen)
+
+
+def _read_records(fd, records):
+    """Fill every (file offset, byte view, name) record from fd.
+
+    The records' data, taken end to end, is cut into contiguous spans of
+    near-equal size, one per usable CPU but at most one per READ_SPAN_BYTES
+    of data; a span may cross record boundaries. The calling thread
+    reads the first span and pool threads the others, so a single span
+    starts no thread. All read with positional reads on the one descriptor,
+    so the bytes are those of a serial read of this file even if another
+    file is renamed onto its path meanwhile.
+    """
+    total = sum(len(view) for _, view, _ in records)
+    count = max(1, min(len(os.sched_getaffinity(0)), total // READ_SPAN_BYTES))
+    spans = [[] for _ in range(count)]
+    start = 0  # the record's first byte within the data taken end to end
+    for offset, view, name in records:
+        for k, span in enumerate(spans):
+            a = max(total * k // count - start, 0)
+            b = min(total * (k + 1) // count - start, len(view))
+            if a < b:
+                span.append((offset + a, view[a:b], name))
+        start += len(view)
+    if count == 1:
+        _read_span(fd, spans[0])
+        return
+    # imported here: the module costs 0.6 MiB of RSS that a process which
+    # loads no large checkpoint need not pay
+    from concurrent.futures import ThreadPoolExecutor
+    with ThreadPoolExecutor(count - 1) as pool:
+        others = [pool.submit(_read_span, fd, span) for span in spans[1:]]
+        _read_span(fd, spans[0])
+        for future in others:
+            future.result()
+
+
+def _read_span(fd, span):
+    """Read each (file offset, byte view, name) piece of a span in full."""
+    for offset, view, name in span:
+        while view:
+            n = os.preadv(fd, [view], offset)
+            if n == 0:
+                raise CheckpointError(f"truncated checkpoint while reading {name}")
+            offset, view = offset + n, view[n:]
 
 
 def load_root_weights(net: NetworkGraph, path):
@@ -539,7 +589,7 @@ def load_root_weights(net: NetworkGraph, path):
     expected = 8 * (kernel.size + bias.size)
     size = os.path.getsize(path)
     if size != expected:
-        raise ValueError(f"root weight file holds {size} bytes, expected {expected}: "
+        raise ValueError(f"{path}: root weight file holds {size} bytes, expected {expected}: "
                          f"float64 values for shape {kernel.shape} + bias")
     raw = np.fromfile(path, dtype="<f8")
     net.params["conv1.kernel"] = np.ascontiguousarray(

@@ -256,6 +256,28 @@ def test_train_on_corpus_with_a_truncated_file_exits_3_naming_it(tmp_path, small
     assert not (tmp_path / "model.lfhn").exists()
 
 
+@pytest.mark.parametrize("identity, reason", [
+    # fc7.weight would be 512 x 2000000001 float64, 7.45 TiB: numpy raises MemoryError
+    (2_000_000_000, "Unable to allocate 7.45 TiB"),
+    # an extent past the largest array dimension: numpy raises ValueError
+    (99_999_999_999_999_999_999, "Maximum allowed dimension exceeded"),
+], ids=["memory", "dimension"])
+def test_train_on_a_huge_identity_id_exits_2_naming_the_inferred_class_count(
+        tmp_path, capsys, identity, reason):
+    corpus = tmp_path / "corpus"
+    corpus.mkdir()
+    data.write_image(corpus / f"id{identity}_p00_l00.pgm", np.zeros((35, 35), np.uint8))
+    model = tmp_path / "model.lfhn"
+    rc = cli.main(["train", "--data", str(corpus), "--out", str(model), "--epochs", "1"])
+    assert rc == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1, err
+    assert err[0].startswith(f"error: cannot build the network for {identity + 1} classes, "
+                             "inferred from the corpus's largest identity id "
+                             f"{identity}: {reason}"), err
+    assert not model.exists()
+
+
 @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning",
                             "ignore:invalid value encountered:RuntimeWarning")
 def test_divergent_training_exits_1_without_checkpoint(tmp_path, small_corpus, capsys):
@@ -498,6 +520,66 @@ def test_train_refuses_root_weights_with_a_partial_float_exit_3(tmp_path, small_
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and "root weight file holds" in err[0], err
     assert not model.exists()
+
+
+# tiny_config's architecture as run-config lines; the corpus sets the input
+TINY_RUN_CONFIG = ("root_kernel = 2\nroot_channels = 4\nroot_stride = 1\nstreams = 4,6|5\n"
+                   "post_concat_channels = 5\nfc_hidden = 8\nnum_classes = 3\n"
+                   "lrn_size = 3\nlrn_alpha = 0.01\n")
+
+
+@pytest.fixture()
+def tiny_corpus(tmp_path):
+    """Two 8x8x3 images, the input of tiny_config."""
+    out = tmp_path / "tiny"
+    out.mkdir()
+    for i in (0, 1):
+        data.write_image(out / f"id{i}_p0_l0.ppm",
+                         np.full((8, 8, 3), 40 * i, dtype=np.uint8))
+    return out
+
+
+def _exit_0_or_2_3_with_one_error_line(argv, capsys):
+    rc = cli.main(argv)
+    err = capsys.readouterr().err.splitlines()
+    assert rc == 0 or (rc in (2, 3) and len(err) == 1 and err[0].startswith("error: ")), \
+        (rc, err)
+    return rc
+
+
+def test_train_on_cut_or_edited_root_weights_never_exits_1(tmp_path, capsys, tiny_corpus):
+    run_config = tmp_path / "run.cfg"
+    run_config.write_text(TINY_RUN_CONFIG)
+    weights = tmp_path / "root.f64"
+    blob = np.random.default_rng(31).normal(size=4 * 2 * 2 * 3 + 4).astype("<f8").tobytes()
+    cases = [blob[:n] for n in (*range(0, len(blob), 8), 1, 7, len(blob) - 1)]
+    cases += [blob[:i] + bytes([v]) + blob[i + 1:] for i in (0, 7, len(blob) - 1)
+              for v in (0x00, 0x7F, 0xFF)]
+    codes = []
+    for case in cases:
+        weights.write_bytes(case)
+        codes.append(_exit_0_or_2_3_with_one_error_line(
+            ["train", "--data", str(tiny_corpus), "--out", str(tmp_path / "m.lfhn"),
+             "--config", str(run_config), "--epochs", "0", "--root-weights", str(weights)],
+            capsys))
+    assert codes == [3] * (len(cases) - 9) + [0] * 9
+
+
+def test_eval_on_a_cut_or_edited_corpus_file_never_exits_1(tmp_path, capsys, tiny_corpus):
+    model = tmp_path / "model.lfhn"
+    graph.save_checkpoint(graph.build_lfhn(graph.tiny_config(), seed=32), model)
+    image = tiny_corpus / "id1_p0_l0.ppm"
+    blob = image.read_bytes()
+    header = len(blob) - 8 * 8 * 3
+    cases = [blob[:n] for n in (*range(header + 2), len(blob) - 1)]
+    cases += [blob[:i] + bytes([v]) + blob[i + 1:] for i in range(header + 2)
+              for v in b"\x00 #9\xff" if v != blob[i]]
+    codes = set()
+    for case in cases:
+        image.write_bytes(case)
+        codes.add(_exit_0_or_2_3_with_one_error_line(
+            ["eval", "--model", str(model), "--data", str(tiny_corpus)], capsys))
+    assert codes == {0, 3}
 
 
 # ---------------------------------------------------------------- config files

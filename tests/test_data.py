@@ -181,24 +181,29 @@ def test_read_image_refuses_header_numbers_that_are_not_plain_digits(tmp_path, n
 # comment mark, the signs and "_" that int() accepts, digits, the magic's "P",
 # DEL, and bytes that are never ASCII
 IMAGE_MUTATION_VALUES = b"\x00\t\n\x0b\r #+-_0159P\x7f\x80\xff"
+# a small P5 and a small P6 image
+SMALL_IMAGES = (("pgm", np.arange(6, dtype=np.uint8).reshape(2, 3)),
+                ("ppm", np.arange(6, dtype=np.uint8).reshape(1, 2, 3)))
+
+
+def _cuts_and_edits(blob, pixels):
+    """Every truncation of an image file, and every edit of a header byte or
+    of the first two raster bytes to a value of IMAGE_MUTATION_VALUES."""
+    cases = [blob[:n] for n in range(len(blob))]
+    for i in range(len(blob) - pixels.size + 2):
+        cases += [blob[:i] + bytes([v]) + blob[i + 1:]
+                  for v in IMAGE_MUTATION_VALUES if v != blob[i]]
+    return cases
 
 
 def test_read_image_loads_or_names_the_file_after_any_byte_edit_or_cut(tmp_path):
-    """Every edit of a header byte or of the first two raster bytes to a value
-    of IMAGE_MUTATION_VALUES, and every truncation, of a small P5 and a small
-    P6 file either loads as (h, w, c) uint8 or raises ValueError naming the file."""
+    """Every case of _cuts_and_edits, of a small P5 and a small P6 file,
+    either loads as (h, w, c) uint8 or raises ValueError naming the file."""
     outcomes = {"loaded": 0, "refused": 0}
-    for name, pixels in (("g.pgm", np.arange(6, dtype=np.uint8).reshape(2, 3)),
-                         ("c.ppm", np.arange(6, dtype=np.uint8).reshape(1, 2, 3))):
-        path = tmp_path / name
+    for ext, pixels in SMALL_IMAGES:
+        path = tmp_path / f"image.{ext}"
         data.write_image(path, pixels)
-        blob = path.read_bytes()
-        header = len(blob) - pixels.size
-        cases = [blob[:n] for n in range(len(blob))]
-        for i in range(header + 2):
-            cases += [blob[:i] + bytes([v]) + blob[i + 1:]
-                      for v in IMAGE_MUTATION_VALUES if v != blob[i]]
-        for case in cases:
+        for case in _cuts_and_edits(path.read_bytes(), pixels):
             path.write_bytes(case)
             try:
                 image = data.read_image(path)
@@ -210,6 +215,36 @@ def test_read_image_loads_or_names_the_file_after_any_byte_edit_or_cut(tmp_path)
             assert image.shape[2] == (1 if case.startswith(b"P5") else 3), case
             outcomes["loaded"] += 1
     assert sum(outcomes.values()) == 484 and min(outcomes.values()) > 0, outcomes
+
+
+def test_load_corpus_loads_or_names_the_file_after_any_byte_edit_or_cut(tmp_path):
+    """Every case of _cuts_and_edits, in either file of a two-file P5 or P6
+    corpus, either loads both images at one shape with their filename labels
+    or raises ValueError naming the damaged file."""
+    outcomes = {"loaded": 0, "refused": 0}
+    for ext, pixels in SMALL_IMAGES:
+        corpus = tmp_path / ext
+        corpus.mkdir()
+        paths = [corpus / f"id{i}_p{i}_l{i}.{ext}" for i in (0, 1)]
+        for path in paths:
+            data.write_image(path, pixels)
+        blob = paths[0].read_bytes()
+        for path in paths:
+            for case in _cuts_and_edits(blob, pixels):
+                path.write_bytes(case)
+                try:
+                    samples = data.load_corpus(corpus)
+                except ValueError as err:
+                    assert path.name in str(err), (case, err)
+                    outcomes["refused"] += 1
+                    continue
+                assert [(s.identity, s.pose_id, s.light_id) for s in samples] == [
+                    (0, 0, 0), (1, 1, 1)], case
+                assert samples[0].image.shape == samples[1].image.shape, case
+                assert {s.image.dtype for s in samples} == {np.dtype(np.uint8)}, case
+                outcomes["loaded"] += 1
+            path.write_bytes(blob)
+    assert sum(outcomes.values()) == 968 and min(outcomes.values()) > 0, outcomes
 
 
 def test_image_round_trip_pgm_and_ppm(tmp_path):

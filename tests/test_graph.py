@@ -2,6 +2,7 @@ import os
 import struct
 import subprocess
 import sys
+import threading
 import weakref
 from dataclasses import replace
 
@@ -599,6 +600,79 @@ def test_checkpoint_loads_only_the_bytes_its_save_writes(tmp_path):
     assert loaded  # canonical edits load, such as lrn_beta=0.75 -> 0.05
 
 
+def _spy_on_spans(monkeypatch, cpus):
+    """Make load_checkpoint see `cpus` CPUs and cut spans at any size; return
+    the list that each span's (first offset, [(offset, bytes, name)]) joins."""
+    monkeypatch.setattr(graph.os, "sched_getaffinity", lambda pid: set(range(cpus)))
+    monkeypatch.setattr(graph, "READ_SPAN_BYTES", 1)
+    spans, read_span = [], graph._read_span
+
+    def spy(fd, span):
+        spans.append((span[0][0], [(offset, len(view), name) for offset, view, name in span]))
+        read_span(fd, span)
+
+    monkeypatch.setattr(graph, "_read_span", spy)
+    return spans
+
+
+def test_parallel_checkpoint_read_is_bit_exact_wherever_its_spans_end(tmp_path, monkeypatch):
+    """At fc_hidden=2, three spans of the 2304 data bytes end on conv3.kernel's
+    last byte and inside fc6.weight; four end on conv2.bias's last byte and
+    inside conv5.kernel and fc6.weight. The spans cover every record once,
+    bit for bit."""
+    net = graph.build_lfhn(replace(graph.tiny_config(), fc_hidden=2), seed=25)
+    train.randomize_biases(net, seed=26)
+    path = tmp_path / "model.lfhn"
+    graph.save_checkpoint(net, path)
+    for cpus, span_ends in ((2, ["inside"]), (3, ["boundary", "inside"]),
+                            (4, ["boundary", "inside", "inside"])):
+        spans = _spy_on_spans(monkeypatch, cpus)
+        loaded = graph.load_checkpoint(path)
+        assert [p.tobytes() for p in loaded.params.values()] == \
+            [p.tobytes() for p in net.params.values()]
+        pieces = sorted(piece for _, span in spans for piece in span)
+        assert all(a[0] + a[1] <= b[0] for a, b in zip(pieces, pieces[1:]))
+        for name, p in net.params.items():
+            assert sum(n for _, n, piece in pieces if piece == name) == p.nbytes
+        spans = [span for _, span in sorted(spans)]
+        assert ["inside" if a[-1][2] == b[0][2] else "boundary"
+                for a, b in zip(spans, spans[1:])] == span_ends
+
+
+def test_a_read_that_stops_short_names_its_record_and_leaves_no_thread(tmp_path, monkeypatch):
+    net = graph.build_lfhn(graph.tiny_config(), seed=27)
+    path = tmp_path / "model.lfhn"
+    graph.save_checkpoint(net, path)
+    blob = path.read_bytes()
+    # 100 bytes into fc6.weight's data, past its name, rank and two extents
+    cut = blob.index(b"fc6.weight") + len(b"fc6.weight") + 12 + 100
+    preadv = os.preadv
+
+    def shrunk(fd, buffers, offset):  # the file as if cut short after the header check
+        return 0 if offset >= cut else preadv(fd, [buffers[0][:cut - offset]], offset)
+
+    spans = _spy_on_spans(monkeypatch, 4)
+    monkeypatch.setattr(graph.os, "preadv", shrunk)
+    threads = threading.active_count()
+    with pytest.raises(CheckpointError, match=r"^truncated checkpoint while reading fc6\.weight$"):
+        graph.load_checkpoint(path)
+    assert len(spans) == 4
+    assert threading.active_count() == threads
+
+
+def test_a_small_checkpoint_loads_without_starting_a_thread(tmp_path, monkeypatch):
+    path = tmp_path / "model.lfhn"
+    graph.save_checkpoint(graph.build_lfhn(graph.tiny_config(), seed=28), path)
+
+    def refuse(thread):
+        raise AssertionError(f"load_checkpoint started thread {thread.name}")
+
+    monkeypatch.setattr(graph.os, "sched_getaffinity", lambda pid: set(range(8)))
+    monkeypatch.setattr(threading.Thread, "start", refuse)
+    assert graph.load_checkpoint(path).params.keys() == graph.parameter_shapes(
+        graph.tiny_config()).keys()
+
+
 def test_loaded_checkpoint_is_trainable(tmp_path):
     path = tmp_path / "model.lfhn"
     graph.save_checkpoint(graph.build_lfhn(graph.tiny_config(), seed=22), path)
@@ -728,3 +802,32 @@ def test_load_root_weights_refuses_a_partial_float(tmp_path):
     with pytest.raises(ValueError, match="holds 419 bytes, expected 416"):
         graph.load_root_weights(net, path)
     assert np.array_equal(net.params["conv1.kernel"], before)
+
+
+def test_load_root_weights_loads_or_names_the_file_after_any_cut_or_byte_edit(tmp_path):
+    """Every truncation of a tiny_config root weight file, and every edit of
+    each of its bytes to a value of MUTATION_VALUES, either installs the
+    file's float64 values or raises ValueError naming the file and leaves the
+    root parameters as they were."""
+    net = graph.build_lfhn(graph.tiny_config(), seed=29)
+    path = tmp_path / "root.f64"
+    blob = np.random.default_rng(30).normal(size=4 * 2 * 2 * 3 + 4).astype("<f8").tobytes()
+    cases = [blob[:n] for n in range(len(blob))]
+    for i in range(len(blob)):
+        cases += [blob[:i] + bytes([v]) + blob[i + 1:] for v in MUTATION_VALUES if v != blob[i]]
+    outcomes = {"loaded": 0, "refused": 0}
+    for case in cases:
+        path.write_bytes(case)
+        before = [net.params[name].copy() for name in ("conv1.kernel", "conv1.bias")]
+        try:
+            graph.load_root_weights(net, path)
+        except ValueError as err:
+            assert str(err).startswith(f"{path}: "), err
+            assert all(np.array_equal(a, net.params[name], equal_nan=True) for a, name in
+                       zip(before, ("conv1.kernel", "conv1.bias")))
+            outcomes["refused"] += 1
+            continue
+        installed = np.concatenate([net.params["conv1.kernel"].ravel(), net.params["conv1.bias"]])
+        assert installed.astype("<f8").tobytes() == case
+        outcomes["loaded"] += 1
+    assert outcomes == {"loaded": len(cases) - len(blob), "refused": len(blob)}
