@@ -22,6 +22,10 @@ from .tensor import DTYPE
 FILENAME_RE = re.compile(r"^id(\d+)_p(\d+)_l(\d+)\.(pgm|ppm)$")
 MANIFEST_NAME = "manifest.csv"
 MANIFEST_FIELDS = ["filename", "identity", "pose_id", "light_id", "yaw_deg"]
+# the magic, width and height of an image header (_image_header says the rest);
+# signs pass so that read_image can name an extent below 1, and 20 digits keep
+# every number inside what int() converts
+_IMAGE_HEADER_RE = re.compile(rb"(P[56])\n(-?\d{1,20}) (-?\d{1,20})\n")
 
 
 @dataclass(frozen=True)
@@ -199,6 +203,11 @@ def render(template: IdentityTemplate, pose: PoseSpec, light: LightSpec) -> np.n
     return np.clip(image, 0.0, 1.0)
 
 
+def _image_header(magic, h, w) -> bytes:
+    """The header write_image puts before an h x w raster: the one layout read_image accepts."""
+    return magic + b"\n" + f"{w} {h}\n255\n".encode("ascii")
+
+
 def write_image(path, pixels: np.ndarray):
     """Write uint8 pixels as binary PGM (h, w) or PPM (h, w, 3), maxval 255."""
     pixels = np.asarray(pixels)
@@ -213,56 +222,33 @@ def write_image(path, pixels: np.ndarray):
     else:
         raise ValueError(f"unsupported pixel shape {pixels.shape}")
     with open(path, "wb") as fh:
-        fh.write(magic + b"\n" + f"{w} {h}\n255\n".encode("ascii"))
+        fh.write(_image_header(magic, h, w))
         fh.write(pixels.tobytes())
 
 
-def _header_tokens(data, count):
-    """Parse `count` whitespace-separated header tokens, honoring # comments.
-
-    Returns (tokens, offset_of_raster). Exactly one whitespace byte separates
-    the last token from the raster.
-    """
-    tokens = []
-    pos = 0
-    while len(tokens) < count:
-        if pos >= len(data):
-            raise ValueError("truncated image header")
-        byte = data[pos:pos + 1]
-        if byte.isspace():
-            pos += 1
-        elif byte == b"#":
-            end = data.find(b"\n", pos)
-            pos = len(data) if end == -1 else end + 1
-        else:
-            end = pos
-            while end < len(data) and not data[end:end + 1].isspace():
-                end += 1
-            tokens.append(data[pos:end])
-            pos = end
-    return tokens, pos + 1
-
-
 def read_image(path) -> np.ndarray:
-    """Read a binary PGM/PPM into an (h, w, c) uint8 array of its stored pixels."""
+    """Read a file of write_image's layout into an (h, w, c) uint8 array.
+
+    The file must be exactly _image_header's bytes (P5 or P6, a newline,
+    "<w> <h>" in plain decimal, a newline, "255", a newline) and then h*w*c
+    raster bytes; anything else raises ValueError naming the file.
+    """
     with open(path, "rb") as fh:
         data = fh.read()
-    try:
-        (magic, *numbers), offset = _header_tokens(data, 4)
-        if not all(t.removeprefix(b"-").isdigit() for t in numbers):  # int() takes "1_0", "+4"
-            raise ValueError(f"numbers {b' '.join(numbers)!r} are not decimal digits")
-        w, h, maxval = map(int, numbers)
-    except ValueError as err:
-        raise ValueError(f"{path}: bad image header: {err}") from err
-    if magic not in (b"P5", b"P6"):
-        raise ValueError(f"{path}: unsupported image magic {magic!r}")
+    match = _IMAGE_HEADER_RE.match(data)
+    if match is None:
+        raise ValueError(f"{path}: bad image header: {data[:24]!r} does not start with "
+                         "P5 or P6, then width and height on a line of their own")
+    magic, w, h = match[1], int(match[2]), int(match[3])
     if w < 1 or h < 1:
         raise ValueError(f"{path}: image extents {w}x{h} must be >= 1")
-    if maxval != 255:
-        raise ValueError(f"{path}: only maxval 255 is supported")
+    header = _image_header(magic, h, w)
+    if not data.startswith(header):
+        raise ValueError(f"{path}: bad image header: expected {header!r}, "
+                         f"got {data[:len(header)]!r}")
     channels = 1 if magic == b"P5" else 3
     expected = h * w * channels
-    raster = data[offset:offset + expected]
+    raster = data[len(header):]
     if len(raster) != expected:
         raise ValueError(f"{path}: raster holds {len(raster)} bytes, expected {expected}")
     return np.frombuffer(raster, dtype=np.uint8).reshape(h, w, channels).copy()
@@ -365,25 +351,28 @@ def split(samples, protocol, seed=0):
     if not samples:
         raise ValueError("empty sample list")
     name, _, arg = str(protocol).partition(":")
-    if name == "random":
-        fraction = float(arg) if arg else 0.9
-        if not 0.0 <= fraction <= 1.0:
-            raise ValueError(f"fraction {fraction} outside [0, 1]")
-        order = np.random.default_rng(seed).permutation(len(samples))
-        n_train = int(round(fraction * len(samples)))
-        train = [samples[i] for i in order[:n_train]]
-        test = [samples[i] for i in order[n_train:]]
-    elif name in ("holdout-light", "holdout-pose"):
-        key = (lambda s: s.light_id) if name == "holdout-light" else (lambda s: s.pose_id)
-        if arg:
-            held = {int(tok) for tok in arg.split(",")}
-        elif name == "holdout-light":
-            held = {max(s.light_id for s in samples)}
+    try:
+        if name == "random":
+            fraction = float(arg) if arg else 0.9
+            if not 0.0 <= fraction <= 1.0:
+                raise ValueError(f"fraction {fraction} outside [0, 1]")
+            order = np.random.default_rng(seed).permutation(len(samples))
+            n_train = int(round(fraction * len(samples)))
+            train = [samples[i] for i in order[:n_train]]
+            test = [samples[i] for i in order[n_train:]]
+        elif name in ("holdout-light", "holdout-pose"):
+            key = (lambda s: s.light_id) if name == "holdout-light" else (lambda s: s.pose_id)
+            if arg:
+                held = {int(tok) for tok in arg.split(",")}
+            elif name == "holdout-light":
+                held = {max(s.light_id for s in samples)}
+            else:
+                ids = [s.pose_id for s in samples]
+                held = {min(ids), max(ids)}
+            train = [s for s in samples if key(s) not in held]
+            test = [s for s in samples if key(s) in held]
         else:
-            ids = [s.pose_id for s in samples]
-            held = {min(ids), max(ids)}
-        train = [s for s in samples if key(s) not in held]
-        test = [s for s in samples if key(s) in held]
-    else:
-        raise ValueError(f"unknown split protocol {name!r}")
+            raise ValueError(f"unknown split protocol {name!r}")
+    except ValueError as err:  # float() and int() name the bad text, not the protocol
+        raise ValueError(f"split {protocol!r}: {err}") from err
     return train, test

@@ -99,9 +99,10 @@ def train(net, samples, cfg: TrainConfig):
     during the epoch's own forward passes. With a fixed seed the run is
     fully reproducible. Raises TrainingDiverged at the first non-finite
     batch loss, before its update.
-    Sample images are uint8 as loaded or float in [0, 1]; data.network_input
-    stacks and converts each batch on its own, and refuses one that mixes
-    dtypes.
+    Sample images are uint8 as loaded or float in [0, 1], at least the
+    network's input extents: each is cut to them by center_crop, as in
+    evaluation, or with cfg.augment by augment. data.network_input stacks
+    and converts each batch on its own, and refuses one that mixes dtypes.
     """
     if not samples:
         raise ValueError("empty dataset")
@@ -131,7 +132,7 @@ def train(net, samples, cfg: TrainConfig):
             if cfg.augment:
                 batch = [augment(images[i], target_h, target_w, rng) for i in idx]
             else:
-                batch = [images[i] for i in idx]
+                batch = [center_crop(images[i], target_h, target_w) for i in idx]
             logits, cache = graph.forward(net, data.network_input(batch))
             loss, grad_logits = layers.softmax_xent(logits, labels[idx])
             if not np.isfinite(loss):

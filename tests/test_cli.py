@@ -214,6 +214,39 @@ def test_eval_split_that_leaves_nothing_exits_3_with_one_error_line(tmp_path, sm
     assert capsys.readouterr().err == "error: split 'holdout-light:99' left nothing to evaluate\n"
 
 
+def test_eval_split_whose_ids_do_not_parse_exits_2_naming_the_split(tmp_path, small_corpus,
+                                                                   capsys):
+    model = tmp_path / "model.lfhn"
+    graph.save_checkpoint(graph.build_lfhn(graph.tiny_config(), seed=0), model)
+    rc = cli.main(["eval", "--model", str(model), "--data", str(small_corpus),
+                   "--split", "holdout-light:a"])
+    assert rc == 2
+    assert capsys.readouterr().err == (
+        "error: split 'holdout-light:a': invalid literal for int() with base 10: 'a'\n")
+
+
+def test_train_without_augment_center_crops_a_larger_corpus_as_eval_does(tmp_path,
+                                                                         small_corpus):
+    """A 27x27 network trains on the 35x35 corpus's centers: its checkpoint is
+    the one trained on those centers cut out by hand, and eval scores it."""
+    run_config = tmp_path / "run.cfg"
+    run_config.write_text("input_height = 27\ninput_width = 27\nroot_channels = 4\n"
+                          "streams = 4|4\npost_concat_channels = 4\nfc_hidden = 8\n")
+    centers = tmp_path / "centers"
+    centers.mkdir()
+    for name in os.listdir(small_corpus):
+        if name.endswith(".pgm"):
+            image = data.read_image(small_corpus / name)
+            data.write_image(centers / name, image[4:31, 4:31, 0])
+    models = []
+    for corpus in (small_corpus, centers):
+        models.append(tmp_path / f"{corpus.name}.lfhn")
+        assert cli.main(["train", "--data", str(corpus), "--out", str(models[-1]),
+                         "--config", str(run_config), "--epochs", "1"]) == 0
+    assert models[0].read_bytes() == models[1].read_bytes()
+    assert cli.main(["eval", "--model", str(models[0]), "--data", str(small_corpus)]) == 0
+
+
 def test_train_on_mixed_shape_corpus_exits_3_naming_the_file(tmp_path, small_corpus, capsys):
     big = tmp_path / "big"
     assert cli.main(["gen-data", "--ids", "3", "--out", str(big),

@@ -177,6 +177,30 @@ def test_read_image_refuses_header_numbers_that_are_not_plain_digits(tmp_path, n
         data.read_image(bad)
 
 
+@pytest.mark.parametrize("blob, message", [
+    # a header whose height byte was damaged from 6 to 2: the raster is too long
+    (b"P5\n1 2\n255\n" + bytes(6), "raster holds 6 bytes, expected 2"),
+    (b"P5\n# a comment\n1 2\n255\n" + bytes(2), "bad image header"),
+    (b"P5\n01 2\n255\n" + bytes(2), "bad image header"),
+    (b"P5\n1\t2\n255\n" + bytes(2), "bad image header"),
+    (b"P5\r\n1 2\r\n255\r\n" + bytes(2), "bad image header"),
+    (b"P5\n1 2\n255 " + bytes(2), "bad image header"),
+    (b"P5\n1 2\n65535\n" + bytes(4), "bad image header"),
+])
+def test_read_image_refuses_any_header_or_length_that_write_image_does_not_write(
+        tmp_path, blob, message):
+    bad = tmp_path / "id000_p00_l00.pgm"
+    bad.write_bytes(blob)
+    with pytest.raises(ValueError, match=re.escape(f"{bad}: {message}")):
+        data.read_image(bad)
+
+
+def _rewritten(path, image):
+    """The bytes write_image writes at path for an (h, w, c) image of read_image's."""
+    data.write_image(path, image[:, :, 0] if image.shape[2] == 1 else image)
+    return path.read_bytes()
+
+
 # replacement bytes for the read_image scan: NUL, the whitespace bytes, the
 # comment mark, the signs and "_" that int() accepts, digits, the magic's "P",
 # DEL, and bytes that are never ASCII
@@ -198,7 +222,8 @@ def _cuts_and_edits(blob, pixels):
 
 def test_read_image_loads_or_names_the_file_after_any_byte_edit_or_cut(tmp_path):
     """Every case of _cuts_and_edits, of a small P5 and a small P6 file,
-    either loads as (h, w, c) uint8 or raises ValueError naming the file."""
+    either loads as (h, w, c) uint8 that write_image writes back to the same
+    bytes, or raises ValueError naming the file."""
     outcomes = {"loaded": 0, "refused": 0}
     for ext, pixels in SMALL_IMAGES:
         path = tmp_path / f"image.{ext}"
@@ -213,14 +238,16 @@ def test_read_image_loads_or_names_the_file_after_any_byte_edit_or_cut(tmp_path)
                 continue
             assert image.dtype == np.uint8 and image.ndim == 3, case
             assert image.shape[2] == (1 if case.startswith(b"P5") else 3), case
+            assert _rewritten(tmp_path / f"rewritten.{ext}", image) == case, case
             outcomes["loaded"] += 1
     assert sum(outcomes.values()) == 484 and min(outcomes.values()) > 0, outcomes
 
 
 def test_load_corpus_loads_or_names_the_file_after_any_byte_edit_or_cut(tmp_path):
     """Every case of _cuts_and_edits, in either file of a two-file P5 or P6
-    corpus, either loads both images at one shape with their filename labels
-    or raises ValueError naming the damaged file."""
+    corpus, either loads both images at one shape with their filename labels,
+    each of which write_image writes back to its file's bytes, or raises
+    ValueError naming the damaged file."""
     outcomes = {"loaded": 0, "refused": 0}
     for ext, pixels in SMALL_IMAGES:
         corpus = tmp_path / ext
@@ -242,6 +269,9 @@ def test_load_corpus_loads_or_names_the_file_after_any_byte_edit_or_cut(tmp_path
                     (0, 0, 0), (1, 1, 1)], case
                 assert samples[0].image.shape == samples[1].image.shape, case
                 assert {s.image.dtype for s in samples} == {np.dtype(np.uint8)}, case
+                for sample, stored in zip(samples, paths):
+                    rewritten = _rewritten(tmp_path / f"rewritten.{ext}", sample.image)
+                    assert rewritten == stored.read_bytes(), case
                 outcomes["loaded"] += 1
             path.write_bytes(blob)
     assert sum(outcomes.values()) == 968 and min(outcomes.values()) > 0, outcomes
@@ -336,6 +366,12 @@ def test_holdout_defaults():
 def test_split_unknown_protocol():
     with pytest.raises(ValueError, match="unknown split protocol"):
         data.split(_label_grid(1, 1, 1), "kfold:3")
+
+
+@pytest.mark.parametrize("protocol", ["holdout-light:a", "holdout-pose:1,,2", "random:abc"])
+def test_split_names_the_protocol_whose_numbers_do_not_parse(protocol):
+    with pytest.raises(ValueError, match=re.escape(f"split {protocol!r}: ")):
+        data.split(_label_grid(), protocol)
 
 
 def test_split_empty_samples():

@@ -8,6 +8,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from lfhn import evaluate, graph, layers, tensor, train
 from lfhn.graph import CheckpointError, LfhnConfig
@@ -236,6 +237,43 @@ def test_liveness_frees_norm1_after_the_last_stream_reads_it():
     assert "norm1" not in net.dead_after["conv2"]
     died = [name for names in net.dead_after.values() for name in names]
     assert sorted(died) == sorted(n.name for n in net.nodes[:-1])
+
+
+@settings(derandomize=True, max_examples=150, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(kernel=st.integers(1, 3), stride=st.integers(1, 3),
+       pooled=st.tuples(st.integers(1, 3), st.integers(1, 3)),
+       channels=st.sampled_from([1, 3]), widths=st.tuples(*[st.integers(1, 4)] * 4),
+       streams=st.lists(st.lists(st.integers(1, 4), min_size=1, max_size=3),
+                        min_size=1, max_size=3),
+       relu_after_1x1=st.booleans(), relu_after_hidden=st.booleans(),
+       lrn_size=st.sampled_from([1, 3, 5]))
+def test_any_config_that_tiles_traces_infers_and_saves_consistently(
+        tmp_path, kernel, stride, pooled, channels, widths, streams, relu_after_1x1,
+        relu_after_hidden, lrn_size):
+    """Over root kernels and strides 1-3, 1-3 streams of 1-3 convs, widths 1-4,
+    both ReLU flags and LRN sizes 1, 3 and 5: the training forward's shapes
+    are shape_trace's, the inference logits are the training ones bit for
+    bit, and a loaded checkpoint saves to the bytes it was loaded from."""
+    # pool1's 3x3/stride-2 window tiles 2p+1 rows, which conv1 makes from this many
+    extents = [2 * p * stride + kernel for p in pooled]
+    root, mixer, hidden, classes = widths
+    cfg = LfhnConfig(input_height=extents[0], input_width=extents[1], input_channels=channels,
+                     root_kernel=kernel, root_channels=root, root_stride=stride,
+                     streams=tuple(map(tuple, streams)), post_concat_channels=mixer,
+                     fc_hidden=hidden, num_classes=classes, relu_after_1x1=relu_after_1x1,
+                     relu_after_hidden=relu_after_hidden, lrn_size=lrn_size)
+    net = graph.build_lfhn(cfg, seed=0)
+    train.randomize_biases(net, seed=0)
+    trace = graph.shape_trace(cfg)
+    x = np.random.default_rng(0).uniform(size=(2,) + dict(trace)["input"])
+    inferred, _ = graph.forward(net, x, inference=True)
+    logits, cache = graph.forward(net, x)
+    assert [(name, cache[name].shape[1:]) for name, _ in trace] == trace
+    assert _same_bits(inferred, logits)
+    graph.save_checkpoint(net, tmp_path / "a.lfhn")
+    graph.save_checkpoint(graph.load_checkpoint(tmp_path / "a.lfhn"), tmp_path / "b.lfhn")
+    assert (tmp_path / "a.lfhn").read_bytes() == (tmp_path / "b.lfhn").read_bytes()
 
 
 def test_liveness_of_a_hand_built_graph():

@@ -289,10 +289,31 @@ def test_train_with_augmentation_crops_to_input():
     _, log = train.train(net, samples,
                          TrainConfig(lr=0.01, epochs=2, seed=42, augment=True))
     assert len(log) == 2
-    # without augmentation the oversized images must be rejected
-    net2 = graph.build_lfhn(graph.tiny_config(num_classes=2), seed=41)
-    with pytest.raises(ValueError, match="batch shape"):
-        train.train(net2, samples, TrainConfig(lr=0.01, epochs=1, seed=42))
+    # without augmentation each image is center-cropped, as evaluation does:
+    # the run is the one on the 8x8 centers cut out by hand
+    centers = [LabeledSample(s.image[1:9, 1:9], s.identity, 0, 0) for s in samples]
+    nets = []
+    for corpus in (samples, centers):
+        nets.append(graph.build_lfhn(graph.tiny_config(num_classes=2), seed=41))
+        train.train(nets[-1], corpus, TrainConfig(lr=0.01, epochs=1, seed=42))
+    for name, param in nets[0].params.items():
+        assert np.array_equal(param, nets[1].params[name]), name
+
+
+def test_lr_step_decay_sets_one_rate_per_batch(monkeypatch):
+    rates = []
+    sgd_step = train.sgd_step
+
+    def recording_step(params, grads, velocity, lr, momentum):
+        rates.append(lr)
+        return sgd_step(params, grads, velocity, lr, momentum)
+
+    monkeypatch.setattr(train, "sgd_step", recording_step)
+    samples = _toy_samples(3, 2, seed=43)  # 6 samples: 2 batches of at most 4
+    net = graph.build_lfhn(graph.tiny_config(num_classes=2), seed=44)
+    train.train(net, samples, TrainConfig(lr=0.02, batch_size=4, epochs=3, seed=45,
+                                          lr_decay_every=2, lr_decay_factor=0.1))
+    assert rates == [0.02] * 4 + [0.02 * 0.1] * 2
 
 
 def test_train_log_csv_format(tmp_path):
