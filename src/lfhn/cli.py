@@ -264,8 +264,10 @@ def cmd_eval(args):
         if args.out:
             _check_no_overwrite({"checkpoint": args.model}, {"table": args.out})
             _check_output_path(args.out, "table")
+        if args.split != "none":  # before the checkpoint, which may be 1.4 GiB
+            data.parse_split(args.split)
         net = graph.load_checkpoint(args.model)
-    except (OSError, ConfigError, graph.CheckpointError) as err:
+    except (OSError, ValueError) as err:  # ConfigError and CheckpointError among them
         return _error(str(err), EXIT_USAGE)
     try:
         samples = data.load_corpus(args.data)

@@ -339,6 +339,28 @@ def load_corpus(directory):
     return samples
 
 
+def parse_split(protocol):
+    """(name, argument) of a split protocol, as split reads it.
+
+    The argument is the fraction for "random" (default 0.9) and the set of
+    held ids for the holdouts, or None where split picks the default ids
+    from the samples. Raises ValueError naming the protocol if it does not
+    parse.
+    """
+    name, _, arg = str(protocol).partition(":")
+    try:
+        if name == "random":
+            fraction = float(arg) if arg else 0.9
+            if not 0.0 <= fraction <= 1.0:
+                raise ValueError(f"fraction {fraction} outside [0, 1]")
+            return name, fraction
+        if name in ("holdout-light", "holdout-pose"):
+            return name, {int(tok) for tok in arg.split(",")} if arg else None
+        raise ValueError(f"unknown split protocol {name!r}")
+    except ValueError as err:  # float() and int() name the bad text, not the protocol
+        raise ValueError(f"split {protocol!r}: {err}") from err
+
+
 def split(samples, protocol, seed=0):
     """Partition samples into (train, test) under a named protocol.
 
@@ -350,29 +372,14 @@ def split(samples, protocol, seed=0):
     """
     if not samples:
         raise ValueError("empty sample list")
-    name, _, arg = str(protocol).partition(":")
-    try:
-        if name == "random":
-            fraction = float(arg) if arg else 0.9
-            if not 0.0 <= fraction <= 1.0:
-                raise ValueError(f"fraction {fraction} outside [0, 1]")
-            order = np.random.default_rng(seed).permutation(len(samples))
-            n_train = int(round(fraction * len(samples)))
-            train = [samples[i] for i in order[:n_train]]
-            test = [samples[i] for i in order[n_train:]]
-        elif name in ("holdout-light", "holdout-pose"):
-            key = (lambda s: s.light_id) if name == "holdout-light" else (lambda s: s.pose_id)
-            if arg:
-                held = {int(tok) for tok in arg.split(",")}
-            elif name == "holdout-light":
-                held = {max(s.light_id for s in samples)}
-            else:
-                ids = [s.pose_id for s in samples]
-                held = {min(ids), max(ids)}
-            train = [s for s in samples if key(s) not in held]
-            test = [s for s in samples if key(s) in held]
-        else:
-            raise ValueError(f"unknown split protocol {name!r}")
-    except ValueError as err:  # float() and int() name the bad text, not the protocol
-        raise ValueError(f"split {protocol!r}: {err}") from err
-    return train, test
+    name, arg = parse_split(protocol)
+    if name == "random":
+        order = np.random.default_rng(seed).permutation(len(samples))
+        n_train = int(round(arg * len(samples)))
+        return ([samples[i] for i in order[:n_train]],
+                [samples[i] for i in order[n_train:]])
+    key = (lambda s: s.light_id) if name == "holdout-light" else (lambda s: s.pose_id)
+    ids = [key(s) for s in samples]
+    held = arg or ({max(ids)} if name == "holdout-light" else {min(ids), max(ids)})
+    return ([s for s in samples if key(s) not in held],
+            [s for s in samples if key(s) in held])

@@ -38,6 +38,9 @@ POOL_STRIDE = 2
 # load_checkpoint starts no more reader threads than one per this many bytes
 # of float data, so a small checkpoint is read on the calling thread alone
 READ_SPAN_BYTES = 8 << 20
+# build_lfhn draws a weight tensor of more than this many values (one read
+# span of float64) in blocks of this size, each from its own seeded stream
+INIT_BLOCK = READ_SPAN_BYTES // 8
 
 
 class CheckpointError(ValueError):
@@ -258,16 +261,67 @@ class NetworkGraph:
 
 
 def build_lfhn(cfg: LfhnConfig, seed: int = 0) -> NetworkGraph:
-    """Construct the network with He-initialized kernels and zero biases."""
+    """Construct the network with He-initialized kernels and zero biases.
+
+    Each weight is normal with standard deviation sqrt(2 / fan_in). A weight
+    tensor of at most INIT_BLOCK values is drawn from default_rng(seed), in
+    registry order. A larger one takes nothing from that stream: block b of
+    its values in row-major order (INIT_BLOCK of them, fewer in the last) is
+    drawn from default_rng(SeedSequence(seed, spawn_key=(i, b))), where i is
+    the tensor's index in the registry. The blocks are drawn on up to one
+    thread per usable CPU, and their size never depends on the thread
+    count, so the bytes are the same at any count.
+    """
     rng = np.random.default_rng(seed)
     params = {}
-    for name, shape in parameter_shapes(cfg).items():
+    blocks = []  # (seed sequence, values to fill, scale): drawn once all are known
+    for i, (name, shape) in enumerate(parameter_shapes(cfg).items()):
         if name.endswith(".bias"):
             params[name] = np.zeros(shape, dtype=DTYPE)
-        else:
-            fan_in = int(np.prod(shape[:-1]))
-            params[name] = rng.normal(0.0, np.sqrt(2.0 / fan_in), shape)
+            continue
+        fan_in = math.prod(shape[:-1])
+        scale = np.sqrt(2.0 / fan_in)
+        if math.prod(shape) <= INIT_BLOCK:
+            params[name] = rng.normal(0.0, scale, shape)
+            continue
+        params[name] = np.empty(shape, dtype=DTYPE)
+        flat = params[name].reshape(-1)
+        for b in range(0, flat.size, INIT_BLOCK):
+            blocks.append((np.random.SeedSequence(seed, spawn_key=(i, b // INIT_BLOCK)),
+                           flat[b:b + INIT_BLOCK], scale))
+    count = _thread_count(len(blocks))
+    _on_threads(_draw_blocks, [blocks[k::count] for k in range(count)])
     return NetworkGraph(cfg, _architecture(cfg), params)
+
+
+def _draw_blocks(blocks):
+    """Fill each (seed sequence, values, scale) block with scaled standard normals."""
+    for seeds, values, scale in blocks:
+        np.random.default_rng(seeds).standard_normal(out=values)
+        values *= scale
+
+
+def _thread_count(parts: int) -> int:
+    """One thread per usable CPU (the process's affinity mask), but at most
+    one per part and at least one; one part or none asks for no CPU count."""
+    return min(len(os.sched_getaffinity(0)), parts) if parts > 1 else 1
+
+
+def _on_threads(work, parts):
+    """Call work(part) for every part: the calling thread takes the first,
+    one pool thread each of the others, and an exception in any reaches the
+    caller. A single part starts no thread."""
+    if len(parts) == 1:
+        work(parts[0])
+        return
+    # imported here: the module costs 0.6 MiB of RSS that a process which
+    # builds and loads no large network need not pay
+    from concurrent.futures import ThreadPoolExecutor
+    with ThreadPoolExecutor(len(parts) - 1) as pool:
+        others = [pool.submit(work, part) for part in parts[1:]]
+        work(parts[0])
+        for future in others:
+            future.result()
 
 
 def _conv_backward(net, node, xs, out, g):
@@ -545,7 +599,7 @@ def _read_records(fd, records):
     file is renamed onto its path meanwhile.
     """
     total = sum(len(view) for _, view, _ in records)
-    count = max(1, min(len(os.sched_getaffinity(0)), total // READ_SPAN_BYTES))
+    count = _thread_count(total // READ_SPAN_BYTES)
     spans = [[] for _ in range(count)]
     start = 0  # the record's first byte within the data taken end to end
     for offset, view, name in records:
@@ -555,17 +609,7 @@ def _read_records(fd, records):
             if a < b:
                 span.append((offset + a, view[a:b], name))
         start += len(view)
-    if count == 1:
-        _read_span(fd, spans[0])
-        return
-    # imported here: the module costs 0.6 MiB of RSS that a process which
-    # loads no large checkpoint need not pay
-    from concurrent.futures import ThreadPoolExecutor
-    with ThreadPoolExecutor(count - 1) as pool:
-        others = [pool.submit(_read_span, fd, span) for span in spans[1:]]
-        _read_span(fd, spans[0])
-        for future in others:
-            future.result()
+    _on_threads(functools.partial(_read_span, fd), spans)
 
 
 def _read_span(fd, span):

@@ -225,6 +225,22 @@ def test_eval_split_whose_ids_do_not_parse_exits_2_naming_the_split(tmp_path, sm
         "error: split 'holdout-light:a': invalid literal for int() with base 10: 'a'\n")
 
 
+@pytest.mark.parametrize("protocol, reason", [
+    ("holdout-light:a", "invalid literal for int() with base 10: 'a'"),
+    ("random:abc", "could not convert string to float: 'abc'"),
+    ("random:2", "fraction 2.0 outside [0, 1]"),
+    ("leave-one-out", "unknown split protocol 'leave-one-out'"),
+])
+def test_eval_refuses_a_split_that_does_not_parse_before_reading_the_checkpoint(
+        tmp_path, capsys, protocol, reason):
+    model = tmp_path / "model.lfhn"
+    model.write_bytes(b"not a checkpoint")
+    rc = cli.main(["eval", "--model", str(model), "--data", str(tmp_path / "absent"),
+                   "--split", protocol])
+    assert rc == 2
+    assert capsys.readouterr().err == f"error: split {protocol!r}: {reason}\n"
+
+
 def test_train_without_augment_center_crops_a_larger_corpus_as_eval_does(tmp_path,
                                                                          small_corpus):
     """A 27x27 network trains on the 35x35 corpus's centers: its checkpoint is

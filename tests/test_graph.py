@@ -504,6 +504,138 @@ def test_whole_network_gradients_match_finite_differences():
     assert report.passed(1e-5), "\n".join(report.format_lines())
 
 
+# ---------------------------------------------------------------- initialization
+
+# the paper's widths at 67x67x1: fc6.weight holds 7 * 7 * 500 * 512 =
+# 12,544,000 values, so it is drawn in 12 blocks (the last one short)
+PAPER_WIDTHS_67 = replace(LfhnConfig(), input_height=67, input_width=67, input_channels=1)
+
+
+def _reference_init(cfg, seed):
+    """build_lfhn's documented draw, walked by hand on one thread."""
+    rng = np.random.default_rng(seed)
+    params = {}
+    for i, (name, shape) in enumerate(graph.parameter_shapes(cfg).items()):
+        if name.endswith(".bias"):
+            params[name] = np.zeros(shape)
+            continue
+        scale = np.sqrt(2.0 / int(np.prod(shape[:-1])))
+        size = int(np.prod(shape))
+        if size <= graph.INIT_BLOCK:
+            params[name] = rng.normal(0.0, scale, shape)
+            continue
+        blocks = [np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(i, b)))
+                  .standard_normal(min(graph.INIT_BLOCK, size - b * graph.INIT_BLOCK)) * scale
+                  for b in range(-(-size // graph.INIT_BLOCK))]
+        params[name] = np.concatenate(blocks).reshape(shape)
+    return params
+
+
+def _assert_params_bit_equal(got, want):
+    assert list(got) == list(want)
+    for name in want:
+        assert got[name].dtype == np.float64 and _same_bits(got[name], want[name]), name
+
+
+@pytest.mark.parametrize("cfg", [graph.desk_config(10), graph.tiny_config()],
+                         ids=["desk", "tiny"])
+def test_small_nets_draw_every_weight_from_one_stream_in_registry_order(cfg):
+    """No tensor is over one block, so the reference is one default_rng(seed)
+    normal draw after another with zero biases, the draws from before blocks."""
+    shapes = graph.parameter_shapes(cfg).values()
+    assert max(int(np.prod(shape)) for shape in shapes) <= graph.INIT_BLOCK
+    _assert_params_bit_equal(graph.build_lfhn(cfg, seed=8).params, _reference_init(cfg, 8))
+
+
+def test_a_blocked_build_has_the_same_bytes_at_any_thread_count(monkeypatch):
+    """fc6 is drawn in 12 seeded blocks on 1 and on 4 threads; conv and fc7
+    weights come from the build stream, which fc6 leaves untouched."""
+    assert graph.INIT_BLOCK == 1 << 20
+    draw, threads = graph._draw_blocks, []
+
+    def spy(blocks):
+        threads.append(threading.get_ident())
+        draw(blocks)
+
+    monkeypatch.setattr(graph, "_draw_blocks", spy)
+    want = _reference_init(PAPER_WIDTHS_67, 3)
+    for cpus in (1, 4):
+        monkeypatch.setattr(graph.os, "sched_getaffinity", lambda pid, n=cpus: set(range(n)))
+        threads.clear()
+        _assert_params_bit_equal(graph.build_lfhn(PAPER_WIDTHS_67, seed=3).params, want)
+        assert len(threads) == len(set(threads)) == cpus
+
+
+def test_each_block_of_a_large_tensor_is_its_own_he_normal_draw():
+    """Every fc6 block's mean and standard deviation are within 5 standard
+    errors of 0 and sqrt(2 / fan_in), and no two blocks are equal."""
+    weight = graph.build_lfhn(PAPER_WIDTHS_67, seed=3).params["fc6.weight"]
+    sigma = np.sqrt(2.0 / weight.shape[0])
+    flat = weight.reshape(-1)
+    blocks = [flat[b:b + graph.INIT_BLOCK] for b in range(0, flat.size, graph.INIT_BLOCK)]
+    assert len(blocks) == 12 and blocks[-1].size == 12_544_000 - 11 * graph.INIT_BLOCK
+    for block in blocks:
+        assert abs(block.mean()) < 5 * sigma / np.sqrt(block.size)
+        assert abs(block.std() - sigma) < 5 * sigma / np.sqrt(2 * block.size)
+    assert len({block.tobytes() for block in blocks}) == len(blocks)
+
+
+def test_a_desk_build_and_training_batch_never_import_the_thread_pool():
+    # a fresh interpreter, because this one may have loaded a large checkpoint
+    script = """
+import sys
+import numpy as np
+from lfhn import data, graph, train
+net = graph.build_lfhn(graph.desk_config(10), seed=0)
+rng = np.random.default_rng(1)
+samples = [data.LabeledSample(rng.integers(0, 256, (67, 67, 1), dtype=np.uint8), i % 10, 0, 0)
+           for i in range(32)]
+train.train(net, samples, train.TrainConfig(epochs=1))
+print("concurrent.futures" in sys.modules)
+"""
+    env = dict(os.environ)
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    done = subprocess.run([sys.executable, "-c", script], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.split() == ["False"]
+
+
+def _fail_off_the_calling_thread(work):
+    """work, but raising OSError(EIO) when a pool thread calls it."""
+    caller = threading.get_ident()
+
+    def failing(*args):
+        if threading.get_ident() != caller:
+            raise OSError(5, "Input/output error")
+        return work(*args)
+
+    return failing
+
+
+def test_a_pool_threads_draw_error_reaches_the_caller_of_build_lfhn(monkeypatch):
+    monkeypatch.setattr(graph.os, "sched_getaffinity", lambda pid: set(range(4)))
+    monkeypatch.setattr(graph, "_draw_blocks", _fail_off_the_calling_thread(graph._draw_blocks))
+    threads = threading.active_count()
+    with pytest.raises(OSError, match="Input/output error"):
+        graph.build_lfhn(PAPER_WIDTHS_67, seed=3)
+    assert threading.active_count() == threads
+
+
+def test_a_pool_threads_read_error_reaches_the_caller_of_load_checkpoint(tmp_path,
+                                                                         monkeypatch):
+    path = tmp_path / "model.lfhn"
+    graph.save_checkpoint(graph.build_lfhn(graph.tiny_config(), seed=29), path)
+    spans = _spy_on_spans(monkeypatch, 4)
+    monkeypatch.setattr(graph, "_read_span", _fail_off_the_calling_thread(graph._read_span))
+    threads = threading.active_count()
+    with pytest.raises(OSError, match="Input/output error"):
+        graph.load_checkpoint(path)
+    assert len(spans) == 1  # the calling thread's span; the three others failed
+    assert threading.active_count() == threads
+
+
 # ---------------------------------------------------------------- checkpoints
 
 def test_checkpoint_round_trip_bit_exact(tmp_path):
