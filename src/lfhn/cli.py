@@ -165,6 +165,21 @@ def _check_no_overwrite(inputs, outputs):
             raise ConfigError(f"{what} {path} is also the {other} {other_path}")
 
 
+def _check_outside_corpus(directory, outputs):
+    """Raise ConfigError if writing an output would change a file that
+    load_corpus reads from directory."""
+    from .data import CORPUS_SUFFIXES
+
+    corpus = os.path.realpath(directory)
+    for what, path in outputs.items():
+        # the name itself, which a save renames onto, and the file it leads to
+        named = os.path.join(os.path.realpath(os.path.dirname(os.path.abspath(path))),
+                             os.path.basename(path))
+        for target in (named, os.path.realpath(path)):
+            if os.path.dirname(target) == corpus and target.endswith(CORPUS_SUFFIXES):
+                raise ConfigError(f"{what} {path} is an image of the corpus {directory}")
+
+
 def _error(message, code):
     print(f"error: {message}", file=sys.stderr)
     return code
@@ -194,7 +209,9 @@ def cmd_train(args):
         seed = resolve_seed(args.seed, values.get("seed"))
         log_path = values.get("log") or f"{args.out}.log.csv"
         inputs = {"run config": args.config, "root weights": values.get("root_weights")}
-        _check_no_overwrite(inputs, {"checkpoint": args.out, "epoch log": log_path})
+        outputs = {"checkpoint": args.out, "epoch log": log_path}
+        _check_no_overwrite(inputs, outputs)
+        _check_outside_corpus(args.data, outputs)
         _check_output_path(args.out, "checkpoint")
         _check_output_path(log_path, "epoch log")
     except (OSError, ConfigError) as err:
@@ -263,6 +280,7 @@ def cmd_eval(args):
         seed = resolve_seed(args.seed)
         if args.out:
             _check_no_overwrite({"checkpoint": args.model}, {"table": args.out})
+            _check_outside_corpus(args.data, {"table": args.out})
             _check_output_path(args.out, "table")
         if args.split != "none":  # before the checkpoint, which may be 1.4 GiB
             data.parse_split(args.split)

@@ -20,6 +20,8 @@ import numpy as np
 from .tensor import DTYPE
 
 FILENAME_RE = re.compile(r"^id(\d+)_p(\d+)_l(\d+)\.(pgm|ppm)$")
+# load_corpus reads every file of its directory whose name has one of these endings
+CORPUS_SUFFIXES = (".pgm", ".ppm")
 MANIFEST_NAME = "manifest.csv"
 MANIFEST_FIELDS = ["filename", "identity", "pose_id", "light_id", "yaw_deg"]
 # the magic, width and height of an image header (_image_header says the rest);
@@ -320,8 +322,7 @@ def load_corpus(directory):
     have the first one's shape; anything else raises with the offending
     name. Images keep their stored uint8 pixels; see network_input.
     """
-    names = sorted(n for n in os.listdir(directory)
-                   if n.endswith((".pgm", ".ppm")))
+    names = sorted(n for n in os.listdir(directory) if n.endswith(CORPUS_SUFFIXES))
     samples = []
     for name in names:
         match = FILENAME_RE.match(name)

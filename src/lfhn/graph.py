@@ -7,13 +7,14 @@ flatten, a hidden fully connected layer and the class logits. Convolutions
 are numbered in build order (conv1 is the root, the post-concat mixer gets
 the next free number), fully connected layers continue the numbering.
 
-All per-kind code lives in one table, OPS: each node kind's forward and
-backward step. Nodes record their output and parameter shapes when built.
+The node list is derived from the config alone: a NetworkGraph is its
+config plus the parameter arrays. All per-kind code lives in one table, OPS:
+each node kind's forward and backward step. Nodes record their output shape
+and their parameters' full names and shapes when built.
 """
 
 from __future__ import annotations
 
-import collections
 import contextlib
 import functools
 import math
@@ -21,7 +22,7 @@ import os
 import struct
 import types
 import typing
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -123,8 +124,8 @@ class Node:
     kind: str
     inputs: tuple
     attrs: dict
-    shape: tuple = ()
-    param_shapes: dict = field(default_factory=dict)  # role -> shape of "<name>.<role>"
+    shape: tuple
+    param_shapes: dict  # "<name>.<role>" -> shape, in the order the node's step takes them
 
 
 def _tiled_extent(name, extent, window, stride):
@@ -142,17 +143,19 @@ def _architecture(cfg: LfhnConfig):
     Raises ValueError naming the node whose extents do not work out.
     """
     nodes = [Node("input", "input", (), {},
-                  (cfg.input_height, cfg.input_width, cfg.input_channels))]
+                  (cfg.input_height, cfg.input_width, cfg.input_channels), {})]
 
     def add(name, kind, inputs, shape, param_shapes=None, **attrs):
-        nodes.append(Node(name, kind, tuple(inputs), attrs, shape, param_shapes or {}))
+        params = {f"{name}.{role}": dims for role, dims in (param_shapes or {}).items()}
+        nodes.append(Node(name, kind, tuple(inputs), attrs, shape, params))
         return name
 
     def add_conv(name, prev, shape, kernel, in_channels, stride):
+        # only conv1 reads the batch, whose gradient nothing needs
         out = shape[-1]
         return add(name, "conv", [prev], shape,
                    {"kernel": (kernel, kernel, in_channels, out), "bias": (out,)},
-                   stride=stride)
+                   stride=stride, need_input_grad=prev != "input")
 
     k, s = cfg.root_kernel, cfg.root_stride
     hw = (_tiled_extent("conv1", cfg.input_height, k, s),
@@ -209,51 +212,33 @@ def shape_trace(cfg: LfhnConfig):
 
 def parameter_shapes(cfg: LfhnConfig):
     """Registry layout {param_name: shape} implied by the configuration."""
-    return {f"{node.name}.{role}": shape for node in _architecture(cfg)
-            for role, shape in node.param_shapes.items()}
+    return {name: shape for node in _architecture(cfg)
+            for name, shape in node.param_shapes.items()}
 
 
 class NetworkGraph:
-    """Ordered node list plus the named parameter registry.
+    """The config's node list (_architecture) plus the named parameter registry.
 
     Parameters of node names listed in `frozen` receive no gradient entries
-    from backward(). The node list is topologically ordered by construction
-    and validated on creation: each node after the input needs an OPS entry.
+    from backward().
     """
 
-    def __init__(self, config, nodes, params, frozen=()):
+    def __init__(self, config, params, frozen=()):
         self.config = config
-        self.nodes = list(nodes)
+        self.nodes = _architecture(config)
         self.params = dict(params)
         self.frozen = set(frozen)
         last_reader = {}
         for node in self.nodes:
-            if node.name in last_reader:
-                raise ValueError(f"duplicate node name {node.name!r}")
             for dep in node.inputs:
-                if dep not in last_reader:
-                    raise ValueError(f"node {node.name!r} depends on {dep!r} "
-                                     "which does not precede it")
                 last_reader[dep] = node.name
             last_reader[node.name] = node.name  # until a later node reads it
-        for node in self.nodes[1:]:
-            if node.kind not in OPS:
-                raise ValueError(f"node {node.name!r} has unknown kind {node.kind!r}")
         # dead_after[name]: the tensors no node after `name` reads, which an
         # inference forward frees once `name` has run; the output never dies
         self.dead_after = {node.name: [] for node in self.nodes}
         for name, reader in last_reader.items():
             if name != self.output_name:
                 self.dead_after[reader].append(name)
-        # relu nodes that rectify their input in place: they are its only
-        # reader, and it is an array its producer allocated, not the
-        # caller's batch or a flatten view of another tensor
-        readers = collections.Counter(dep for node in self.nodes for dep in node.inputs)
-        kinds = {node.name: node.kind for node in self.nodes}
-        self.relu_in_place = {
-            node.name for node in self.nodes
-            if node.kind == "relu" and readers[node.inputs[0]] == 1
-            and kinds[node.inputs[0]] not in ("input", "flatten")}
 
     @property
     def output_name(self) -> str:
@@ -291,7 +276,7 @@ def build_lfhn(cfg: LfhnConfig, seed: int = 0) -> NetworkGraph:
                            flat[b:b + INIT_BLOCK], scale))
     count = _thread_count(len(blocks))
     _on_threads(_draw_blocks, [blocks[k::count] for k in range(count)])
-    return NetworkGraph(cfg, _architecture(cfg), params)
+    return NetworkGraph(cfg, params)
 
 
 def _draw_blocks(blocks):
@@ -324,45 +309,34 @@ def _on_threads(work, parts):
             future.result()
 
 
-def _conv_backward(net, node, xs, out, g):
-    gi, gk, gb = layers.conv_backward(xs[0], net.params[f"{node.name}.kernel"], g,
-                                      node.attrs["stride"], node.inputs[0] != "input")
-    return [gi], {"kernel": gk, "bias": gb}
-
-
-def _fc_backward(net, node, xs, out, g):
-    gi, gw, gb = layers.fc_backward(xs[0], net.params[f"{node.name}.weight"], g)
-    return [gi], {"weight": gw, "bias": gb}
-
-
-# {kind: (forward step, backward step)}. forward(net, node, xs) returns the
-# node's output from its input tensors xs. backward(net, node, xs, out, g)
-# returns the gradients of xs (None where not needed) and the parameter
-# gradients by role, given the node's output out and its gradient g. Layers
-# and parameters are looked up at call time, so that patches and rebound
-# arrays take effect. Pool attrs are maxpool's keywords.
+# {kind: (forward step, backward step)}. forward(xs, ps, attrs) returns the
+# node's output from its input tensors xs, its parameter arrays ps (in
+# node.param_shapes order) and its attrs. backward(xs, ps, attrs, out, g),
+# given the node's output out and its gradient g, returns one flat sequence:
+# the gradients of xs (None where not needed), then those of ps. Layers and
+# parameter arrays are looked up at call time, so that patches and rebound
+# arrays take effect. Conv attrs are conv_backward's keywords, pool attrs
+# maxpool's. Every ReLU of the template reads a conv or fc that only it
+# reads, never the batch or a flatten view, so it rectifies that tensor in
+# place.
 OPS = {
-    "conv": (lambda net, node, xs: layers.conv_forward(
-                 xs[0], net.params[f"{node.name}.kernel"], net.params[f"{node.name}.bias"],
-                 node.attrs["stride"]),
-             _conv_backward),
-    "relu": (lambda net, node, xs: layers.relu(
-                 xs[0], out=xs[0] if node.name in net.relu_in_place else None),
-             lambda net, node, xs, out, g: ([layers.relu_backward(xs[0], g)], {})),
-    "maxpool": (lambda net, node, xs: layers.maxpool_forward(xs[0], **node.attrs),
-                lambda net, node, xs, out, g: (
-                    [layers.maxpool_backward(xs[0], out, g, **node.attrs)], {})),
-    "lrn": (lambda net, node, xs: layers.lrn_forward(xs[0], node.attrs["params"]),
-            lambda net, node, xs, out, g: (
-                [layers.lrn_backward(xs[0], node.attrs["params"], g)], {})),
-    "concat": (lambda net, node, xs: layers.concat_channels(xs),
-               lambda net, node, xs, out, g: (
-                   layers.split_channels(g, [x.shape[-1] for x in xs]), {})),
-    "flatten": (lambda net, node, xs: xs[0].reshape(xs[0].shape[0], -1),
-                lambda net, node, xs, out, g: ([g.reshape(xs[0].shape)], {})),
-    "fc": (lambda net, node, xs: layers.fc_forward(
-               xs[0], net.params[f"{node.name}.weight"], net.params[f"{node.name}.bias"]),
-           _fc_backward),
+    "conv": (lambda xs, ps, attrs: layers.conv_forward(xs[0], *ps, attrs["stride"]),
+             lambda xs, ps, attrs, out, g: layers.conv_backward(xs[0], ps[0], g, **attrs)),
+    "relu": (lambda xs, ps, attrs: layers.relu(xs[0], out=xs[0]),
+             lambda xs, ps, attrs, out, g: (layers.relu_backward(xs[0], g),)),
+    "maxpool": (lambda xs, ps, attrs: layers.maxpool_forward(xs[0], **attrs),
+                lambda xs, ps, attrs, out, g: (
+                    layers.maxpool_backward(xs[0], out, g, **attrs),)),
+    "lrn": (lambda xs, ps, attrs: layers.lrn_forward(xs[0], attrs["params"]),
+            lambda xs, ps, attrs, out, g: (
+                layers.lrn_backward(xs[0], attrs["params"], g),)),
+    "concat": (lambda xs, ps, attrs: layers.concat_channels(xs),
+               lambda xs, ps, attrs, out, g: layers.split_channels(
+                   g, [x.shape[-1] for x in xs])),
+    "flatten": (lambda xs, ps, attrs: xs[0].reshape(xs[0].shape[0], -1),
+                lambda xs, ps, attrs, out, g: (g.reshape(xs[0].shape),)),
+    "fc": (lambda xs, ps, attrs: layers.fc_forward(xs[0], *ps),
+           lambda xs, ps, attrs, out, g: layers.fc_backward(xs[0], ps[0], g)),
 }
 
 
@@ -372,10 +346,9 @@ def forward(net: NetworkGraph, batch, inference=False):
     The cache maps "input" and every node name to its tensor. backward()
     needs the full cache and consumes it. With inference=True the cache is
     None: each tensor is freed once the last node that reads it
-    (net.dead_after) has run, so only live tensors are held. In both modes a
-    relu in net.relu_in_place rectifies its input in place, so a conv or fc
-    read only by a ReLU shares one tensor with it; the batch itself is never
-    written.
+    (net.dead_after) has run, so only live tensors are held. In both modes
+    each ReLU rectifies its input in place, so a conv or fc and the ReLU
+    that alone reads it share one tensor; the batch itself is never written.
     The logits are the same bits either way. The batch must be floating
     point; data.network_input scales raw pixels.
     """
@@ -391,7 +364,8 @@ def forward(net: NetworkGraph, batch, inference=False):
     tensors = {"input": x}
     for node in net.nodes[1:]:
         xs = [tensors[name] for name in node.inputs]
-        tensors[node.name] = OPS[node.kind][0](net, node, xs)
+        ps = [net.params[name] for name in node.param_shapes]
+        tensors[node.name] = OPS[node.kind][0](xs, ps, node.attrs)
         if inference:
             for name in net.dead_after[node.name]:
                 del tensors[name]
@@ -425,13 +399,13 @@ def backward(net: NetworkGraph, cache, grad_logits):
         g = node_grads.pop(node.name, None)
         if g is not None:
             xs = [cache[name] for name in node.inputs]
-            input_grads, grads = OPS[node.kind][1](net, node, xs, cache[node.name], g)
-            for name, gi in zip(node.inputs, input_grads):
+            ps = [net.params[name] for name in node.param_shapes]
+            grads = OPS[node.kind][1](xs, ps, node.attrs, cache[node.name], g)
+            for name, gi in zip(node.inputs, grads):
                 if gi is not None:
                     node_grads[name] = node_grads[name] + gi if name in node_grads else gi
-            if node.name not in net.frozen:
-                for role, value in grads.items():
-                    param_grads[f"{node.name}.{role}"] = value
+            if node.param_shapes and node.name not in net.frozen:
+                param_grads.update(zip(node.param_shapes, grads[len(xs):]))
         cache.pop(node.name, None)
     return param_grads
 
@@ -584,7 +558,7 @@ def load_checkpoint(path) -> NetworkGraph:
         if fh.read(1):
             raise CheckpointError("trailing bytes after the last parameter record")
         _read_records(fh.fileno(), records)
-    return NetworkGraph(cfg, _architecture(cfg), params, frozen)
+    return NetworkGraph(cfg, params, frozen)
 
 
 def _read_records(fd, records):

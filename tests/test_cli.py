@@ -401,6 +401,33 @@ def test_train_output_naming_an_input_or_the_other_output_exits_2_before_loading
     assert (d / "run.cfg").read_text() == config.format(d=d)
 
 
+@pytest.mark.parametrize("command, what, path", [
+    ("train", "checkpoint", "{c}/id000_p00_l00.pgm"),
+    ("train", "epoch log", "{c}/log.ppm"),
+    ("eval", "table", "{c}/../corpus/table.pgm"),
+    ("eval", "table", "{t}/link.csv"),
+], ids=["checkpoint", "log", "table", "table-link"])
+def test_an_output_that_the_corpus_reads_exits_2_before_loading(
+        tmp_path, small_corpus, capsys, monkeypatch, command, what, path):
+    model = tmp_path / "model.lfhn"
+    graph.save_checkpoint(graph.build_lfhn(graph.tiny_config(), seed=0), model)
+    (tmp_path / "link.csv").symlink_to(small_corpus / "id001_p00_l00.pgm")
+    path = path.format(c=small_corpus, t=tmp_path)
+    digest = _digest(small_corpus)
+    _refuse_to_load(monkeypatch)
+    capsys.readouterr()
+    if command == "train":
+        args = ["train", "--data", str(small_corpus), "--epochs", "1",
+                *(["--out", path] if what == "checkpoint" else
+                  ["--out", str(tmp_path / "m.lfhn"), "--log", path])]
+    else:
+        args = ["eval", "--model", str(model), "--data", str(small_corpus), "--out", path]
+    assert cli.main(args) == 2
+    assert capsys.readouterr().err.splitlines() == [
+        f"error: {what} {path} is an image of the corpus {small_corpus}"]
+    assert _digest(small_corpus) == digest
+
+
 def test_eval_table_naming_the_checkpoint_exits_2_before_loading(tmp_path, small_corpus,
                                                                  capsys, monkeypatch):
     model = tmp_path / "model.lfhn"

@@ -1,3 +1,4 @@
+import collections
 import os
 import struct
 import subprocess
@@ -252,9 +253,11 @@ def test_any_config_that_tiles_traces_infers_and_saves_consistently(
         tmp_path, kernel, stride, pooled, channels, widths, streams, relu_after_1x1,
         relu_after_hidden, lrn_size):
     """Over root kernels and strides 1-3, 1-3 streams of 1-3 convs, widths 1-4,
-    both ReLU flags and LRN sizes 1, 3 and 5: the training forward's shapes
-    are shape_trace's, the inference logits are the training ones bit for
-    bit, and a loaded checkpoint saves to the bytes it was loaded from."""
+    both ReLU flags and LRN sizes 1, 3 and 5: the node list keeps the
+    template's invariants, the training forward's shapes are shape_trace's,
+    the inference logits are the training ones bit for bit, a loaded
+    checkpoint saves to the bytes it was loaded from, and every parameter's
+    gradient agrees with central differences."""
     # pool1's 3x3/stride-2 window tiles 2p+1 rows, which conv1 makes from this many
     extents = [2 * p * stride + kernel for p in pooled]
     root, mixer, hidden, classes = widths
@@ -265,6 +268,20 @@ def test_any_config_that_tiles_traces_infers_and_saves_consistently(
                      relu_after_hidden=relu_after_hidden, lrn_size=lrn_size)
     net = graph.build_lfhn(cfg, seed=0)
     train.randomize_biases(net, seed=0)
+    # the template's invariants, which NetworkGraph and the OPS steps rely on
+    # without checking: names are unique, every input precedes its reader,
+    # every kind has a step, and every ReLU may rectify its input in place,
+    # since that is a conv or fc it alone reads (never the batch or a view)
+    position = {node.name: i for i, node in enumerate(net.nodes)}
+    assert len(position) == len(net.nodes) and net.nodes[0].kind == "input"
+    kinds = {node.name: node.kind for node in net.nodes}
+    readers = collections.Counter(dep for node in net.nodes for dep in node.inputs)
+    for i, node in enumerate(net.nodes[1:], start=1):
+        assert node.kind in graph.OPS
+        assert all(position[dep] < i for dep in node.inputs)
+        if node.kind == "relu":
+            (dep,) = node.inputs
+            assert kinds[dep] in ("conv", "fc") and readers[dep] == 1, node.name
     trace = graph.shape_trace(cfg)
     x = np.random.default_rng(0).uniform(size=(2,) + dict(trace)["input"])
     inferred, _ = graph.forward(net, x, inference=True)
@@ -274,27 +291,10 @@ def test_any_config_that_tiles_traces_infers_and_saves_consistently(
     graph.save_checkpoint(net, tmp_path / "a.lfhn")
     graph.save_checkpoint(graph.load_checkpoint(tmp_path / "a.lfhn"), tmp_path / "b.lfhn")
     assert (tmp_path / "a.lfhn").read_bytes() == (tmp_path / "b.lfhn").read_bytes()
-
-
-def test_liveness_of_a_hand_built_graph():
-    # conv1 is read by relu1 and, later, by concat; "side" is read by nothing
-    cfg = graph.tiny_config()
-    rng = np.random.default_rng(4)
-    nodes = [graph.Node("input", "input", (), {}),
-             graph.Node("conv1", "conv", ("input",), {"stride": 1}),
-             graph.Node("relu1", "relu", ("conv1",), {}),
-             graph.Node("side", "relu", ("conv1",), {}),
-             graph.Node("concat", "concat", ("relu1", "conv1"), {}),
-             graph.Node("flatten", "flatten", ("concat",), {}),
-             graph.Node("fc2", "fc", ("flatten",), {})]
-    params = {"conv1.kernel": rng.normal(size=(2, 2, 3, 4)), "conv1.bias": rng.normal(size=4),
-              "fc2.weight": rng.normal(size=(7 * 7 * 8, 3)), "fc2.bias": rng.normal(size=3)}
-    net = graph.NetworkGraph(cfg, nodes, params)
-    assert net.dead_after == {"input": [], "conv1": ["input"], "relu1": [],
-                              "side": ["side"], "concat": ["conv1", "relu1"],
-                              "flatten": ["concat"], "fc2": ["flatten"]}
-    x = rng.uniform(size=(3, 8, 8, 3))
-    assert _same_bits(graph.forward(net, x, inference=True)[0], graph.forward(net, x)[0])
+    # the steps pair gradients with parameter names by position
+    report = train.grad_check(net, x, np.arange(2) % classes, max_per_tensor=4, seed=0)
+    assert {c.name for c in report.checks} == set(net.params)
+    assert report.passed(1e-5), "\n".join(report.format_lines())
 
 
 def test_backward_refuses_an_inference_result():
@@ -304,61 +304,11 @@ def test_backward_refuses_an_inference_result():
         graph.backward(net, cache, np.zeros_like(logits))
 
 
-def _in_place_probe_graph():
-    """A hand-built graph with every case of the in-place rule.
-
-    relu0 reads the caller's batch, so it copies. conv1 is read by relu1 and
-    by concat, so relu1 copies; nothing after concat rectifies conv1's
-    negative values. relu2 and relu4 are their input's only reader and
-    rectify in place.
-    """
-    rng = np.random.default_rng(24)
-    nodes = [graph.Node("input", "input", (), {}),
-             graph.Node("relu0", "relu", ("input",), {}),
-             graph.Node("conv1", "conv", ("relu0",), {"stride": 1}),
-             graph.Node("relu1", "relu", ("conv1",), {}),
-             graph.Node("relu2", "relu", ("relu1",), {}),
-             graph.Node("concat", "concat", ("relu2", "conv1"), {}),
-             graph.Node("flatten", "flatten", ("concat",), {}),
-             graph.Node("fc2", "fc", ("flatten",), {}),
-             graph.Node("relu4", "relu", ("fc2",), {}),
-             graph.Node("fc3", "fc", ("relu4",), {})]
-    params = {"conv1.kernel": rng.normal(size=(2, 2, 3, 4)), "conv1.bias": rng.normal(size=4),
-              "fc2.weight": rng.normal(size=(7 * 7 * 8, 5)), "fc2.bias": rng.normal(size=5),
-              "fc3.weight": rng.normal(size=(5, 3)), "fc3.bias": rng.normal(size=3)}
-    return graph.NetworkGraph(graph.tiny_config(), nodes, params)
-
-
-def _flat_input_graph():
-    """relu1 reads a flatten view of the caller's batch, so it must copy."""
-    rng = np.random.default_rng(31)
-    nodes = [graph.Node("input", "input", (), {}),
-             graph.Node("flatten", "flatten", ("input",), {}),
-             graph.Node("relu1", "relu", ("flatten",), {}),
-             graph.Node("fc2", "fc", ("relu1",), {}),
-             graph.Node("relu2", "relu", ("fc2",), {}),
-             graph.Node("fc3", "fc", ("relu2",), {})]
-    params = {"fc2.weight": rng.normal(size=(8 * 8 * 3, 5)), "fc2.bias": rng.normal(size=5),
-              "fc3.weight": rng.normal(size=(5, 3)), "fc3.bias": rng.normal(size=3)}
-    return graph.NetworkGraph(graph.tiny_config(), nodes, params)
-
-
-HAND_BUILT = {"hand-built": _in_place_probe_graph, "flat-input": _flat_input_graph}
-
-
-def test_relu_in_place_rule():
-    assert _in_place_probe_graph().relu_in_place == {"relu2", "relu4"}
-    assert _flat_input_graph().relu_in_place == {"relu2"}
-    net = graph.build_lfhn(graph.desk_config(10), seed=0)
-    assert net.relu_in_place == {n.name for n in net.nodes if n.kind == "relu"}
-    assert graph.build_lfhn(CONFIGS["no-relu"], seed=0).relu_in_place == {"relu1"}
-
-
 def _step_bytes(net, x, labels):
     """Inference and training logits, gradients and parameters after one SGD
     step, as bytes, computed on a copy of net's parameters."""
-    net = graph.NetworkGraph(net.config, net.nodes,
-                             {k: v.copy() for k, v in net.params.items()}, net.frozen)
+    net = graph.NetworkGraph(net.config, {k: v.copy() for k, v in net.params.items()},
+                             net.frozen)
     inference = graph.forward(net, x, inference=True)[0]
     logits, cache = graph.forward(net, x)
     _, grad_logits = layers.softmax_xent(logits, labels)
@@ -369,13 +319,10 @@ def _step_bytes(net, x, labels):
             {k: p.tobytes() for k, p in net.params.items()})
 
 
-@pytest.mark.parametrize("config", ["tiny", "desk", "no-relu", *HAND_BUILT])
+@pytest.mark.parametrize("config", ["tiny", "desk", "no-relu"])
 def test_relu_in_place_gives_the_copy_reference_bits(config, monkeypatch):
-    if config in HAND_BUILT:
-        net = HAND_BUILT[config]()
-    else:
-        net = graph.build_lfhn(CONFIGS[config], seed=25)
-        train.randomize_biases(net, seed=25)
+    net = graph.build_lfhn(CONFIGS[config], seed=25)
+    train.randomize_biases(net, seed=25)
     cfg = net.config
     rng = np.random.default_rng(26)
     # signed inputs, so that a ReLU written over the batch would change it
@@ -445,14 +392,6 @@ def test_only_the_backward_pass_selects_pool_winners(monkeypatch):
     graph.backward(net, cache, grad_logits)
     assert calls == [(n.attrs["window"], n.attrs["stride"])
                      for n in net.nodes if n.kind == "maxpool"]
-
-
-def test_network_graph_rejects_kind_without_op():
-    net = graph.build_lfhn(graph.tiny_config(), seed=7)
-    last = net.nodes[-1]
-    nodes = net.nodes[:-1] + [replace(last, kind="softmax")]
-    with pytest.raises(ValueError, match=f"{last.name!r}.*'softmax'"):
-        graph.NetworkGraph(net.config, nodes, net.params)
 
 
 def test_backward_zero_grad_logits():

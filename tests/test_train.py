@@ -6,7 +6,6 @@ import pytest
 
 from lfhn import data, evaluate, graph, layers, train
 from lfhn.data import LabeledSample
-from lfhn.graph import Node, NetworkGraph
 from lfhn.train import TrainConfig
 
 
@@ -366,24 +365,6 @@ def test_train_config_invariants():
 
 
 # ---------------------------------------------------------------- grad_check
-
-def test_grad_check_single_fc_network_is_near_exact():
-    # input -> flatten -> fc: smooth everywhere, so central differences agree
-    # with the analytic gradient to roundoff
-    cfg = graph.tiny_config(num_classes=3)
-    nodes = [Node("input", "input", (), {}),
-             Node("flatten", "flatten", ("input",), {}),
-             Node("fc1", "fc", ("flatten",), {})]
-    rng = np.random.default_rng(24)
-    din = cfg.input_height * cfg.input_width * cfg.input_channels
-    params = {"fc1.weight": rng.normal(0, 0.05, size=(din, 3)),
-              "fc1.bias": rng.normal(0, 0.05, size=3)}
-    net = NetworkGraph(cfg, nodes, params)
-    x = rng.uniform(size=(2, 8, 8, 3))
-    y = rng.integers(0, 3, size=2)
-    report = train.grad_check(net, x, y, seed=25)
-    assert report.max_rel_err < 1e-9
-
 
 def test_grad_check_full_tiny_network():
     net = graph.build_lfhn(graph.tiny_config(), seed=26)
