@@ -229,7 +229,6 @@ def cmd_train(args):
         cfg = _build_model_config(values, graph, sample=samples[0])
         tcfg = train_mod.TrainConfig(**{**_fields_in(values, train_mod.TrainConfig),
                                         "seed": seed})
-        graph.parameter_shapes(cfg)  # a config that does not tile fails here, naming the node
     except ValueError as err:
         return _error(str(err), EXIT_USAGE)
     try:
@@ -391,10 +390,9 @@ def cmd_shapes(args):
         cfg = _build_model_config(values, graph)
         # the training keys of the file are checked too, though no training runs
         train_mod.TrainConfig(**_fields_in(values, train_mod.TrainConfig))
-        trace = graph.shape_trace(cfg)
     except ValueError as err:
         return _error(str(err), EXIT_USAGE)
-    for name, shape in trace:
+    for name, shape in graph.shape_trace(cfg):
         printed = "x".join(str(e) for e in shape)
         print(f"{name:<10} {printed}")
     return EXIT_OK

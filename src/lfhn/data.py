@@ -283,10 +283,17 @@ def generate_corpus(out_dir, n_identities, lights=None, seed=0,
     The poses are the default 13-bin roster; lights defaults to
     default_light_roster().
     Re-running with the same arguments reproduces byte-identical files.
-    Returns the manifest rows as dicts.
+    Returns the manifest rows as dicts. An out_dir that already holds a
+    manifest or an image raises ValueError naming it before anything is
+    written, since load_corpus would read the old images with the new.
     """
     poses = default_pose_roster()
     lights = default_light_roster() if lights is None else tuple(lights)
+    if os.path.isdir(out_dir):
+        for name in sorted(os.listdir(out_dir)):
+            if name == MANIFEST_NAME or name.endswith(CORPUS_SUFFIXES):
+                raise ValueError(f"{os.path.join(out_dir, name)} exists: write a new "
+                                 "corpus into a directory that holds none")
     os.makedirs(out_dir, exist_ok=True)
     suffix = "pgm" if channels == 1 else "ppm"
     rows = []

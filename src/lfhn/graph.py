@@ -27,7 +27,6 @@ from dataclasses import dataclass, fields
 import numpy as np
 
 from . import layers
-from .layers import LrnParams
 from .tensor import DTYPE, conv_extent
 
 CHECKPOINT_MAGIC = b"LFHN"
@@ -79,11 +78,16 @@ class LfhnConfig:
             raise ValueError("stream widths must be >= 1")
         object.__setattr__(self, "streams", tuple(tuple(int(w) for w in s)
                                                   for s in self.streams))
-        _ = self.lrn  # LrnParams rejects bad constants
-
-    @property
-    def lrn(self) -> LrnParams:
-        return LrnParams(self.lrn_size, self.lrn_k, self.lrn_alpha, self.lrn_beta)
+        # k > 0 and beta > 0 keep the LRN denominator positive and differentiable
+        if self.lrn_size < 1:
+            raise ValueError(f"lrn_size must be >= 1, got {self.lrn_size}")
+        if not 0 < self.lrn_k < math.inf:
+            raise ValueError(f"lrn_k must be finite and > 0, got {self.lrn_k}")
+        if not 0 <= self.lrn_alpha < math.inf:
+            raise ValueError(f"lrn_alpha must be finite and >= 0, got {self.lrn_alpha}")
+        if not 0 < self.lrn_beta < math.inf:
+            raise ValueError(f"lrn_beta must be finite and > 0, got {self.lrn_beta}")
+        _architecture(self)  # a config whose conv1 or pool1 does not tile fails here
 
     @property
     def concat_channels(self) -> int:
@@ -166,7 +170,8 @@ def _architecture(cfg: LfhnConfig):
     hw = tuple(_tiled_extent("pool1", e, POOL_WINDOW, POOL_STRIDE) for e in hw)
     root_shape = hw + (cfg.root_channels,)
     prev = add("pool1", "maxpool", [prev], root_shape, window=POOL_WINDOW, stride=POOL_STRIDE)
-    root = add("norm1", "lrn", [prev], root_shape, params=cfg.lrn)
+    root = add("norm1", "lrn", [prev], root_shape, size=cfg.lrn_size, k=cfg.lrn_k,
+               alpha=cfg.lrn_alpha, beta=cfg.lrn_beta)
 
     number = 2
     tails = []
@@ -204,8 +209,7 @@ def shape_trace(cfg: LfhnConfig):
     """Per-node output shapes without allocating any activation.
 
     Returns [(node_name, shape)] where spatial nodes report (h, w, c) and the
-    flatten/fc tail reports (dim,). Raises ValueError naming the node whose
-    extents do not work out.
+    flatten/fc tail reports (dim,). Every LfhnConfig tiles, so this cannot fail.
     """
     return [(node.name, node.shape) for node in _architecture(cfg)]
 
@@ -315,8 +319,9 @@ def _on_threads(work, parts):
 # given the node's output out and its gradient g, returns one flat sequence:
 # the gradients of xs (None where not needed), then those of ps. Layers and
 # parameter arrays are looked up at call time, so that patches and rebound
-# arrays take effect. Conv attrs are conv_backward's keywords, pool attrs
-# maxpool's. Every ReLU of the template reads a conv or fc that only it
+# arrays take effect. Every node's attrs are its layer's keywords: conv
+# attrs conv_backward's, pool attrs maxpool's, LRN attrs (size, k, alpha,
+# beta) lrn's. Every ReLU of the template reads a conv or fc that only it
 # reads, never the batch or a flatten view, so it rectifies that tensor in
 # place.
 OPS = {
@@ -327,9 +332,8 @@ OPS = {
     "maxpool": (lambda xs, ps, attrs: layers.maxpool_forward(xs[0], **attrs),
                 lambda xs, ps, attrs, out, g: (
                     layers.maxpool_backward(xs[0], out, g, **attrs),)),
-    "lrn": (lambda xs, ps, attrs: layers.lrn_forward(xs[0], attrs["params"]),
-            lambda xs, ps, attrs, out, g: (
-                layers.lrn_backward(xs[0], attrs["params"], g),)),
+    "lrn": (lambda xs, ps, attrs: layers.lrn_forward(xs[0], **attrs),
+            lambda xs, ps, attrs, out, g: (layers.lrn_backward(xs[0], g, **attrs),)),
     "concat": (lambda xs, ps, attrs: layers.concat_channels(xs),
                lambda xs, ps, attrs, out, g: layers.split_channels(
                    g, [x.shape[-1] for x in xs])),
@@ -396,17 +400,17 @@ def backward(net: NetworkGraph, cache, grad_logits):
     node_grads = {net.output_name: grad_logits}
     param_grads = {}
     for node in reversed(net.nodes[1:]):
-        g = node_grads.pop(node.name, None)
-        if g is not None:
-            xs = [cache[name] for name in node.inputs]
-            ps = [net.params[name] for name in node.param_shapes]
-            grads = OPS[node.kind][1](xs, ps, node.attrs, cache[node.name], g)
-            for name, gi in zip(node.inputs, grads):
-                if gi is not None:
-                    node_grads[name] = node_grads[name] + gi if name in node_grads else gi
-            if node.param_shapes and node.name not in net.frozen:
-                param_grads.update(zip(node.param_shapes, grads[len(xs):]))
-        cache.pop(node.name, None)
+        # every node after "input" is read by a later node, or is the output
+        g = node_grads.pop(node.name)
+        xs = [cache[name] for name in node.inputs]
+        ps = [net.params[name] for name in node.param_shapes]
+        grads = OPS[node.kind][1](xs, ps, node.attrs, cache[node.name], g)
+        for name, gi in zip(node.inputs, grads):
+            if gi is not None:
+                node_grads[name] = node_grads[name] + gi if name in node_grads else gi
+        if node.param_shapes and node.name not in net.frozen:
+            param_grads.update(zip(node.param_shapes, grads[len(xs):]))
+        cache.pop(node.name)
     return param_grads
 
 
@@ -533,10 +537,7 @@ def load_checkpoint(path) -> NetworkGraph:
             raise CheckpointError(f"unsupported checkpoint version {version}")
         config_len = int.from_bytes(fh.read(left(4, "config length")), "little")
         cfg, frozen = _config_from_block(fh.read(left(config_len, "config")))
-        try:
-            expected = parameter_shapes(cfg)
-        except ValueError as err:
-            raise CheckpointError(f"invalid config block: {err}") from err
+        expected = parameter_shapes(cfg)
         unknown = frozen - {name.rpartition(".")[0] for name in expected}
         if unknown:
             raise CheckpointError(f"invalid config block: frozen {sorted(unknown)} "

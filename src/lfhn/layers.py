@@ -9,36 +9,9 @@ graph.backward fix that at float64.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from . import tensor
-
-
-@dataclass(frozen=True)
-class LrnParams:
-    """Cross-channel response normalization constants.
-
-    size is the channel span of the local region, k the additive constant,
-    alpha the energy scale and beta the exponent. k > 0 and beta > 0 keep the
-    denominator strictly positive and differentiable.
-    """
-
-    size: int = 5
-    k: float = 2.0
-    alpha: float = 1e-4
-    beta: float = 0.75
-
-    def __post_init__(self):
-        if self.size < 1:
-            raise ValueError("size must be >= 1")
-        if not 0 < self.k < np.inf:
-            raise ValueError(f"k must be finite and > 0, got {self.k}")
-        if not 0 <= self.alpha < np.inf:
-            raise ValueError(f"alpha must be finite and >= 0, got {self.alpha}")
-        if not 0 < self.beta < np.inf:
-            raise ValueError(f"beta must be finite and > 0, got {self.beta}")
 
 
 def conv_forward(x, kernel, bias, stride=1) -> np.ndarray:
@@ -187,27 +160,27 @@ def _window_sum_channels(v, half):
     return cs[..., 2 * half + 1:] - cs[..., :c]
 
 
-def lrn_forward(x, p: LrnParams) -> np.ndarray:
+def lrn_forward(x, size, k, alpha, beta) -> np.ndarray:
     """Divide each value by (k + (alpha/size) * local channel energy) ** beta.
 
-    The local region spans nearby channels only, centered on each channel and
-    truncated at the tensor edges.
+    The local region spans size nearby channels, centered on each channel and
+    truncated at the tensor edges. LfhnConfig checks the constants.
     """
-    ssum = _window_sum_channels(x * x, p.size // 2)
-    return x / (p.k + (p.alpha / p.size) * ssum) ** p.beta
+    ssum = _window_sum_channels(x * x, size // 2)
+    return x / (k + (alpha / size) * ssum) ** beta
 
 
-def lrn_backward(x, p: LrnParams, grad_out) -> np.ndarray:
+def lrn_backward(x, grad_out, size, k, alpha, beta) -> np.ndarray:
     """Exact derivative of lrn_forward including the shared-denominator terms."""
     if grad_out.shape != x.shape:
         raise ValueError(f"grad_out shape {grad_out.shape} does not match input {x.shape}")
-    half = p.size // 2
-    s = p.k + (p.alpha / p.size) * _window_sum_channels(x * x, half)
+    half = size // 2
+    s = k + (alpha / size) * _window_sum_channels(x * x, half)
     # out_c = x_c * s_c**-beta, and channel j appears in the window of c iff
     # c appears in the window of j, so the cross terms fold into one window sum
-    t = grad_out * x * s ** (-p.beta - 1.0)
+    t = grad_out * x * s ** (-beta - 1.0)
     cross = _window_sum_channels(t, half)
-    return grad_out * s ** (-p.beta) - (2.0 * p.alpha * p.beta / p.size) * x * cross
+    return grad_out * s ** (-beta) - (2.0 * alpha * beta / size) * x * cross
 
 
 def concat_channels(inputs) -> np.ndarray:

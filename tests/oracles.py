@@ -128,8 +128,7 @@ def walk_graph(net, batch):
             values[node.name] = naive_maxpool(inputs[0], node.attrs["window"],
                                               node.attrs["stride"])
         elif node.kind == "lrn":
-            p = node.attrs["params"]
-            values[node.name] = lrn_scalar(inputs[0], p.size, p.k, p.alpha, p.beta)
+            values[node.name] = lrn_scalar(inputs[0], **node.attrs)
         elif node.kind == "concat":
             values[node.name] = np.concatenate(inputs, axis=-1)
         elif node.kind == "flatten":

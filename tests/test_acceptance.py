@@ -14,7 +14,6 @@ import numpy as np
 import pytest
 
 from lfhn import cli, data, evaluate, graph, layers, tensor, train
-from lfhn.layers import LrnParams
 from lfhn.train import TrainConfig
 
 from oracles import naive_conv, fd_grad, max_rel_err
@@ -138,11 +137,11 @@ def test_criterion_2_gradient_correctness():
             weight.copy())) < 1e-6
         # lrn
         xl = r.normal(size=(1, 2, 2, 8))
-        pl = LrnParams(size=5, k=2.0, alpha=0.5, beta=0.75)
+        pl = dict(size=5, k=2.0, alpha=0.5, beta=0.75)
         probel = r.normal(size=xl.shape)
         assert max_rel_err(
-            layers.lrn_backward(xl, pl, probel),
-            fd_grad(lambda v: float((layers.lrn_forward(v, pl) * probel).sum()),
+            layers.lrn_backward(xl, probel, **pl),
+            fd_grad(lambda v: float((layers.lrn_forward(v, **pl) * probel).sum()),
                     xl.copy())) < 1e-6
         # pool (random values keep windows clear of ties)
         xp = r.normal(size=(1, 5, 5, 2))

@@ -67,6 +67,19 @@ def test_gen_data_rerun_is_byte_identical(tmp_path):
     assert _digest(a) == _digest(b)
 
 
+def test_gen_data_into_an_existing_corpus_exits_2_leaving_it_unchanged(tmp_path, capsys):
+    # a second run's images would sit beside the first's, which load_corpus reads too
+    out = tmp_path / "corpus"
+    assert cli.main(["gen-data", "--ids", "3", "--out", str(out), "--size", "16"]) == 0
+    before = _digest(out)
+    capsys.readouterr()
+    assert cli.main(["gen-data", "--ids", "2", "--out", str(out), "--size", "16"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {out / 'id000_p00_l00.pgm'} exists")
+    assert err.count("\n") == 1
+    assert _digest(out) == before
+
+
 # ---------------------------------------------------------------- shapes
 
 def test_shapes_default_trace(capsys):
@@ -123,10 +136,9 @@ def test_gradcheck_unknown_layer(capsys):
 
 
 def test_gradcheck_detects_corrupted_backward(monkeypatch, capsys):
-    def lopsided(x, p, grad_out):
-        half = p.size // 2
-        s = p.k + (p.alpha / p.size) * layers._window_sum_channels(x * x, half)
-        return grad_out * s ** (-p.beta)
+    def lopsided(x, grad_out, size, k, alpha, beta):
+        s = k + (alpha / size) * layers._window_sum_channels(x * x, size // 2)
+        return grad_out * s ** (-beta)
 
     monkeypatch.setattr(layers, "lrn_backward", lopsided)
     rc = cli.main(["gradcheck", "--samples", "8", "--seed", "1"])
@@ -136,7 +148,8 @@ def test_gradcheck_detects_corrupted_backward(monkeypatch, capsys):
 
 def test_gradcheck_fails_on_nan_backward(monkeypatch, capsys):
     lrn_backward = layers.lrn_backward
-    monkeypatch.setattr(layers, "lrn_backward", lambda *a: lrn_backward(*a) * np.nan)
+    monkeypatch.setattr(layers, "lrn_backward",
+                        lambda *a, **kw: lrn_backward(*a, **kw) * np.nan)
     assert cli.main(["gradcheck", "--samples", "4", "--seed", "1"]) == 1
     assert "FAILED: max relative error inf" in capsys.readouterr().out
 
@@ -693,7 +706,11 @@ def test_config_file_bad_value_exits_2_before_training(tmp_path, small_corpus, c
     rc = cli.main(["train", "--data", str(small_corpus), "--out", str(model),
                    "--config", str(cfg), "--epochs", "1"])
     assert rc == 2
-    assert capsys.readouterr().err.startswith("error: ")
+    err = capsys.readouterr().err
+    assert err.startswith("error: ")
+    key = line.partition(" ")[0]
+    if key.startswith("lrn_"):
+        assert err.startswith(f"error: {key} must be finite")
     assert not model.exists() and not (tmp_path / "m.lfhn.log.csv").exists()
 
 

@@ -120,6 +120,25 @@ def test_generate_corpus_zero_identities(tmp_path):
         "filename,identity,pose_id,light_id,yaw_deg"]
 
 
+@pytest.mark.parametrize("name", ["manifest.csv", "old.pgm", "old.ppm"])
+def test_generate_corpus_refuses_a_directory_holding_a_corpus_file(tmp_path, name):
+    out = tmp_path / "corpus"
+    out.mkdir()
+    (out / name).write_bytes(b"")
+    with pytest.raises(ValueError, match=re.escape(f"{out / name} exists")):
+        data.generate_corpus(out, 1, seed=1, height=16, width=16)
+    assert os.listdir(out) == [name]
+
+
+def test_generate_corpus_writes_beside_other_files(tmp_path):
+    out = tmp_path / "corpus"
+    out.mkdir()
+    (out / "notes.txt").write_text("kept\n")
+    rows = data.generate_corpus(out, 1, seed=1, height=16, width=16)
+    assert len(os.listdir(out)) == len(rows) + 2
+    assert (out / "notes.txt").read_text() == "kept\n"
+
+
 def test_load_corpus_round_trips_labels(tmp_path):
     out = tmp_path / "corpus"
     rows = data.generate_corpus(out, 3, seed=9, height=24, width=24)

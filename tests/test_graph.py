@@ -41,9 +41,32 @@ def test_shape_trace_small_input():
 
 
 def test_shape_trace_names_failing_node():
-    cfg = replace(LfhnConfig(), input_height=8, input_width=8)
+    # a config exists only if it tiles, so the constructor names the node
     with pytest.raises(ValueError, match="conv1: "):
-        graph.shape_trace(cfg)
+        replace(LfhnConfig(), input_height=8, input_width=8)
+    # conv1 maps 231 rows to 56, which pool1's 3x3/stride-2 window does not tile
+    with pytest.raises(ValueError, match="pool1: "):
+        replace(LfhnConfig(), input_height=231)
+
+
+@pytest.mark.parametrize("cfg", [graph.tiny_config(), graph.desk_config(10), LfhnConfig(),
+                                 replace(graph.tiny_config(), lrn_size=1, lrn_alpha=0.0)],
+                         ids=["tiny", "desk", "paper", "tiny-lrn-1"])
+def test_norm1_attrs_are_the_configs_lrn_constants(cfg):
+    (norm1,) = [node for node in graph.NetworkGraph(cfg, {}).nodes if node.name == "norm1"]
+    assert norm1.attrs == dict(size=cfg.lrn_size, k=cfg.lrn_k, alpha=cfg.lrn_alpha,
+                               beta=cfg.lrn_beta)
+
+
+def test_config_refuses_bad_lrn_constants_naming_the_key():
+    for key, bad in [("lrn_size", 0), ("lrn_k", 0.0), ("lrn_alpha", -1e-4), ("lrn_beta", 0.0)]:
+        with pytest.raises(ValueError, match=f"^{key} must be "):
+            LfhnConfig(**{key: bad})
+    for bad in (np.nan, np.inf, -np.inf):
+        for key in ("lrn_k", "lrn_alpha", "lrn_beta"):
+            with pytest.raises(ValueError, match=f"^{key} must be finite"):
+                LfhnConfig(**{key: bad})
+    assert LfhnConfig(lrn_alpha=0.0).lrn_alpha == 0.0  # the layer then only scales
 
 
 def test_parameter_count_closed_form():
@@ -865,6 +888,14 @@ def test_checkpoint_rejects_config_that_does_not_tile(tmp_path):
     _tiny_checkpoint_with_config(
         path, lambda text: text.replace(b"input_height=8", b"input_height=9"))
     with pytest.raises(CheckpointError, match="pool1: non-integral"):
+        graph.load_checkpoint(path)
+
+
+def test_checkpoint_rejects_a_bad_lrn_constant_naming_the_key(tmp_path):
+    path = tmp_path / "model.lfhn"
+    _tiny_checkpoint_with_config(path, lambda text: text.replace(b"lrn_k=2.0", b"lrn_k=nan"))
+    with pytest.raises(CheckpointError,
+                       match="invalid config block: lrn_k must be finite and > 0, got nan"):
         graph.load_checkpoint(path)
 
 

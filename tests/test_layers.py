@@ -5,7 +5,6 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from lfhn import layers, tensor
-from lfhn.layers import LrnParams
 
 from oracles import (naive_conv, naive_maxpool, gather_maxpool, lrn_scalar, fd_grad,
                      max_rel_err)
@@ -280,14 +279,13 @@ def test_maxpool_backward_matches_finite_differences():
 # ---------------------------------------------------------------- lrn
 
 def test_lrn_zero_input():
-    p = LrnParams()
-    assert not layers.lrn_forward(np.zeros((1, 2, 2, 8)), p).any()
+    x = np.zeros((1, 2, 2, 8))
+    assert not layers.lrn_forward(x, size=5, k=2.0, alpha=1e-4, beta=0.75).any()
 
 
 def test_lrn_constant_channels_against_scalar_oracle():
-    p = LrnParams(size=5, k=2.0, alpha=1e-4, beta=0.75)
     x = np.full((1, 1, 1, 96), 2.0)
-    out = layers.lrn_forward(x, p)
+    out = layers.lrn_forward(x, size=5, k=2.0, alpha=1e-4, beta=0.75)
     want = lrn_scalar(x, 5, 2.0, 1e-4, 0.75)
     assert max_rel_err(out, want) < 1e-12
     # interior channels see the full 5-channel window: sum of squares is 20
@@ -298,56 +296,43 @@ def test_lrn_constant_channels_against_scalar_oracle():
 
 def test_lrn_alpha_zero_k_one_is_identity():
     x = rng(19).normal(size=(2, 3, 3, 6))
-    out = layers.lrn_forward(x, LrnParams(size=5, k=1.0, alpha=0.0, beta=0.9))
+    out = layers.lrn_forward(x, size=5, k=1.0, alpha=0.0, beta=0.9)
     assert np.array_equal(out, x)
 
 
 def test_lrn_random_matches_scalar_oracle():
     x = rng(20).normal(size=(2, 3, 4, 7))
-    p = LrnParams(size=4, k=1.5, alpha=0.3, beta=0.6)
-    assert max_rel_err(layers.lrn_forward(x, p),
+    assert max_rel_err(layers.lrn_forward(x, size=4, k=1.5, alpha=0.3, beta=0.6),
                        lrn_scalar(x, 4, 1.5, 0.3, 0.6)) < 1e-12
 
 
 def test_lrn_never_amplifies_when_k_at_least_one():
     x = rng(21).normal(size=(2, 3, 3, 8)) * 3
-    out = layers.lrn_forward(x, LrnParams(size=5, k=1.0, alpha=2.0, beta=0.75))
+    out = layers.lrn_forward(x, size=5, k=1.0, alpha=2.0, beta=0.75)
     assert (np.abs(out) <= np.abs(x) + 1e-15).all()
 
 
 def test_lrn_backward_alpha_zero():
     x = rng(22).normal(size=(1, 2, 2, 5))
     g = rng(23).normal(size=x.shape)
-    p = LrnParams(size=3, k=2.0, alpha=0.0, beta=0.75)
-    assert max_rel_err(layers.lrn_backward(x, p, g), g / 2.0 ** 0.75) < 1e-15
+    out = layers.lrn_backward(x, g, size=3, k=2.0, alpha=0.0, beta=0.75)
+    assert max_rel_err(out, g / 2.0 ** 0.75) < 1e-15
 
 
 def test_lrn_backward_zero_grad():
     x = rng(24).normal(size=(1, 2, 2, 5))
-    assert not layers.lrn_backward(x, LrnParams(), np.zeros_like(x)).any()
+    g = np.zeros_like(x)
+    assert not layers.lrn_backward(x, g, size=5, k=2.0, alpha=1e-4, beta=0.75).any()
 
 
 def test_lrn_backward_matches_finite_differences():
     r = rng(25)
     x = r.normal(size=(1, 2, 2, 8))
     probe = r.normal(size=x.shape)
-    p = LrnParams(size=5, k=2.0, alpha=0.5, beta=0.75)
-    grad = layers.lrn_backward(x, p, probe)
-    numeric = fd_grad(lambda v: float((layers.lrn_forward(v, p) * probe).sum()), x.copy())
+    p = dict(size=5, k=2.0, alpha=0.5, beta=0.75)
+    grad = layers.lrn_backward(x, probe, **p)
+    numeric = fd_grad(lambda v: float((layers.lrn_forward(v, **p) * probe).sum()), x.copy())
     assert max_rel_err(grad, numeric) < 1e-6
-
-
-def test_lrn_params_invariants():
-    with pytest.raises(ValueError):
-        LrnParams(size=0)
-    with pytest.raises(ValueError):
-        LrnParams(k=0.0)
-    with pytest.raises(ValueError):
-        LrnParams(beta=0.0)
-    for bad in (np.nan, np.inf, -np.inf):
-        for name in ("k", "alpha", "beta"):
-            with pytest.raises(ValueError, match=name):
-                LrnParams(**{name: bad})
 
 
 # ---------------------------------------------------------------- concat / split

@@ -380,10 +380,9 @@ def test_grad_check_full_tiny_network():
 def test_grad_check_flags_corrupted_lrn_backward(monkeypatch):
     # drop the cross-channel terms of the normalization adjoint; the root conv
     # parameters (whose gradient path crosses the norm layer) must be flagged
-    def lopsided(x, p, grad_out):
-        half = p.size // 2
-        s = p.k + (p.alpha / p.size) * layers._window_sum_channels(x * x, half)
-        return grad_out * s ** (-p.beta)
+    def lopsided(x, grad_out, size, k, alpha, beta):
+        s = k + (alpha / size) * layers._window_sum_channels(x * x, size // 2)
+        return grad_out * s ** (-beta)
 
     monkeypatch.setattr(layers, "lrn_backward", lopsided)
     net = graph.build_lfhn(graph.tiny_config(), seed=28)
@@ -400,7 +399,8 @@ def test_grad_check_flags_corrupted_lrn_backward(monkeypatch):
 def test_grad_check_flags_nan_backward(monkeypatch):
     # a nan gradient compares false against every error, yet must fail the check
     lrn_backward = layers.lrn_backward
-    monkeypatch.setattr(layers, "lrn_backward", lambda *a: lrn_backward(*a) * np.nan)
+    monkeypatch.setattr(layers, "lrn_backward",
+                        lambda *a, **kw: lrn_backward(*a, **kw) * np.nan)
     net = graph.build_lfhn(graph.tiny_config(), seed=28)
     train.randomize_biases(net, seed=28)
     rng = np.random.default_rng(29)
