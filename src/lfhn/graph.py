@@ -224,7 +224,11 @@ class NetworkGraph:
     """The config's node list (_architecture) plus the named parameter registry.
 
     Parameters of node names listed in `frozen` receive no gradient entries
-    from backward().
+    from backward(). grads holds {param name: gradient array}: backward
+    makes a parameter's entry the first time it computes that gradient and
+    writes every later one into the same array, so a net that has run
+    backward holds one gradient array per trainable parameter (fc6's is
+    1429 MiB at the paper's size), and one that never has, none.
     """
 
     def __init__(self, config, params, frozen=()):
@@ -232,6 +236,7 @@ class NetworkGraph:
         self.nodes = _architecture(config)
         self.params = dict(params)
         self.frozen = set(frozen)
+        self.grads = {}
         last_reader = {}
         for node in self.nodes:
             for dep in node.inputs:
@@ -315,32 +320,34 @@ def _on_threads(work, parts):
 
 # {kind: (forward step, backward step)}. forward(xs, ps, attrs) returns the
 # node's output from its input tensors xs, its parameter arrays ps (in
-# node.param_shapes order) and its attrs. backward(xs, ps, attrs, out, g),
-# given the node's output out and its gradient g, returns one flat sequence:
-# the gradients of xs (None where not needed), then those of ps. Layers and
-# parameter arrays are looked up at call time, so that patches and rebound
-# arrays take effect. Every node's attrs are its layer's keywords: conv
-# attrs conv_backward's, pool attrs maxpool's, LRN attrs (size, k, alpha,
-# beta) lrn's. Every ReLU of the template reads a conv or fc that only it
-# reads, never the batch or a flatten view, so it rectifies that tensor in
-# place.
+# node.param_shapes order) and its attrs. backward(xs, ps, gs, attrs, y, g),
+# given the node's output y and its gradient g, writes the gradients of ps
+# into the arrays gs (same order; None for a frozen node, whose parameter
+# gradients are computed into fresh arrays and dropped) and returns the
+# gradients of xs (None where not needed). Layers and parameter arrays are
+# looked up at call time, so that patches and rebound arrays take effect.
+# Every node's attrs are its layer's keywords: conv attrs conv_backward's,
+# pool attrs maxpool's, LRN attrs (size, k, alpha, beta) lrn's. Every ReLU
+# of the template reads a conv or fc that only it reads, never the batch or
+# a flatten view, so it rectifies that tensor in place.
 OPS = {
     "conv": (lambda xs, ps, attrs: layers.conv_forward(xs[0], *ps, attrs["stride"]),
-             lambda xs, ps, attrs, out, g: layers.conv_backward(xs[0], ps[0], g, **attrs)),
+             lambda xs, ps, gs, attrs, y, g: layers.conv_backward(
+                 xs[0], ps[0], g, out=gs, **attrs)[:1]),
     "relu": (lambda xs, ps, attrs: layers.relu(xs[0], out=xs[0]),
-             lambda xs, ps, attrs, out, g: (layers.relu_backward(xs[0], g),)),
+             lambda xs, ps, gs, attrs, y, g: (layers.relu_backward(xs[0], g),)),
     "maxpool": (lambda xs, ps, attrs: layers.maxpool_forward(xs[0], **attrs),
-                lambda xs, ps, attrs, out, g: (
-                    layers.maxpool_backward(xs[0], out, g, **attrs),)),
+                lambda xs, ps, gs, attrs, y, g: (
+                    layers.maxpool_backward(xs[0], y, g, **attrs),)),
     "lrn": (lambda xs, ps, attrs: layers.lrn_forward(xs[0], **attrs),
-            lambda xs, ps, attrs, out, g: (layers.lrn_backward(xs[0], g, **attrs),)),
+            lambda xs, ps, gs, attrs, y, g: (layers.lrn_backward(xs[0], g, **attrs),)),
     "concat": (lambda xs, ps, attrs: layers.concat_channels(xs),
-               lambda xs, ps, attrs, out, g: layers.split_channels(
+               lambda xs, ps, gs, attrs, y, g: layers.split_channels(
                    g, [x.shape[-1] for x in xs])),
     "flatten": (lambda xs, ps, attrs: xs[0].reshape(xs[0].shape[0], -1),
-                lambda xs, ps, attrs, out, g: (g.reshape(xs[0].shape),)),
+                lambda xs, ps, gs, attrs, y, g: (g.reshape(xs[0].shape),)),
     "fc": (lambda xs, ps, attrs: layers.fc_forward(xs[0], *ps),
-           lambda xs, ps, attrs, out, g: layers.fc_backward(xs[0], ps[0], g)),
+           lambda xs, ps, gs, attrs, y, g: layers.fc_backward(xs[0], ps[0], g, out=gs)[:1]),
 }
 
 
@@ -377,12 +384,15 @@ def forward(net: NetworkGraph, batch, inference=False):
 
 
 def backward(net: NetworkGraph, cache, grad_logits):
-    """Whole-graph adjoint: gradient registry for every non-frozen parameter.
+    """Whole-graph adjoint: {param name: gradient} for every non-frozen parameter.
 
-    Consumes the cache: a node's output is dropped once its own backward
-    step has run, since every node that reads it in backward
-    (the node and its consumers) has run by then. Only "input", the
-    caller's batch, is left.
+    The arrays are the net's own (net.grads): the next backward on this net
+    writes its gradients into them, so a caller that needs a gradient past
+    that must copy it. Consumes the cache: a node's output is dropped once
+    its own backward step has run, since every node that reads it in
+    backward (the node and its consumers) has run by then. Only "input",
+    the caller's batch, is left. A frozen node that reads only the batch
+    runs no step, as none of its gradients would be kept.
     """
     if cache is None:
         raise ValueError("no activation cache: an inference forward frees each "
@@ -402,15 +412,23 @@ def backward(net: NetworkGraph, cache, grad_logits):
     for node in reversed(net.nodes[1:]):
         # every node after "input" is read by a later node, or is the output
         g = node_grads.pop(node.name)
+        y = cache.pop(node.name)
+        frozen = node.name in net.frozen
+        if frozen and node.inputs == ("input",):
+            continue
+        gs = None
+        if node.param_shapes and not frozen:
+            for name, shape in node.param_shapes.items():
+                if name not in net.grads:
+                    net.grads[name] = np.empty(shape, dtype=DTYPE)
+            gs = [net.grads[name] for name in node.param_shapes]
+            param_grads.update(zip(node.param_shapes, gs))
         xs = [cache[name] for name in node.inputs]
         ps = [net.params[name] for name in node.param_shapes]
-        grads = OPS[node.kind][1](xs, ps, node.attrs, cache[node.name], g)
+        grads = OPS[node.kind][1](xs, ps, gs, node.attrs, y, g)
         for name, gi in zip(node.inputs, grads):
             if gi is not None:
                 node_grads[name] = node_grads[name] + gi if name in node_grads else gi
-        if node.param_shapes and node.name not in net.frozen:
-            param_grads.update(zip(node.param_shapes, grads[len(xs):]))
-        cache.pop(node.name)
     return param_grads
 
 

@@ -45,13 +45,15 @@ def conv_forward(x, kernel, bias, stride=1) -> np.ndarray:
     return out.reshape(n, ho, wo, cout)
 
 
-def conv_backward(x, kernel, grad_out, stride=1, need_input_grad=True):
+def conv_backward(x, kernel, grad_out, stride=1, need_input_grad=True, out=None):
     """Adjoint of conv_forward at its input x.
 
     x is lowered again here, in one batch: a reshape for a 1x1 kernel at
     stride 1, one im2col otherwise. Returns (grad_input, grad_kernel,
     grad_bias); grad_input is None when need_input_grad is False (the root
-    layer of a network never needs it).
+    layer of a network never needs it). out, when given, is a
+    (grad_kernel, grad_bias) pair of contiguous arrays that the two
+    parameter gradients are written into and returned as.
     """
     n, h, w, _ = x.shape
     kh, kw, cin, cout = kernel.shape
@@ -65,8 +67,10 @@ def conv_backward(x, kernel, grad_out, stride=1, need_input_grad=True):
     pointwise = (kh, kw, stride) == (1, 1, 1)
     rows = x if pointwise else tensor.im2col(x, kh, kw, stride)
     g = grad_out.reshape(n * ho * wo, cout)
-    grad_kernel = (rows.reshape(n * ho * wo, kh * kw * cin).T @ g).reshape(kernel.shape)
-    grad_bias = grad_out.sum(axis=(0, 1, 2))
+    grad_kernel, grad_bias = out or (np.empty(kernel.shape, np.result_type(x, g)), None)
+    np.matmul(rows.reshape(n * ho * wo, kh * kw * cin).T, g,
+              out=grad_kernel.reshape(-1, cout))
+    grad_bias = grad_out.sum(axis=(0, 1, 2), out=grad_bias)
     grad_input = None
     if need_input_grad:
         gcols = g @ kernel.reshape(-1, cout).T
@@ -213,10 +217,15 @@ def fc_forward(x, weight, bias) -> np.ndarray:
     return out
 
 
-def fc_backward(x, weight, grad_out):
-    """Adjoint of fc_forward: (grad_input, grad_weight, grad_bias)."""
-    grad_weight = x.T @ grad_out
-    grad_bias = grad_out.sum(axis=0)
+def fc_backward(x, weight, grad_out, out=None):
+    """Adjoint of fc_forward: (grad_input, grad_weight, grad_bias).
+
+    out, when given, is a (grad_weight, grad_bias) pair that the parameter
+    gradients are written into and returned as.
+    """
+    grad_weight, grad_bias = out or (None, None)
+    grad_weight = np.matmul(x.T, grad_out, out=grad_weight)
+    grad_bias = grad_out.sum(axis=0, out=grad_bias)
     grad_input = grad_out @ weight.T
     return grad_input, grad_weight, grad_bias
 

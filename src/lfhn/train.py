@@ -29,15 +29,15 @@ class TrainConfig:
     def __post_init__(self):
         # lr 0 is allowed as an explicit no-op smoke path
         if not 0 <= self.lr < np.inf:
-            raise ValueError(f"learning rate must be finite and >= 0, got {self.lr}")
+            raise ValueError(f"lr must be a finite learning rate >= 0, got {self.lr}")
         if not 0 <= self.momentum < 1:
-            raise ValueError("momentum must be in [0, 1)")
+            raise ValueError(f"momentum must be in [0, 1), got {self.momentum}")
         if self.batch_size < 1:
-            raise ValueError("batch size must be >= 1")
+            raise ValueError(f"batch_size must be >= 1, got {self.batch_size}")
         if self.epochs < 0:
-            raise ValueError("epoch count must be >= 0")
+            raise ValueError(f"epochs must be >= 0, got {self.epochs}")
         if self.lr_decay_every < 0:
-            raise ValueError("lr_decay_every must be >= 0")
+            raise ValueError(f"lr_decay_every must be >= 0, got {self.lr_decay_every}")
         if not 0 < self.lr_decay_factor < np.inf:
             raise ValueError(f"lr_decay_factor must be finite and > 0, "
                              f"got {self.lr_decay_factor}")
@@ -142,8 +142,9 @@ def train(net, samples, cfg: TrainConfig):
             total_loss += loss * len(idx)
             grads = graph.backward(net, cache, grad_logits)
             sgd_step(net.params, grads, velocity, lr, cfg.momentum)
-            # free this batch's activations and gradients before the next forward
-            del cache, grads
+            # free this batch before the next forward; the gradient arrays
+            # are the net's, and the next backward writes into them again
+            del cache
         log.append((epoch, total_loss / n, correct / n))
     return net, log
 

@@ -722,6 +722,20 @@ def test_shapes_config_bad_value_exits_2(tmp_path, capsys, line):
     assert capsys.readouterr().err.startswith("error: ")
 
 
+@pytest.mark.parametrize("line, message", [
+    ("lr = nan", "lr must be a finite learning rate >= 0, got nan"),
+    ("momentum = 1.5", "momentum must be in [0, 1), got 1.5"),
+    ("batch_size = 0", "batch_size must be >= 1, got 0"),
+    ("epochs = -1", "epochs must be >= 0, got -1"),
+    ("lr_decay_every = -1", "lr_decay_every must be >= 0, got -1"),
+])
+def test_run_config_refusal_names_the_key_and_the_value(tmp_path, capsys, line, message):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(line + "\n")
+    assert cli.main(["shapes", "--config", str(cfg)]) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+
+
 def test_config_file_repeated_key_exits_2(tmp_path, small_corpus, capsys):
     cfg = tmp_path / "run.cfg"
     cfg.write_text("lr = 0.5\nepochs = 1\nlr = 0.01\n")

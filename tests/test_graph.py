@@ -436,6 +436,84 @@ def test_backward_frozen_root_has_no_conv1_entries():
     assert any(name.startswith("conv2.") for name in grads)
 
 
+def _gradients(net, x, labels):
+    logits, cache = graph.forward(net, x)
+    _, grad_logits = layers.softmax_xent(logits, labels)
+    return graph.backward(net, cache, grad_logits)
+
+
+def test_frozen_root_runs_no_backward_step(monkeypatch):
+    net = graph.build_lfhn(graph.desk_config(10), seed=31)
+    train.randomize_biases(net, seed=31)
+    rng = np.random.default_rng(32)
+    x = rng.uniform(size=(4, 67, 67, 1))
+    labels = rng.integers(0, 10, size=4)
+    unfrozen = {name: g.copy() for name, g in _gradients(net, x, labels).items()}
+    frozen = graph.NetworkGraph(net.config, net.params, {"conv1"})
+    logits, cache = graph.forward(frozen, x)
+    calls = []
+    monkeypatch.setattr(tensor, "im2col", lambda *a, **k: calls.append(a[1:]))
+    _, grad_logits = layers.softmax_xent(logits, labels)
+    grads = graph.backward(frozen, cache, grad_logits)
+    assert calls == [] and cache.keys() == {"input"}
+    assert set(grads) == set(frozen.grads) == set(unfrozen) - {"conv1.kernel", "conv1.bias"}
+    for name, g in grads.items():
+        assert _same_bits(g, unfrozen[name]), name
+
+
+@pytest.mark.parametrize("config", ["tiny", "desk"])
+def test_backward_reuses_the_nets_gradient_arrays(config):
+    cfg = CONFIGS[config]
+    net = graph.build_lfhn(cfg, seed=33)
+    train.randomize_biases(net, seed=33)
+    assert net.grads == {}
+    rng = np.random.default_rng(34)
+    returned = []
+    for _ in range(2):
+        x = rng.uniform(size=(3, cfg.input_height, cfg.input_width, cfg.input_channels))
+        labels = rng.integers(0, cfg.num_classes, size=3)
+        grads = _gradients(net, x, labels)
+        assert grads.keys() == net.grads.keys() == net.params.keys()
+        assert all(g is net.grads[name] for name, g in grads.items())
+        twin = train.randomize_biases(graph.build_lfhn(cfg, seed=33), seed=33)
+        for name, g in _gradients(twin, x, labels).items():
+            assert _same_bits(grads[name], g), name
+        returned.append(grads)
+    first, second = returned
+    assert first is not second
+    assert all(first[name] is second[name] for name in first)
+
+
+@pytest.mark.parametrize("config", ["tiny", "desk"])
+def test_gradient_arrays_hold_the_allocating_layer_calls_bits(config, monkeypatch):
+    cfg = CONFIGS[config]
+    net = graph.build_lfhn(cfg, seed=35)
+    train.randomize_biases(net, seed=35)
+    rng = np.random.default_rng(36)
+    x = rng.uniform(size=(3, cfg.input_height, cfg.input_width, cfg.input_channels))
+    labels = rng.integers(0, cfg.num_classes, size=3)
+    names = {id(net.params[name]): name.rpartition(".")[0] for name in net.params}
+    allocated = {}
+
+    def recording(step):
+        def call(x, weight, grad_out, out=None, **kwargs):
+            assert out is not None
+            _, grad_weight, grad_bias = step(x, weight, grad_out, **kwargs)
+            node = names[id(weight)]
+            allocated[node + (".kernel" if weight.ndim == 4 else ".weight")] = grad_weight
+            allocated[node + ".bias"] = grad_bias
+            return step(x, weight, grad_out, out=out, **kwargs)
+        return call
+
+    monkeypatch.setattr(layers, "conv_backward", recording(layers.conv_backward))
+    monkeypatch.setattr(layers, "fc_backward", recording(layers.fc_backward))
+    for _ in range(2):  # the second pass writes into the first pass's arrays
+        _gradients(net, x, labels)
+    assert allocated.keys() == net.grads.keys()
+    for name, g in net.grads.items():
+        assert _same_bits(g, allocated[name]), name
+
+
 def test_backward_requires_matching_cache():
     net = graph.build_lfhn(graph.tiny_config(), seed=11)
     with pytest.raises(ValueError, match="cache"):
