@@ -25,7 +25,7 @@ class ConfigError(ValueError):
 
 
 # config file keys that name files rather than model or training fields
-PATH_KEYS = ("log", "root_weights")
+PATH_KEYS = ("log", "root_from")
 
 
 def _config_schema():
@@ -208,7 +208,7 @@ def cmd_train(args):
         values = _merged_config(args)
         seed = resolve_seed(args.seed, values.get("seed"))
         log_path = values.get("log") or f"{args.out}.log.csv"
-        inputs = {"run config": args.config, "root weights": values.get("root_weights")}
+        inputs = {"run config": args.config, "root donor": values.get("root_from")}
         outputs = {"checkpoint": args.out, "epoch log": log_path}
         _check_no_overwrite(inputs, outputs)
         _check_outside_corpus(args.data, outputs)
@@ -231,6 +231,18 @@ def cmd_train(args):
                                         "seed": seed})
     except ValueError as err:
         return _error(str(err), EXIT_USAGE)
+    root = {}
+    if values.get("root_from"):  # keep the donor's conv1; the rest is freed before the build
+        donor = values["root_from"]
+        try:
+            root = {name: p for name, p in graph.load_checkpoint(donor).params.items()
+                    if name.startswith("conv1.")}
+        except (OSError, ValueError) as err:  # CheckpointError among them
+            return _error(f"root_from {donor}: {err}", EXIT_MISMATCH)
+        got, want = root["conv1.kernel"].shape, graph.parameter_shapes(cfg)["conv1.kernel"]
+        if got != want:  # the bias has the kernel's out-channels
+            return _error(f"root_from {donor}: conv1.kernel is {got}, but this run's is {want}",
+                          EXIT_MISMATCH)
     try:
         net = graph.build_lfhn(cfg, seed=seed)
     except (MemoryError, ValueError) as err:  # numpy: too many bytes, or too many elements
@@ -239,14 +251,9 @@ def cmd_train(args):
             classes += (", inferred from the corpus's largest identity id "
                         f"{cfg.num_classes - 1}")
         return _error(f"cannot build the network for {classes}: {err}", EXIT_USAGE)
-
-    if values.get("root_weights"):
-        try:
-            graph.load_root_weights(net, values["root_weights"])
-        except (OSError, ValueError) as err:
-            return _error(str(err), EXIT_MISMATCH)
-    elif tcfg.freeze_root:
-        print("warning: freeze_root set without root_weights; "
+    net.params.update(root)
+    if tcfg.freeze_root and not root:
+        print("warning: freeze_root set without root_from; "
               "freezing the randomly initialized root layer", file=sys.stderr)
 
     try:
@@ -435,8 +442,8 @@ def build_parser():
                    const=True, help="keep the root conv parameters fixed")
     p.add_argument("--augment", action="store_const", const=True,
                    help="random crop + mirror during training")
-    p.add_argument("--root-weights", dest="root_weights",
-                   help="flat float64 kernel+bias file for the root conv")
+    p.add_argument("--root-from", dest="root_from",
+                   help="checkpoint whose conv1 kernel and bias start the root conv")
     p.set_defaults(func=cmd_train)
 
     p = sub.add_parser("eval", parents=[common], help="rank-1 table for a checkpoint")

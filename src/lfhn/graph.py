@@ -155,11 +155,10 @@ def _architecture(cfg: LfhnConfig):
         return name
 
     def add_conv(name, prev, shape, kernel, in_channels, stride):
-        # only conv1 reads the batch, whose gradient nothing needs
         out = shape[-1]
         return add(name, "conv", [prev], shape,
                    {"kernel": (kernel, kernel, in_channels, out), "bias": (out,)},
-                   stride=stride, need_input_grad=prev != "input")
+                   stride=stride)
 
     k, s = cfg.root_kernel, cfg.root_stride
     hw = (_tiled_extent("conv1", cfg.input_height, k, s),
@@ -320,34 +319,36 @@ def _on_threads(work, parts):
 
 # {kind: (forward step, backward step)}. forward(xs, ps, attrs) returns the
 # node's output from its input tensors xs, its parameter arrays ps (in
-# node.param_shapes order) and its attrs. backward(xs, ps, gs, attrs, y, g),
-# given the node's output y and its gradient g, writes the gradients of ps
-# into the arrays gs (same order; None for a frozen node, whose parameter
-# gradients are computed into fresh arrays and dropped) and returns the
-# gradients of xs (None where not needed). Layers and parameter arrays are
-# looked up at call time, so that patches and rebound arrays take effect.
+# node.param_shapes order) and its attrs. backward(xs, ps, gs, need, attrs,
+# y, g), given the node's output y and its gradient g, writes the gradients
+# of ps into the arrays gs (same order; None for a frozen node, whose
+# parameter gradients are computed into fresh arrays and dropped) and
+# returns the gradients of xs: conv and fc compute xs[i]'s only where
+# need[i] holds, and backward drops any other. Layers and parameter arrays
+# are looked up at call time, so that patches and rebound arrays take effect.
 # Every node's attrs are its layer's keywords: conv attrs conv_backward's,
 # pool attrs maxpool's, LRN attrs (size, k, alpha, beta) lrn's. Every ReLU
 # of the template reads a conv or fc that only it reads, never the batch or
 # a flatten view, so it rectifies that tensor in place.
 OPS = {
     "conv": (lambda xs, ps, attrs: layers.conv_forward(xs[0], *ps, attrs["stride"]),
-             lambda xs, ps, gs, attrs, y, g: layers.conv_backward(
-                 xs[0], ps[0], g, out=gs, **attrs)[:1]),
+             lambda xs, ps, gs, need, attrs, y, g: layers.conv_backward(
+                 xs[0], ps[0], g, need_input_grad=need[0], out=gs, **attrs)[:1]),
     "relu": (lambda xs, ps, attrs: layers.relu(xs[0], out=xs[0]),
-             lambda xs, ps, gs, attrs, y, g: (layers.relu_backward(xs[0], g),)),
+             lambda xs, ps, gs, need, attrs, y, g: (layers.relu_backward(xs[0], g),)),
     "maxpool": (lambda xs, ps, attrs: layers.maxpool_forward(xs[0], **attrs),
-                lambda xs, ps, gs, attrs, y, g: (
+                lambda xs, ps, gs, need, attrs, y, g: (
                     layers.maxpool_backward(xs[0], y, g, **attrs),)),
     "lrn": (lambda xs, ps, attrs: layers.lrn_forward(xs[0], **attrs),
-            lambda xs, ps, gs, attrs, y, g: (layers.lrn_backward(xs[0], g, **attrs),)),
+            lambda xs, ps, gs, need, attrs, y, g: (layers.lrn_backward(xs[0], g, **attrs),)),
     "concat": (lambda xs, ps, attrs: layers.concat_channels(xs),
-               lambda xs, ps, gs, attrs, y, g: layers.split_channels(
+               lambda xs, ps, gs, need, attrs, y, g: layers.split_channels(
                    g, [x.shape[-1] for x in xs])),
     "flatten": (lambda xs, ps, attrs: xs[0].reshape(xs[0].shape[0], -1),
-                lambda xs, ps, gs, attrs, y, g: (g.reshape(xs[0].shape),)),
+                lambda xs, ps, gs, need, attrs, y, g: (g.reshape(xs[0].shape),)),
     "fc": (lambda xs, ps, attrs: layers.fc_forward(xs[0], *ps),
-           lambda xs, ps, gs, attrs, y, g: layers.fc_backward(xs[0], ps[0], g, out=gs)[:1]),
+           lambda xs, ps, gs, need, attrs, y, g: layers.fc_backward(
+               xs[0], ps[0], g, need_input_grad=need[0], out=gs)[:1]),
 }
 
 
@@ -388,11 +389,12 @@ def backward(net: NetworkGraph, cache, grad_logits):
 
     The arrays are the net's own (net.grads): the next backward on this net
     writes its gradients into them, so a caller that needs a gradient past
-    that must copy it. Consumes the cache: a node's output is dropped once
-    its own backward step has run, since every node that reads it in
-    backward (the node and its consumers) has run by then. Only "input",
-    the caller's batch, is left. A frozen node that reads only the batch
-    runs no step, as none of its gradients would be kept.
+    that must copy it. Only the steps a trainable parameter needs run: a
+    node's step runs if a trainable parameter lies at or upstream of its
+    output, and asks for an input's gradient only if one lies at or upstream
+    of that input (never the batch's). With only conv1 frozen, conv1, relu1,
+    pool1 and norm1 run no step. Consumes the cache: every node's output is
+    dropped on its turn, and only "input", the caller's batch, is left.
     """
     if cache is None:
         raise ValueError("no activation cache: an inference forward frees each "
@@ -407,17 +409,21 @@ def backward(net: NetworkGraph, cache, grad_logits):
     if grad_logits.shape != cache[net.output_name].shape:
         raise ValueError(f"grad_logits shape {grad_logits.shape} does not match "
                          f"logits {cache[net.output_name].shape}")
+    needed = set()  # the tensors at or downstream of a trainable parameter
+    for node in net.nodes:
+        trainable = node.param_shapes and node.name not in net.frozen
+        if trainable or not needed.isdisjoint(node.inputs):
+            needed.add(node.name)
     node_grads = {net.output_name: grad_logits}
     param_grads = {}
     for node in reversed(net.nodes[1:]):
-        # every node after "input" is read by a later node, or is the output
-        g = node_grads.pop(node.name)
         y = cache.pop(node.name)
-        frozen = node.name in net.frozen
-        if frozen and node.inputs == ("input",):
+        if node.name not in needed:
             continue
+        # every needed node after "input" is read by a needed node, or is the output
+        g = node_grads.pop(node.name)
         gs = None
-        if node.param_shapes and not frozen:
+        if node.param_shapes and node.name not in net.frozen:
             for name, shape in node.param_shapes.items():
                 if name not in net.grads:
                     net.grads[name] = np.empty(shape, dtype=DTYPE)
@@ -425,9 +431,10 @@ def backward(net: NetworkGraph, cache, grad_logits):
             param_grads.update(zip(node.param_shapes, gs))
         xs = [cache[name] for name in node.inputs]
         ps = [net.params[name] for name in node.param_shapes]
-        grads = OPS[node.kind][1](xs, ps, gs, node.attrs, y, g)
-        for name, gi in zip(node.inputs, grads):
-            if gi is not None:
+        need = [name in needed for name in node.inputs]
+        grads = OPS[node.kind][1](xs, ps, gs, need, node.attrs, y, g)
+        for name, gi, wanted in zip(node.inputs, grads, need):
+            if wanted:
                 node_grads[name] = node_grads[name] + gi if name in node_grads else gi
     return param_grads
 
@@ -613,24 +620,3 @@ def _read_span(fd, span):
             if n == 0:
                 raise CheckpointError(f"truncated checkpoint while reading {name}")
             offset, view = offset + n, view[n:]
-
-
-def load_root_weights(net: NetworkGraph, path):
-    """Install pretrained root-layer weights from a flat float64 file.
-
-    The file holds the kernel values in (kh, kw, cin, cout) row-major order
-    followed by the cout bias values, all little-endian float64.
-    """
-    kernel = net.params["conv1.kernel"]
-    bias = net.params["conv1.bias"]
-    expected = 8 * (kernel.size + bias.size)
-    size = os.path.getsize(path)
-    if size != expected:
-        raise ValueError(f"{path}: root weight file holds {size} bytes, expected {expected}: "
-                         f"float64 values for shape {kernel.shape} + bias")
-    raw = np.fromfile(path, dtype="<f8")
-    net.params["conv1.kernel"] = np.ascontiguousarray(
-        raw[:kernel.size].reshape(kernel.shape), dtype=DTYPE)
-    net.params["conv1.bias"] = np.ascontiguousarray(
-        raw[kernel.size:], dtype=DTYPE)
-

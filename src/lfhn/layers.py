@@ -50,8 +50,9 @@ def conv_backward(x, kernel, grad_out, stride=1, need_input_grad=True, out=None)
 
     x is lowered again here, in one batch: a reshape for a 1x1 kernel at
     stride 1, one im2col otherwise. Returns (grad_input, grad_kernel,
-    grad_bias); grad_input is None when need_input_grad is False (the root
-    layer of a network never needs it). out, when given, is a
+    grad_bias); grad_input is None when need_input_grad is False, as
+    graph.backward asks wherever no trainable parameter lies upstream of x
+    (for conv1, which reads the batch, always). out, when given, is a
     (grad_kernel, grad_bias) pair of contiguous arrays that the two
     parameter gradients are written into and returned as.
     """
@@ -217,16 +218,18 @@ def fc_forward(x, weight, bias) -> np.ndarray:
     return out
 
 
-def fc_backward(x, weight, grad_out, out=None):
+def fc_backward(x, weight, grad_out, need_input_grad=True, out=None):
     """Adjoint of fc_forward: (grad_input, grad_weight, grad_bias).
 
-    out, when given, is a (grad_weight, grad_bias) pair that the parameter
-    gradients are written into and returned as.
+    grad_input is None when need_input_grad is False, as graph.backward
+    asks wherever no trainable parameter lies upstream of x (for fc6 when
+    every conv is frozen). out, when given, is a (grad_weight, grad_bias)
+    pair that the parameter gradients are written into and returned as.
     """
     grad_weight, grad_bias = out or (None, None)
     grad_weight = np.matmul(x.T, grad_out, out=grad_weight)
     grad_bias = grad_out.sum(axis=0, out=grad_bias)
-    grad_input = grad_out @ weight.T
+    grad_input = grad_out @ weight.T if need_input_grad else None
     return grad_input, grad_weight, grad_bias
 
 

@@ -395,9 +395,9 @@ def test_eval_unwritable_table_exits_2_before_loading(tmp_path, small_corpus, ca
     (["--log", "{d}/./m.lfhn"], "", "epoch log {d}/./m.lfhn is also the checkpoint {d}/m.lfhn"),
     ([], "log = {d}/m.lfhn\n", "epoch log {d}/m.lfhn is also the checkpoint {d}/m.lfhn"),
     (["--log", "{d}/run.cfg"], "", "epoch log {d}/run.cfg is also the run config {d}/run.cfg"),
-    (["--root-weights", "{d}/m.lfhn"], "",
-     "checkpoint {d}/m.lfhn is also the root weights {d}/m.lfhn"),
-], ids=["log", "config-log", "log-is-config", "out-is-root-weights"])
+    (["--root-from", "{d}/m.lfhn"], "",
+     "checkpoint {d}/m.lfhn is also the root donor {d}/m.lfhn"),
+], ids=["log", "config-log", "log-is-config", "out-is-root-from"])
 def test_train_output_naming_an_input_or_the_other_output_exits_2_before_loading(
         tmp_path, small_corpus, capsys, monkeypatch, extra, config, message):
     d = tmp_path
@@ -575,39 +575,47 @@ def test_train_freeze_root_without_weights_warns(tmp_path, small_corpus, capsys)
     assert graph.load_checkpoint(model).frozen == {"conv1"}
 
 
-def test_train_with_root_weights_file(tmp_path, small_corpus):
-    sample = data.load_corpus(small_corpus)[0]
-    h, w, c = sample.image.shape
-    cfg = graph.LfhnConfig(input_height=h, input_width=w, input_channels=c,
-                           root_kernel=11, root_channels=96, root_stride=4,
-                           num_classes=2)
-    kernel_size = 11 * 11 * c * 96
-    rng = np.random.default_rng(0)
-    blob = rng.normal(size=kernel_size + 96).astype("<f8")
-    weights = tmp_path / "root.f64"
-    blob.tofile(weights)
-    model = tmp_path / "model.lfhn"
-    rc = cli.main(["train", "--data", str(small_corpus), "--out", str(model),
-                   "--epochs", "1", "--lr", "0", "--seed", "4",
-                   "--root-weights", str(weights)])
-    assert rc == 0
-    loaded = graph.load_checkpoint(model)
-    assert np.array_equal(loaded.params["conv1.kernel"],
-                          blob[:kernel_size].reshape(11, 11, c, 96))
+# small widths over small_corpus's 35x35x1 images
+SMALL_RUN_CONFIG = ("root_channels = 8\nstreams = 8,8|8\npost_concat_channels = 8\n"
+                    "fc_hidden = 16\n")
 
 
-def test_train_refuses_root_weights_with_a_partial_float_exit_3(tmp_path, small_corpus,
-                                                                capsys):
-    c = data.load_corpus(small_corpus)[0].image.shape[-1]
-    weights = tmp_path / "root.f64"
-    # the default root's 11x11xcx96 kernel and 96 biases, then 3 stray bytes
-    weights.write_bytes(bytes(8 * (11 * 11 * c * 96 + 96) + 3))
-    model = tmp_path / "model.lfhn"
-    rc = cli.main(["train", "--data", str(small_corpus), "--out", str(model),
-                   "--epochs", "1", "--root-weights", str(weights)])
+def test_train_root_from_starts_and_keeps_the_donors_conv1(tmp_path, small_corpus, capsys,
+                                                            monkeypatch):
+    for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS",
+                "NUMEXPR_NUM_THREADS"):
+        monkeypatch.delenv(var, raising=False)  # restored after --threads sets it
+    run_config = tmp_path / "run.cfg"
+    run_config.write_text(SMALL_RUN_CONFIG)
+    donor, model = tmp_path / "a.lfhn", tmp_path / "b.lfhn"
+    common = ["train", "--data", str(small_corpus), "--config", str(run_config), "--epochs", "1"]
+    assert cli.main(common + ["--out", str(donor), "--seed", "3"]) == 0
+    capsys.readouterr()
+    assert cli.main(common + ["--out", str(model), "--seed", "4", "--root-from", str(donor),
+                              "--freeze-root", "--threads", "1"]) == 0
+    assert "warning" not in capsys.readouterr().err
+    a, b = graph.load_checkpoint(donor), graph.load_checkpoint(model)
+    fresh = graph.build_lfhn(b.config, seed=4)
+    assert b.frozen == {"conv1"} and a.config == b.config
+    for name in ("conv1.kernel", "conv1.bias"):
+        assert b.params[name].tobytes() == a.params[name].tobytes()
+    assert b.params["conv1.kernel"].tobytes() != fresh.params["conv1.kernel"].tobytes()
+
+
+def test_train_refuses_a_donor_of_another_root_shape_exit_3(tmp_path, small_corpus, capsys):
+    run_config = tmp_path / "run.cfg"
+    run_config.write_text(SMALL_RUN_CONFIG)
+    donor, model = tmp_path / "a.lfhn", tmp_path / "b.lfhn"
+    cfg = graph.LfhnConfig(input_height=35, input_width=35, input_channels=1, root_channels=4,
+                           streams=((8,),), post_concat_channels=8, fc_hidden=16, num_classes=2)
+    graph.save_checkpoint(graph.build_lfhn(cfg, seed=0), donor)
+    capsys.readouterr()
+    rc = cli.main(["train", "--data", str(small_corpus), "--out", str(model), "--config",
+                   str(run_config), "--epochs", "1", "--root-from", str(donor)])
     assert rc == 3
-    err = capsys.readouterr().err.splitlines()
-    assert len(err) == 1 and "root weight file holds" in err[0], err
+    assert capsys.readouterr().err.splitlines() == [
+        f"error: root_from {donor}: conv1.kernel is (11, 11, 1, 4), "
+        "but this run's is (11, 11, 1, 8)"]
     assert not model.exists()
 
 
@@ -636,22 +644,26 @@ def _exit_0_or_2_3_with_one_error_line(argv, capsys):
     return rc
 
 
-def test_train_on_cut_or_edited_root_weights_never_exits_1(tmp_path, capsys, tiny_corpus):
+def test_train_on_a_cut_or_edited_donor_never_exits_1(tmp_path, capsys, tiny_corpus):
     run_config = tmp_path / "run.cfg"
     run_config.write_text(TINY_RUN_CONFIG)
-    weights = tmp_path / "root.f64"
-    blob = np.random.default_rng(31).normal(size=4 * 2 * 2 * 3 + 4).astype("<f8").tobytes()
-    cases = [blob[:n] for n in (*range(0, len(blob), 8), 1, 7, len(blob) - 1)]
-    cases += [blob[:i] + bytes([v]) + blob[i + 1:] for i in (0, 7, len(blob) - 1)
-              for v in (0x00, 0x7F, 0xFF)]
+    donor = tmp_path / "a.lfhn"
+    graph.save_checkpoint(graph.build_lfhn(graph.tiny_config(), seed=31), donor)
+    blob = donor.read_bytes()
+    cuts = [blob[:n] for n in (*range(0, len(blob), 61), len(blob) - 1)]
+    edits = [blob[:i] + bytes([v]) + blob[i + 1:]
+             for i in (0, 5, 12, blob.index(b"root_channels=") + 14, blob.index(b"fc_hidden=") + 10,
+                       blob.index(b"conv1.kernel") - 1, len(blob) - 1)
+             for v in (0x00, 0x33, 0xFF) if v != blob[i]]
     codes = []
-    for case in cases:
-        weights.write_bytes(case)
+    for case in cuts + edits:
+        donor.write_bytes(case)
         codes.append(_exit_0_or_2_3_with_one_error_line(
             ["train", "--data", str(tiny_corpus), "--out", str(tmp_path / "m.lfhn"),
-             "--config", str(run_config), "--epochs", "0", "--root-weights", str(weights)],
+             "--config", str(run_config), "--epochs", "0", "--root-from", str(donor)],
             capsys))
-    assert codes == [3] * (len(cases) - 9) + [0] * 9
+    assert codes[:len(cuts)] == [3] * len(cuts)
+    assert set(codes[len(cuts):]) == {0, 3}
 
 
 def test_eval_on_a_cut_or_edited_corpus_file_never_exits_1(tmp_path, capsys, tiny_corpus):
@@ -681,9 +693,10 @@ def test_config_file_unknown_key(tmp_path, small_corpus):
     assert rc == 2
 
 
-@pytest.mark.parametrize("key", ["out", "data"])
+@pytest.mark.parametrize("key", ["out", "data", "root_weights"])
 def test_config_file_path_flags_are_not_keys(tmp_path, small_corpus, capsys, key):
-    # --out and --data are required flags, so a file value could only be ignored
+    # --out and --data are required flags, so a file value could only be
+    # ignored; root_from replaced root_weights, so an old run config fails loudly
     cfg = tmp_path / "run.cfg"
     cfg.write_text(f"{key} = {tmp_path / 'fromfile'}\n")
     model = tmp_path / "flag.lfhn"

@@ -461,6 +461,70 @@ def test_frozen_root_runs_no_backward_step(monkeypatch):
         assert _same_bits(g, unfrozen[name]), name
 
 
+# the layer function each node kind's backward step calls; flatten calls none
+BACKWARD_LAYERS = {"conv": "conv_backward", "relu": "relu_backward",
+                   "maxpool": "maxpool_backward", "lrn": "lrn_backward",
+                   "concat": "split_channels", "fc": "fc_backward"}
+DESK_CONVS = ("conv1", "conv2", "conv3", "conv4", "conv5")
+
+
+@pytest.mark.parametrize("frozen, skipped, no_input_grad", [
+    ((), (), ("conv1",)),
+    (("conv1",), ("conv1", "relu1", "pool1", "norm1"), ("conv2", "conv4")),
+    (DESK_CONVS, ("conv1", "relu1", "pool1", "norm1", "conv2", "relu2", "conv3", "relu3",
+                  "conv4", "relu4", "concat", "conv5", "relu5", "flatten"), ("fc6",)),
+], ids=["none", "conv1", "every-conv"])
+def test_backward_runs_only_the_steps_a_trainable_parameter_needs(
+        monkeypatch, frozen, skipped, no_input_grad):
+    """The skipped nodes make no layer call, the no_input_grad ones return no
+    input gradient, and every trainable gradient keeps the unfrozen bits."""
+    net = graph.build_lfhn(graph.desk_config(10), seed=37)
+    train.randomize_biases(net, seed=37)
+    assert [n.name for n in net.nodes if n.kind == "conv"] == list(DESK_CONVS)
+    rng = np.random.default_rng(38)
+    x = rng.uniform(size=(4, 67, 67, 1))
+    labels = rng.integers(0, 10, size=4)
+    unfrozen = {name: g.copy() for name, g in _gradients(net, x, labels).items()}
+    net = graph.NetworkGraph(net.config, net.params, frozen)
+    logits, cache = graph.forward(net, x)
+    _, grad_logits = layers.softmax_xent(logits, labels)
+    calls = []
+
+    def recording(name, step):
+        def call(*args, **kwargs):
+            result = step(*args, **kwargs)
+            parts = name in ("conv_backward", "fc_backward")
+            calls.append((name, parts and result[0] is None))
+            return result
+        return call
+
+    for name in BACKWARD_LAYERS.values():
+        monkeypatch.setattr(layers, name, recording(name, getattr(layers, name)))
+    grads = graph.backward(net, cache, grad_logits)
+    assert calls == [(BACKWARD_LAYERS[node.kind], node.name in no_input_grad)
+                     for node in reversed(net.nodes[1:])
+                     if node.name not in skipped and node.kind != "flatten"]
+    assert cache.keys() == {"input"}
+    assert set(grads) == {name for name in unfrozen if name.split(".")[0] not in frozen}
+    for name, g in grads.items():
+        assert _same_bits(g, unfrozen[name]), name
+
+
+@pytest.mark.parametrize("frozen", [("conv1",), ("conv1", "conv2", "conv3", "conv4", "conv5")],
+                         ids=["conv1", "every-conv"])
+def test_grad_check_of_a_frozen_net_checks_exactly_its_trainable_tensors(frozen):
+    net = graph.build_lfhn(graph.tiny_config(), seed=39)
+    train.randomize_biases(net, seed=39)
+    assert {n.name for n in net.nodes if n.kind == "conv"} >= set(frozen)
+    net.frozen.update(frozen)
+    rng = np.random.default_rng(40)
+    x = rng.uniform(size=(2, 8, 8, 3))
+    report = train.grad_check(net, x, rng.integers(0, 3, size=2), max_per_tensor=8, seed=40)
+    assert sorted(c.name for c in report.checks) == sorted(
+        name for name in net.params if name.split(".")[0] not in frozen)
+    assert report.passed(1e-5), "\n".join(report.format_lines())
+
+
 @pytest.mark.parametrize("config", ["tiny", "desk"])
 def test_backward_reuses_the_nets_gradient_arrays(config):
     cfg = CONFIGS[config]
@@ -989,63 +1053,3 @@ def test_checkpoint_rejects_text_that_is_not_utf8(tmp_path):
     with pytest.raises(CheckpointError, match=r"record header is not that of conv1\.kernel"):
         graph.load_checkpoint(path)
 
-
-def test_load_root_weights(tmp_path):
-    net = graph.build_lfhn(graph.tiny_config(), seed=22)
-    kernel_shape = net.params["conv1.kernel"].shape
-    rng = np.random.default_rng(23)
-    kernel = rng.normal(size=kernel_shape)
-    bias = rng.normal(size=kernel_shape[-1])
-    path = tmp_path / "root.f64"
-    np.concatenate([kernel.ravel(), bias]).astype("<f8").tofile(path)
-    graph.load_root_weights(net, path)
-    assert np.array_equal(net.params["conv1.kernel"], kernel)
-    assert np.array_equal(net.params["conv1.bias"], bias)
-
-
-def test_load_root_weights_size_mismatch(tmp_path):
-    net = graph.build_lfhn(graph.tiny_config(), seed=24)
-    path = tmp_path / "root.f64"
-    np.zeros(7, dtype="<f8").tofile(path)
-    with pytest.raises(ValueError, match="expected"):
-        graph.load_root_weights(net, path)
-
-
-def test_load_root_weights_refuses_a_partial_float(tmp_path):
-    net = graph.build_lfhn(graph.tiny_config(), seed=24)
-    before = net.params["conv1.kernel"].copy()
-    path = tmp_path / "root.f64"
-    # every value the kernel and bias need, plus 3 stray bytes that np.fromfile would drop
-    path.write_bytes(np.ones(4 * 2 * 2 * 3 + 4, dtype="<f8").tobytes() + b"\x00" * 3)
-    with pytest.raises(ValueError, match="holds 419 bytes, expected 416"):
-        graph.load_root_weights(net, path)
-    assert np.array_equal(net.params["conv1.kernel"], before)
-
-
-def test_load_root_weights_loads_or_names_the_file_after_any_cut_or_byte_edit(tmp_path):
-    """Every truncation of a tiny_config root weight file, and every edit of
-    each of its bytes to a value of MUTATION_VALUES, either installs the
-    file's float64 values or raises ValueError naming the file and leaves the
-    root parameters as they were."""
-    net = graph.build_lfhn(graph.tiny_config(), seed=29)
-    path = tmp_path / "root.f64"
-    blob = np.random.default_rng(30).normal(size=4 * 2 * 2 * 3 + 4).astype("<f8").tobytes()
-    cases = [blob[:n] for n in range(len(blob))]
-    for i in range(len(blob)):
-        cases += [blob[:i] + bytes([v]) + blob[i + 1:] for v in MUTATION_VALUES if v != blob[i]]
-    outcomes = {"loaded": 0, "refused": 0}
-    for case in cases:
-        path.write_bytes(case)
-        before = [net.params[name].copy() for name in ("conv1.kernel", "conv1.bias")]
-        try:
-            graph.load_root_weights(net, path)
-        except ValueError as err:
-            assert str(err).startswith(f"{path}: "), err
-            assert all(np.array_equal(a, net.params[name], equal_nan=True) for a, name in
-                       zip(before, ("conv1.kernel", "conv1.bias")))
-            outcomes["refused"] += 1
-            continue
-        installed = np.concatenate([net.params["conv1.kernel"].ravel(), net.params["conv1.bias"]])
-        assert installed.astype("<f8").tobytes() == case
-        outcomes["loaded"] += 1
-    assert outcomes == {"loaded": len(cases) - len(blob), "refused": len(blob)}
