@@ -37,7 +37,8 @@ def main():
     parser.add_argument("--pose-ids", default="0,12")
     args = parser.parse_args()
 
-    corpus_dir = os.path.join(args.workdir, "corpus")
+    # one corpus per (ids, seed): a workdir reused with other values gets its own
+    corpus_dir = os.path.join(args.workdir, f"corpus-ids{args.ids}-seed{args.seed}")
     if not os.path.isdir(corpus_dir) or not os.listdir(corpus_dir):
         print(f"generating corpus in {corpus_dir}")
         data.generate_corpus(corpus_dir, args.ids, seed=args.seed + 7)

@@ -332,10 +332,6 @@ def _layer_predicate(layer):
         return lambda name: name.startswith("conv")
     if layer == "fc":
         return lambda name: name.startswith("fc")
-    if layer in ("lrn", "norm"):
-        # the normalization layer has no parameters of its own; the root conv
-        # parameters are the ones whose gradient path runs through it
-        return lambda name: name.startswith("conv1.")
     prefix = layer if layer.endswith(".") else layer + "."
     return lambda name: name.startswith(prefix)
 
@@ -462,9 +458,7 @@ def build_parser():
     p.add_argument("--tol", type=float, default=1e-5)
     p.add_argument("--samples", type=int, default=32,
                    help="elements checked per parameter tensor")
-    p.add_argument("--layer", help="restrict to one layer: a node name, or "
-                                   "conv | fc | lrn (lrn checks the root conv, whose "
-                                   "gradients flow through the normalization)")
+    p.add_argument("--layer", help="restrict to one layer: a node name, or conv | fc")
     p.set_defaults(func=cmd_gradcheck)
 
     p = sub.add_parser("shapes", parents=[common],

@@ -31,21 +31,10 @@ _IMAGE_HEADER_RE = re.compile(rb"(P[56])\n(-?\d{1,20}) (-?\d{1,20})\n")
 
 
 @dataclass(frozen=True)
-class PoseSpec:
-    """Head yaw in degrees, negative to the left."""
-
-    yaw_deg: float
-
-    def __post_init__(self):
-        if not -90.0 <= self.yaw_deg <= 90.0:
-            raise ValueError("yaw must lie in [-90, 90] degrees")
-
-
-@dataclass(frozen=True)
 class LightSpec:
-    """Directional ramp light; direction_deg None means ambient only."""
+    """Directional ramp light over an ambient floor."""
 
-    direction_deg: float | None
+    direction_deg: float
     ambient: float = 0.2
 
     def __post_init__(self):
@@ -59,7 +48,6 @@ class IdentityTemplate:
 
     reflectance: np.ndarray
     tint: np.ndarray
-    identity: int
 
 
 @dataclass
@@ -71,8 +59,9 @@ class LabeledSample:
 
 
 def default_pose_roster():
-    """13 yaw bins from -90 to +90 degrees in steps of 15."""
-    return tuple(PoseSpec(float(yaw)) for yaw in range(-90, 91, 15))
+    """The yaws in degrees (negative to the left) of the 13 pose bins, from
+    -90 to +90 in steps of 15; a corpus's pose id indexes this tuple."""
+    return tuple(float(yaw) for yaw in range(-90, 91, 15))
 
 
 def default_light_roster(count: int = 8):
@@ -144,7 +133,7 @@ def make_template(seed, identity, height, width, channels=1) -> IdentityTemplate
         tint = np.ones(1, dtype=DTYPE)
     else:
         raise ValueError("channels must be 1 or 3")
-    return IdentityTemplate(r, tint, int(identity))
+    return IdentityTemplate(r, tint)
 
 
 def project(reflectance, yaw_deg) -> np.ndarray:
@@ -184,9 +173,8 @@ def project(reflectance, yaw_deg) -> np.ndarray:
 
 
 def light_field(light: LightSpec, height, width) -> np.ndarray:
-    """Lighting intensity map in [ambient, 1], strictly positive everywhere."""
-    if light.direction_deg is None:
-        return np.full((height, width), light.ambient, dtype=DTYPE)
+    """Lighting intensity map in [ambient, 1], strictly positive everywhere:
+    a linear ramp toward direction_deg; ambient 1 gives exactly 1 everywhere."""
     rad = np.deg2rad(light.direction_deg)
     c, s = np.cos(rad), np.sin(rad)
     u = np.linspace(-1.0, 1.0, width, dtype=DTYPE)[None, :]
@@ -196,9 +184,9 @@ def light_field(light: LightSpec, height, width) -> np.ndarray:
     return light.ambient + (1.0 - light.ambient) * ramp
 
 
-def render(template: IdentityTemplate, pose: PoseSpec, light: LightSpec) -> np.ndarray:
-    """Image = clamp(project(reflectance, pose) * light, 0, 1), per channel."""
-    posed = project(template.reflectance, pose.yaw_deg)
+def render(template: IdentityTemplate, yaw_deg: float, light: LightSpec) -> np.ndarray:
+    """Image = clamp(project(reflectance, yaw_deg) * light, 0, 1), per channel."""
+    posed = project(template.reflectance, yaw_deg)
     h, w = posed.shape
     field = light_field(light, h, w)
     image = (posed * field)[:, :, None] * template.tint[None, None, :]
@@ -299,9 +287,9 @@ def generate_corpus(out_dir, n_identities, lights=None, seed=0,
     rows = []
     for identity in range(n_identities):
         template = make_template(seed, identity, height, width, channels)
-        for pose_id, pose in enumerate(poses):
+        for pose_id, yaw in enumerate(poses):
             for light_id, light in enumerate(lights):
-                image = render(template, pose, light)
+                image = render(template, yaw, light)
                 pixels = np.rint(image * 255.0).astype(np.uint8)
                 if channels == 1:
                     pixels = pixels[:, :, 0]
@@ -312,7 +300,7 @@ def generate_corpus(out_dir, n_identities, lights=None, seed=0,
                     "identity": identity,
                     "pose_id": pose_id,
                     "light_id": light_id,
-                    "yaw_deg": pose.yaw_deg,
+                    "yaw_deg": yaw,
                 })
     with open(os.path.join(out_dir, MANIFEST_NAME), "w", encoding="utf-8",
               newline="") as fh:

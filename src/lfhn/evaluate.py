@@ -41,24 +41,18 @@ class RankTable:
         return sum(b.rank1_pct for b in self.bins) / len(self.bins)
 
 
-def default_yaws():
-    """pose_id -> yaw mapping for the default 13-bin roster."""
-    return {i: p.yaw_deg for i, p in enumerate(default_pose_roster())}
-
-
-def rank_table_from_predictions(predictions, samples, yaws=None) -> RankTable:
+def rank_table_from_predictions(predictions, samples) -> RankTable:
     """Count rank-1 hits per pose bin from precomputed identity predictions.
 
-    yaws maps pose ids to yaw labels; ids missing from the mapping fall back
-    to the id itself. A mapped pose with no samples is listed in the table's
-    absent field and excluded from the mean. The mean is the unweighted
-    average over the present bins.
+    Each bin is labelled with its pose id's yaw in default_pose_roster(); an
+    id outside the roster is labelled with the id itself. A roster pose with
+    no samples is listed in the table's absent field and excluded from the
+    mean. The mean is the unweighted average over the present bins.
     """
     predictions = np.asarray(predictions)
     if len(predictions) != len(samples):
         raise ValueError("one prediction per sample required")
-    if yaws is None:
-        yaws = default_yaws()
+    yaws = dict(enumerate(default_pose_roster()))
     per_pose = {}
     for pred, sample in zip(predictions, samples):
         hit = int(pred) == sample.identity
@@ -88,7 +82,7 @@ def predict(net, images, batch_size=64) -> np.ndarray:
     return predictions
 
 
-def evaluate(net, samples, yaws=None, batch_size=64) -> RankTable:
+def evaluate(net, samples) -> RankTable:
     """Rank-1 table for a trained network on labeled samples.
 
     Images larger than the network input are center-cropped (the
@@ -103,7 +97,7 @@ def evaluate(net, samples, yaws=None, batch_size=64) -> RankTable:
                          f"identity {bad}, a label out of range [0, {k})")
     target = (net.config.input_height, net.config.input_width)
     images = [center_crop(s.image, *target) for s in samples]
-    return rank_table_from_predictions(predict(net, images, batch_size), samples, yaws)
+    return rank_table_from_predictions(predict(net, images), samples)
 
 
 def _fmt_yaw(yaw: float) -> str:

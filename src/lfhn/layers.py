@@ -236,12 +236,11 @@ def fc_backward(x, weight, grad_out, need_input_grad=True, out=None):
 def softmax_xent(logits, labels):
     """Mean cross-entropy over the batch and its gradient w.r.t. the logits.
 
-    logits is (n, k); labels is an int vector of length n. The returned
-    gradient is (softmax - onehot) / n, matching the batch-mean loss.
+    logits is (n, k), as graph.forward returns them; labels is an int vector
+    of length n. The returned gradient is (softmax - onehot) / n, matching
+    the batch-mean loss.
     """
-    if logits.ndim == 1:
-        logits = logits[None]
-    labels = np.atleast_1d(np.asarray(labels, dtype=np.int64))
+    labels = np.asarray(labels, dtype=np.int64)
     n, k = logits.shape
     if labels.shape != (n,):
         raise ValueError(f"labels shape {labels.shape} does not match batch {n}")

@@ -123,12 +123,12 @@ def test_gradcheck_layer_filter(capsys):
     assert "fc" in out and "conv2.kernel" not in out
 
 
-def test_gradcheck_lrn_alias_checks_root(capsys):
-    rc = cli.main(["gradcheck", "--samples", "4", "--layer", "lrn"])
-    out = capsys.readouterr().out
+def test_gradcheck_conv1_checks_exactly_the_root_conv(capsys):
+    rc = cli.main(["gradcheck", "--samples", "4", "--layer", "conv1"])
+    out = capsys.readouterr().out.splitlines()
     assert rc == 0
-    assert "conv1.kernel" in out and "fc" not in out.replace("fc", "fc")  # only conv1 rows
-    assert all(line.startswith(("conv1.", "OK")) for line in out.splitlines() if line)
+    assert [line.split()[0] for line in out[:-1]] == ["conv1.kernel", "conv1.bias"]
+    assert out[-1].startswith("OK: ")
 
 
 def test_gradcheck_unknown_layer(capsys):

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from lfhn import data
-from lfhn.data import LightSpec, PoseSpec
+from lfhn.data import LightSpec
 
 
 def _tree_digest(directory):
@@ -39,24 +39,24 @@ def test_template_channel_tint():
 
 def test_render_identity_pose_and_unit_light_is_exact():
     t = data.make_template(1, 0, 24, 24)
-    image = data.render(t, PoseSpec(0.0), LightSpec(None, ambient=1.0))
+    image = data.render(t, 0.0, LightSpec(0.0, ambient=1.0))
     assert np.array_equal(image[:, :, 0], t.reflectance)
 
 
 def test_render_zero_reflectance_stays_zero():
     t = data.make_template(1, 0, 16, 16)
-    zeroed = data.IdentityTemplate(np.zeros_like(t.reflectance), t.tint, 0)
+    zeroed = data.IdentityTemplate(np.zeros_like(t.reflectance), t.tint)
     for light in data.default_light_roster():
-        assert not data.render(zeroed, PoseSpec(30.0), light).any()
+        assert not data.render(zeroed, 30.0, light).any()
 
 
 def test_lighting_is_multiplicative_before_clamping():
     t = data.make_template(2, 4, 20, 20)
-    pose = PoseSpec(-30.0)
+    yaw = -30.0
     light = data.default_light_roster()[3]
-    unit = data.render(t, pose, LightSpec(None, ambient=1.0))
+    unit = data.render(t, yaw, LightSpec(0.0, ambient=1.0))
     field = data.light_field(light, 20, 20)
-    lit = data.render(t, pose, light)
+    lit = data.render(t, yaw, light)
     assert np.abs(unit * field[:, :, None] - lit).max() < 1e-12
 
 
@@ -84,9 +84,7 @@ def test_projection_hides_far_half_beyond_45_degrees():
 def test_pose_roster_covers_the_yaw_grid():
     roster = data.default_pose_roster()
     assert len(roster) == 13
-    assert [p.yaw_deg for p in roster] == list(range(-90, 91, 15))
-    with pytest.raises(ValueError):
-        PoseSpec(91.0)
+    assert roster == tuple(float(yaw) for yaw in range(-90, 91, 15))
 
 
 # ---------------------------------------------------------------- corpus

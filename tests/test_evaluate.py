@@ -40,8 +40,7 @@ def test_oracle_predictor_scores_100_everywhere():
 def test_constant_predictor_on_balanced_bins():
     samples = _grid_samples(10, [0, 1], [0])
     predictions = [3] * len(samples)  # always answer identity 3
-    table = ev.rank_table_from_predictions(predictions, samples,
-                                           yaws={0: -15.0, 1: 15.0})
+    table = ev.rank_table_from_predictions(predictions, samples)
     want = _enumerate_rates(predictions, samples)
     for b in table.bins:
         assert b.rank1_pct == want[b.pose_id] == 10.0
@@ -51,8 +50,7 @@ def test_rank_table_matches_enumeration_on_random_confusion():
     rng = np.random.default_rng(0)
     samples = _grid_samples(6, range(5), range(4))
     predictions = rng.integers(0, 6, size=len(samples))
-    table = ev.rank_table_from_predictions(predictions, samples,
-                                           yaws={p: float(p) for p in range(5)})
+    table = ev.rank_table_from_predictions(predictions, samples)
     want = _enumerate_rates(predictions, samples)
     assert {b.pose_id: b.rank1_pct for b in table.bins} == want
     mean = sum(want.values()) / len(want)
@@ -63,11 +61,10 @@ def test_sample_order_does_not_change_rates():
     rng = np.random.default_rng(1)
     samples = _grid_samples(4, range(3), range(2))
     predictions = list(rng.integers(0, 4, size=len(samples)))
-    yaws = {p: float(p) for p in range(3)}
-    base = ev.rank_table_from_predictions(predictions, samples, yaws)
+    base = ev.rank_table_from_predictions(predictions, samples)
     order = rng.permutation(len(samples))
     shuffled = ev.rank_table_from_predictions([predictions[i] for i in order],
-                                              [samples[i] for i in order], yaws)
+                                              [samples[i] for i in order])
     assert {(b.pose_id, b.rank1_pct) for b in base.bins} == \
            {(b.pose_id, b.rank1_pct) for b in shuffled.bins}
     assert base.mean_pct == shuffled.mean_pct
@@ -75,18 +72,19 @@ def test_sample_order_does_not_change_rates():
 
 def test_absent_roster_bin_warns_and_is_excluded():
     samples = _grid_samples(2, [0, 2], [0])
-    table = ev.rank_table_from_predictions([0] * len(samples), samples,
-                                           yaws={0: -90.0, 1: 0.0, 2: 90.0, 3: 45.0})
-    assert table.absent == (1, 3)
+    table = ev.rank_table_from_predictions([0] * len(samples), samples)
+    assert table.absent == (1, *range(3, 13))
     assert [b.pose_id for b in table.bins] == [0, 2]
     assert table.mean_pct == 50.0
 
 
 def test_bins_ordered_by_ascending_yaw():
-    samples = _grid_samples(2, [2, 0, 1], [0])
-    table = ev.rank_table_from_predictions([0] * len(samples), samples,
-                                           yaws={0: 45.0, 1: -45.0, 2: 0.0})
-    assert [b.pose_id for b in table.bins] == [1, 2, 0]
+    # 13 lies outside the 13-bin roster and is labelled with its id, so yaw
+    # order differs from id order
+    samples = _grid_samples(2, [13, 7, 6], [0])
+    table = ev.rank_table_from_predictions([0] * len(samples), samples)
+    assert [b.pose_id for b in table.bins] == [6, 13, 7]
+    assert [b.yaw_deg for b in table.bins] == [0.0, 13.0, 15.0]
 
 
 def test_evaluate_runs_a_real_network_and_leaves_it_untouched():
@@ -109,7 +107,7 @@ def test_evaluate_center_crops_larger_images():
     net = graph.build_lfhn(cfg, seed=5)
     rng = np.random.default_rng(6)
     big = [LabeledSample(rng.uniform(size=(10, 10, 3)), 0, 0, 0)]
-    table = ev.evaluate(net, big, yaws={0: 0.0})
+    table = ev.evaluate(net, big)
     assert table.bins[0].n_samples == 1
 
 
@@ -159,7 +157,7 @@ def test_desk_evaluation_peaks_below_one_batch_of_root_rows():
     root_rows = 64 * 15 * 15 * 11 * 11 * 8
     tracemalloc.start()
     try:
-        ev.evaluate(net, samples, batch_size=64)
+        ev.evaluate(net, samples)  # evaluate's own batch is 64
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -179,7 +177,8 @@ def test_evaluation_memory_does_not_grow_with_the_image_count():
     for n in (40, 400):
         tracemalloc.start()
         try:
-            table = ev.evaluate(net, samples[:n], batch_size=8)
+            images = [train.center_crop(s.image, 67, 67) for s in samples[:n]]
+            table = ev.rank_table_from_predictions(ev.predict(net, images, 8), samples[:n])
             peaks.append(tracemalloc.get_traced_memory()[1])
         finally:
             tracemalloc.stop()
@@ -191,11 +190,10 @@ def test_evaluation_memory_does_not_grow_with_the_image_count():
 # ---------------------------------------------------------------- formatting
 
 def _fixture_table():
-    # pose 0 fully correct, pose 1 fully wrong
-    samples = _grid_samples(2, [0, 1], [0])
+    # pose 0 (-90) fully correct, pose 12 (90) fully wrong
+    samples = _grid_samples(2, [0, 12], [0])
     predictions = [s.identity if s.pose_id == 0 else 1 - s.identity for s in samples]
-    return ev.rank_table_from_predictions(predictions, samples,
-                                          yaws={0: -90.0, 1: 90.0})
+    return ev.rank_table_from_predictions(predictions, samples)
 
 
 def test_format_table_csv():
@@ -203,7 +201,7 @@ def test_format_table_csv():
     lines = text.splitlines()
     assert lines[0] == "pose_id,yaw_deg,n_samples,rank1_pct"
     assert lines[1] == "0,-90,2,100.0"
-    assert lines[2] == "1,90,2,0.0"
+    assert lines[2] == "12,90,2,0.0"
     assert lines[3] == "mean,,,50.0"
 
 
@@ -219,8 +217,8 @@ def test_format_table_paper_style():
 
 
 def test_format_table_single_bin_mean():
-    samples = _grid_samples(1, [0], [0])
-    table = ev.rank_table_from_predictions([0], samples, yaws={0: 0.0})
+    samples = _grid_samples(1, [6], [0])
+    table = ev.rank_table_from_predictions([0], samples)
     text = ev.format_table(table, "paper")
     assert text.splitlines()[1].split()[-1] == "100.00"
 

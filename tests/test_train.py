@@ -203,7 +203,9 @@ def test_training_on_stored_pixels_matches_training_on_scaled_floats(tmp_path, a
         _, log = train.train(net, samples, TrainConfig(lr=0.05, batch_size=8, epochs=2,
                                                       seed=5, augment=augment))
         train.write_log(log, log_path)
-        table = evaluate.format_table(evaluate.evaluate(net, samples, batch_size=16))
+        crops = [train.center_crop(s.image, extent, extent) for s in samples]
+        table = evaluate.format_table(evaluate.rank_table_from_predictions(
+            evaluate.predict(net, crops, batch_size=16), samples))
         params = {k: v.tobytes() for k, v in net.params.items()}
         results.append((params, log, log_path.read_text(), table))
     assert results[0] == results[1]
