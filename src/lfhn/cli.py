@@ -166,9 +166,9 @@ def _check_no_overwrite(inputs, outputs):
 
 
 def _check_outside_corpus(directory, outputs):
-    """Raise ConfigError if writing an output would change a file that
-    load_corpus reads from directory."""
-    from .data import CORPUS_SUFFIXES
+    """Raise ConfigError if writing an output would change a file of the
+    corpus in directory: an image or the manifest, as gen-data counts them."""
+    from .data import CORPUS_SUFFIXES, MANIFEST_NAME
 
     corpus = os.path.realpath(directory)
     for what, path in outputs.items():
@@ -176,8 +176,10 @@ def _check_outside_corpus(directory, outputs):
         named = os.path.join(os.path.realpath(os.path.dirname(os.path.abspath(path))),
                              os.path.basename(path))
         for target in (named, os.path.realpath(path)):
-            if os.path.dirname(target) == corpus and target.endswith(CORPUS_SUFFIXES):
-                raise ConfigError(f"{what} {path} is an image of the corpus {directory}")
+            if os.path.dirname(target) == corpus and (
+                    target.endswith(CORPUS_SUFFIXES)
+                    or os.path.basename(target) == MANIFEST_NAME):
+                raise ConfigError(f"{what} {path} is a file of the corpus {directory}")
 
 
 def _error(message, code):
@@ -214,19 +216,27 @@ def cmd_train(args):
         _check_outside_corpus(args.data, outputs)
         _check_output_path(args.out, "checkpoint")
         _check_output_path(log_path, "epoch log")
-    except (OSError, ConfigError) as err:
+        if args.split != "none":  # before the corpus is read
+            data.parse_split(args.split)
+    except (OSError, ValueError) as err:  # ConfigError among them
         return _error(str(err), EXIT_USAGE)
     try:
-        samples = data.load_corpus(args.data)
+        corpus = data.load_corpus(args.data)
     except (OSError, ValueError) as err:
         return _error(str(err), EXIT_MISMATCH)
-    if not samples:
+    if not corpus:
         return _error(f"no samples found in {args.data}", EXIT_MISMATCH)
+    samples = corpus
+    if args.split != "none":
+        samples, _ = data.split(corpus, args.split, seed=seed)
+        if not samples:
+            return _error(f"split {args.split!r} left nothing to train on", EXIT_MISMATCH)
 
+    # from the whole corpus, so that eval can score the held-out side too
     inferred = "num_classes" not in values
-    values.setdefault("num_classes", max(s.identity for s in samples) + 1)
+    values.setdefault("num_classes", max(s.identity for s in corpus) + 1)
     try:
-        cfg = _build_model_config(values, graph, sample=samples[0])
+        cfg = _build_model_config(values, graph, sample=corpus[0])
         tcfg = train_mod.TrainConfig(**{**_fields_in(values, train_mod.TrainConfig),
                                         "seed": seed})
     except ValueError as err:
@@ -300,10 +310,7 @@ def cmd_eval(args):
     if not samples:
         return _error(f"no samples found in {args.data}", EXIT_MISMATCH)
     if args.split != "none":
-        try:
-            _, samples = data.split(samples, args.split, seed=seed)
-        except ValueError as err:
-            return _error(str(err), EXIT_USAGE)
+        _, samples = data.split(samples, args.split, seed=seed)
         if not samples:
             return _error(f"split {args.split!r} left nothing to evaluate",
                           EXIT_MISMATCH)
@@ -425,9 +432,15 @@ def build_parser():
     p.add_argument("--channels", type=int, choices=(1, 3), default=1)
     p.set_defaults(func=cmd_gen_data)
 
-    p = sub.add_parser("train", parents=[common], help="train and checkpoint a model")
+    split_protocols = "none | random[:frac] | holdout-light[:ids] | holdout-pose[:ids]"
+    p = sub.add_parser("train", parents=[common],
+                       help="train and checkpoint a model, on the whole corpus or on "
+                            "the train side of a split")
     p.add_argument("--data", required=True, help="corpus directory")
     p.add_argument("--out", required=True, help="checkpoint path to write")
+    p.add_argument("--split", default="none",
+                   help=f"{split_protocols}; training uses the train side, and eval "
+                        "with the same --split and seed scores the held-out one")
     p.add_argument("--config", help="key = value run config file")
     p.add_argument("--log", help="epoch CSV path (default: <out>.log.csv)")
     p.add_argument("--lr", type=float)
@@ -446,8 +459,7 @@ def build_parser():
     p.add_argument("--model", required=True, help="checkpoint path")
     p.add_argument("--data", required=True, help="corpus directory")
     p.add_argument("--split", default="none",
-                   help="none | random[:frac] | holdout-light[:ids] | holdout-pose[:ids]; "
-                        "evaluation uses the held-out side")
+                   help=f"{split_protocols}; evaluation uses the held-out side")
     p.add_argument("--style", choices=("csv", "paper"), default="csv")
     p.add_argument("--out", help="also write the CSV table to this file")
     p.set_defaults(func=cmd_eval)

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from lfhn import cli, data, graph, layers
+from lfhn import cli, data, evaluate, graph, layers, train
 
 
 def _digest(directory):
@@ -217,14 +217,20 @@ def test_eval_lists_absent_pose_bins_on_one_line(tmp_path, small_corpus, capsys)
         "pose_id", "0", "12", "mean"]
 
 
-def test_eval_split_that_leaves_nothing_exits_3_with_one_error_line(tmp_path, small_corpus,
-                                                                   capsys):
+@pytest.mark.parametrize("command, protocol, job", [
+    ("eval", "holdout-light:99", "evaluate"),
+    ("train", "random:0", "train on"),
+], ids=["eval", "train"])
+def test_split_that_leaves_nothing_exits_3_with_one_error_line(tmp_path, small_corpus,
+                                                              capsys, command, protocol, job):
     model = tmp_path / "model.lfhn"
     graph.save_checkpoint(graph.build_lfhn(graph.tiny_config(), seed=0), model)
-    rc = cli.main(["eval", "--model", str(model), "--data", str(small_corpus),
-                   "--split", "holdout-light:99"])
+    rc = cli.main([command, "--data", str(small_corpus), "--split", protocol,
+                   *(["--model", str(model)] if command == "eval" else
+                     ["--out", str(tmp_path / "out.lfhn")])])
     assert rc == 3
-    assert capsys.readouterr().err == "error: split 'holdout-light:99' left nothing to evaluate\n"
+    assert capsys.readouterr().err == f"error: split {protocol!r} left nothing to {job}\n"
+    assert not (tmp_path / "out.lfhn").exists()
 
 
 def test_eval_split_whose_ids_do_not_parse_exits_2_naming_the_split(tmp_path, small_corpus,
@@ -238,6 +244,7 @@ def test_eval_split_whose_ids_do_not_parse_exits_2_naming_the_split(tmp_path, sm
         "error: split 'holdout-light:a': invalid literal for int() with base 10: 'a'\n")
 
 
+@pytest.mark.parametrize("command", ["eval", "train"])
 @pytest.mark.parametrize("protocol, reason", [
     ("holdout-light:a", "invalid literal for int() with base 10: 'a'"),
     ("random:abc", "could not convert string to float: 'abc'"),
@@ -245,13 +252,56 @@ def test_eval_split_whose_ids_do_not_parse_exits_2_naming_the_split(tmp_path, sm
     ("leave-one-out", "unknown split protocol 'leave-one-out'"),
 ])
 def test_eval_refuses_a_split_that_does_not_parse_before_reading_the_checkpoint(
-        tmp_path, capsys, protocol, reason):
+        tmp_path, capsys, monkeypatch, protocol, reason, command):
+    # eval refuses it before the checkpoint, train before the corpus
     model = tmp_path / "model.lfhn"
     model.write_bytes(b"not a checkpoint")
-    rc = cli.main(["eval", "--model", str(model), "--data", str(tmp_path / "absent"),
-                   "--split", protocol])
+    _refuse_to_load(monkeypatch)
+    rc = cli.main([command, "--data", str(tmp_path / "absent"), "--split", protocol,
+                   *(["--model", str(model)] if command == "eval" else
+                     ["--out", str(tmp_path / "out.lfhn")])])
     assert rc == 2
     assert capsys.readouterr().err == f"error: split {protocol!r}: {reason}\n"
+
+
+def _sample_keys(samples):
+    return {(s.identity, s.pose_id, s.light_id) for s in samples}
+
+
+def test_train_and_eval_with_one_random_split_and_seed_take_complementary_sides(
+        tmp_path, small_corpus, monkeypatch):
+    seen = {}
+
+    def recording(name, fn):
+        def wrapper(net, samples, *args):
+            seen[name] = _sample_keys(samples)
+            return fn(net, samples, *args)
+        return wrapper
+
+    monkeypatch.setattr(train, "train", recording("train", train.train))
+    monkeypatch.setattr(evaluate, "evaluate", recording("eval", evaluate.evaluate))
+    model = tmp_path / "model.lfhn"
+    split = ["--split", "random:0.5", "--seed", "3"]
+    assert cli.main(["train", "--data", str(small_corpus), "--out", str(model),
+                     "--epochs", "0", *split]) == 0
+    assert cli.main(["eval", "--model", str(model), "--data", str(small_corpus), *split]) == 0
+    assert len(seen["train"]) == len(seen["eval"]) == 104  # half of 2 x 13 x 8
+    assert not seen["train"] & seen["eval"]
+    assert seen["train"] | seen["eval"] == _sample_keys(data.load_corpus(small_corpus))
+
+
+def test_train_on_a_split_takes_the_class_count_from_the_whole_corpus(tmp_path,
+                                                                     small_corpus):
+    # identity 1 keeps only its light-7 images, which holdout-light:7 holds out
+    for name in os.listdir(small_corpus):
+        if name.startswith("id001_") and "_l07." not in name:
+            os.remove(small_corpus / name)
+    model = tmp_path / "model.lfhn"
+    split = ["--split", "holdout-light:7"]
+    assert cli.main(["train", "--data", str(small_corpus), "--out", str(model),
+                     "--epochs", "0", *split]) == 0
+    assert graph.load_checkpoint(model).config.num_classes == 2
+    assert cli.main(["eval", "--model", str(model), "--data", str(small_corpus), *split]) == 0
 
 
 def test_train_without_augment_center_crops_a_larger_corpus_as_eval_does(tmp_path,
@@ -419,7 +469,8 @@ def test_train_output_naming_an_input_or_the_other_output_exits_2_before_loading
     ("train", "epoch log", "{c}/log.ppm"),
     ("eval", "table", "{c}/../corpus/table.pgm"),
     ("eval", "table", "{t}/link.csv"),
-], ids=["checkpoint", "log", "table", "table-link"])
+    ("eval", "table", "{c}/manifest.csv"),
+], ids=["checkpoint", "log", "table", "table-link", "manifest"])
 def test_an_output_that_the_corpus_reads_exits_2_before_loading(
         tmp_path, small_corpus, capsys, monkeypatch, command, what, path):
     model = tmp_path / "model.lfhn"
@@ -437,7 +488,7 @@ def test_an_output_that_the_corpus_reads_exits_2_before_loading(
         args = ["eval", "--model", str(model), "--data", str(small_corpus), "--out", path]
     assert cli.main(args) == 2
     assert capsys.readouterr().err.splitlines() == [
-        f"error: {what} {path} is an image of the corpus {small_corpus}"]
+        f"error: {what} {path} is a file of the corpus {small_corpus}"]
     assert _digest(small_corpus) == digest
 
 
