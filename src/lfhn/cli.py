@@ -3,13 +3,16 @@
 Exit codes: 0 success, 1 check failure (a failed gradcheck, or training that
 diverged to a non-finite loss), 2 usage or config error (an output path that
 cannot be written, or that names an input or the other output, included),
-3 data/model mismatch. Heavy modules are imported inside the command handlers
-so that --threads can pin the BLAS thread pools before numpy loads.
+3 data/model mismatch. A command refuses a run by raising Refusal, which
+main prints as one `error:` line and returns as the exit code. Heavy modules
+are imported inside the command handlers so that --threads can pin the BLAS
+thread pools before numpy loads.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import math
 import os
 import sys
@@ -22,6 +25,24 @@ EXIT_MISMATCH = 3
 
 class ConfigError(ValueError):
     pass
+
+
+class Refusal(Exception):
+    """A refused run: main prints the message as one error line and exits with code."""
+
+    def __init__(self, message, code):
+        super().__init__(message)
+        self.code = code
+
+
+@contextlib.contextmanager
+def _refusing(code, prefix="", errors=(OSError, ValueError)):
+    """Re-raise any of errors from the block as a Refusal with code, its
+    message after prefix."""
+    try:
+        yield
+    except errors as err:
+        raise Refusal(f"{prefix}{err}", code) from err
 
 
 # config file keys that name files rather than model or training fields
@@ -71,31 +92,9 @@ def parse_config_file(path):
     return values
 
 
-def resolve_seed(flag_seed, file_seed=None):
-    """Flag beats config file beats the LFHN_SEED environment variable, then 0.
-
-    Raises ConfigError unless the seed that wins is an integer >= 0.
-    """
-    if flag_seed is not None:
-        seed, source = flag_seed, "--seed"
-    elif file_seed is not None:
-        seed, source = file_seed, "config seed"
-    else:
-        env = os.environ.get("LFHN_SEED")
-        if not env:
-            return 0
-        try:
-            seed, source = int(env), "LFHN_SEED"
-        except ValueError as err:
-            raise ConfigError(f"LFHN_SEED={env!r} is not an integer") from err
-    if seed < 0:
-        raise ConfigError(f"{source} must be >= 0, got {seed}")
-    return seed
-
-
-def _merged_config(args):
-    values = parse_config_file(args.config) if getattr(args, "config", None) else {}
-    # command line overrides win over the file
+def _values(args):
+    """The run config file's values, with the command line's flags over them."""
+    values = parse_config_file(args.config) if args.config else {}
     for key in _config_schema():
         flag = getattr(args, key, None)
         if flag is not None:
@@ -103,35 +102,22 @@ def _merged_config(args):
     return values
 
 
-def _fields_in(values, cls):
-    """The entries of values that are fields of the config dataclass cls."""
+def _config(cls, values, **defaults):
+    """The config dataclass cls from those entries of values that are its
+    fields; defaults fill the fields that values leave out."""
     from .graph import field_types
 
-    return {k: values[k] for k in field_types(cls) if k in values}
+    return cls(**{**defaults, **{k: values[k] for k in field_types(cls) if k in values}})
 
 
-def _build_model_config(values, graph_mod, sample=None):
-    kwargs = _fields_in(values, graph_mod.LfhnConfig)
-    if sample is not None:
-        h, w, c = sample.image.shape
-        kwargs.setdefault("input_height", h)
-        kwargs.setdefault("input_width", w)
-        kwargs.setdefault("input_channels", c)
-    return graph_mod.LfhnConfig(**kwargs)
-
-
-def _positive_int(text):
-    value = int(text)
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
-    return value
-
-
-def _non_negative_int(text):
-    value = int(text)
-    if value < 0:
-        raise argparse.ArgumentTypeError(f"must be >= 0, got {value}")
-    return value
+def _at_least(n):
+    """An argparse type: an integer that is at least n."""
+    def integer(text):
+        value = int(text)
+        if value < n:
+            raise argparse.ArgumentTypeError(f"must be >= {n}, got {value}")
+        return value
+    return integer
 
 
 def _apply_threads(args):
@@ -141,63 +127,69 @@ def _apply_threads(args):
             os.environ[var] = str(args.threads)
 
 
-def _check_output_path(path, what):
-    """Raise ConfigError unless path names a file that can be written.
+def _check_outputs(outputs, inputs, corpus):
+    """Refuse (exit 2) an output path that resolves to an input or an earlier
+    output, that would change a file of the corpus in directory corpus (an
+    image or the manifest, as gen-data counts them), or that names no file
+    that can be written.
 
     Checked before any data is loaded, so a run fails before its work
     rather than after it.
     """
-    parent = os.path.dirname(os.path.abspath(path))
-    if os.path.isdir(path):
-        raise ConfigError(f"{what} {path} is a directory")
-    if not os.path.isdir(parent):
-        raise ConfigError(f"{what} {path}: directory {parent} does not exist")
-    if not os.access(parent, os.W_OK):
-        raise ConfigError(f"{what} {path}: directory {parent} is not writable")
+    from .data import CORPUS_SUFFIXES, MANIFEST_NAME
 
-
-def _check_no_overwrite(inputs, outputs):
-    """Raise ConfigError if an output path resolves to an input or an earlier output."""
     seen = {os.path.realpath(p): (what, p) for what, p in inputs.items() if p}
     for what, path in outputs.items():
         other, other_path = seen.setdefault(os.path.realpath(path), (what, path))
         if other != what:
-            raise ConfigError(f"{what} {path} is also the {other} {other_path}")
-
-
-def _check_outside_corpus(directory, outputs):
-    """Raise ConfigError if writing an output would change a file of the
-    corpus in directory: an image or the manifest, as gen-data counts them."""
-    from .data import CORPUS_SUFFIXES, MANIFEST_NAME
-
-    corpus = os.path.realpath(directory)
+            raise Refusal(f"{what} {path} is also the {other} {other_path}", EXIT_USAGE)
     for what, path in outputs.items():
         # the name itself, which a save renames onto, and the file it leads to
         named = os.path.join(os.path.realpath(os.path.dirname(os.path.abspath(path))),
                              os.path.basename(path))
         for target in (named, os.path.realpath(path)):
-            if os.path.dirname(target) == corpus and (
+            if os.path.dirname(target) == os.path.realpath(corpus) and (
                     target.endswith(CORPUS_SUFFIXES)
                     or os.path.basename(target) == MANIFEST_NAME):
-                raise ConfigError(f"{what} {path} is a file of the corpus {directory}")
+                raise Refusal(f"{what} {path} is a file of the corpus {corpus}", EXIT_USAGE)
+    for what, path in outputs.items():
+        parent = os.path.dirname(os.path.abspath(path))
+        if os.path.isdir(path):
+            raise Refusal(f"{what} {path} is a directory", EXIT_USAGE)
+        if not os.path.isdir(parent):
+            raise Refusal(f"{what} {path}: directory {parent} does not exist", EXIT_USAGE)
+        if not os.access(parent, os.W_OK):
+            raise Refusal(f"{what} {path}: directory {parent} is not writable", EXIT_USAGE)
 
 
-def _error(message, code):
-    print(f"error: {message}", file=sys.stderr)
-    return code
+def _read_corpus(directory, protocol, seed, side):
+    """(corpus, samples): every sample in directory, and the side of the split
+    protocol that the command takes (0 train, 1 test), or the whole corpus
+    under "none". Refuses (exit 3) a corpus that does not load, an empty
+    one and an empty side."""
+    from . import data
+
+    with _refusing(EXIT_MISMATCH):
+        corpus = data.load_corpus(directory)
+    if not corpus:
+        raise Refusal(f"no samples found in {directory}", EXIT_MISMATCH)
+    if protocol == "none":
+        return corpus, corpus
+    samples = data.split(corpus, protocol, seed=seed)[side]
+    if not samples:
+        job = ("train on", "evaluate")[side]
+        raise Refusal(f"split {protocol!r} left nothing to {job}", EXIT_MISMATCH)
+    return corpus, samples
 
 
 def cmd_gen_data(args):
     from . import data
 
     lights = data.default_light_roster(args.lights)
-    try:
-        seed = resolve_seed(args.seed)
-        rows = data.generate_corpus(args.out, args.ids, lights=lights, seed=seed,
+    with _refusing(EXIT_USAGE):
+        rows = data.generate_corpus(args.out, args.ids, lights=lights, seed=args.seed or 0,
                                     height=args.size, width=args.size,
                                     channels=args.channels)
-    except (OSError, ValueError) as err:
-        return _error(str(err), EXIT_USAGE)
     print(f"wrote {len(rows)} images and {data.MANIFEST_NAME} to {args.out}")
     return EXIT_OK
 
@@ -206,61 +198,39 @@ def cmd_train(args):
     from . import data, graph
     from . import train as train_mod
 
-    try:
-        values = _merged_config(args)
-        seed = resolve_seed(args.seed, values.get("seed"))
+    with _refusing(EXIT_USAGE):  # ConfigError among them
+        values = _values(args)
+        tcfg = _config(train_mod.TrainConfig, values)  # the seed: --seed, the file's, 0
         log_path = values.get("log") or f"{args.out}.log.csv"
-        inputs = {"run config": args.config, "root donor": values.get("root_from")}
-        outputs = {"checkpoint": args.out, "epoch log": log_path}
-        _check_no_overwrite(inputs, outputs)
-        _check_outside_corpus(args.data, outputs)
-        _check_output_path(args.out, "checkpoint")
-        _check_output_path(log_path, "epoch log")
+        _check_outputs({"checkpoint": args.out, "epoch log": log_path},
+                       {"run config": args.config, "root donor": values.get("root_from")},
+                       args.data)
         if args.split != "none":  # before the corpus is read
             data.parse_split(args.split)
-    except (OSError, ValueError) as err:  # ConfigError among them
-        return _error(str(err), EXIT_USAGE)
-    try:
-        corpus = data.load_corpus(args.data)
-    except (OSError, ValueError) as err:
-        return _error(str(err), EXIT_MISMATCH)
-    if not corpus:
-        return _error(f"no samples found in {args.data}", EXIT_MISMATCH)
-    samples = corpus
-    if args.split != "none":
-        samples, _ = data.split(corpus, args.split, seed=seed)
-        if not samples:
-            return _error(f"split {args.split!r} left nothing to train on", EXIT_MISMATCH)
+    corpus, samples = _read_corpus(args.data, args.split, tcfg.seed, side=0)
 
     # from the whole corpus, so that eval can score the held-out side too
-    inferred = "num_classes" not in values
-    values.setdefault("num_classes", max(s.identity for s in corpus) + 1)
-    try:
-        cfg = _build_model_config(values, graph, sample=corpus[0])
-        tcfg = train_mod.TrainConfig(**{**_fields_in(values, train_mod.TrainConfig),
-                                        "seed": seed})
-    except ValueError as err:
-        return _error(str(err), EXIT_USAGE)
+    h, w, c = corpus[0].image.shape
+    with _refusing(EXIT_USAGE):
+        cfg = _config(graph.LfhnConfig, values, input_height=h, input_width=w,
+                      input_channels=c, num_classes=max(s.identity for s in corpus) + 1)
     root = {}
     if values.get("root_from"):  # keep the donor's conv1; the rest is freed before the build
         donor = values["root_from"]
-        try:
+        with _refusing(EXIT_MISMATCH, f"root_from {donor}: "):  # CheckpointError among them
             root = {name: p for name, p in graph.load_checkpoint(donor).params.items()
                     if name.startswith("conv1.")}
-        except (OSError, ValueError) as err:  # CheckpointError among them
-            return _error(f"root_from {donor}: {err}", EXIT_MISMATCH)
         got, want = root["conv1.kernel"].shape, graph.parameter_shapes(cfg)["conv1.kernel"]
         if got != want:  # the bias has the kernel's out-channels
-            return _error(f"root_from {donor}: conv1.kernel is {got}, but this run's is {want}",
+            raise Refusal(f"root_from {donor}: conv1.kernel is {got}, but this run's is {want}",
                           EXIT_MISMATCH)
-    try:
-        net = graph.build_lfhn(cfg, seed=seed)
-    except (MemoryError, ValueError) as err:  # numpy: too many bytes, or too many elements
-        classes = f"{cfg.num_classes} classes"
-        if inferred:
-            classes += (", inferred from the corpus's largest identity id "
-                        f"{cfg.num_classes - 1}")
-        return _error(f"cannot build the network for {classes}: {err}", EXIT_USAGE)
+    classes = f"{cfg.num_classes} classes"
+    if "num_classes" not in values:
+        classes += f", inferred from the corpus's largest identity id {cfg.num_classes - 1}"
+    # numpy: too many bytes, or too many elements
+    with _refusing(EXIT_USAGE, f"cannot build the network for {classes}: ",
+                   (MemoryError, ValueError)):
+        net = graph.build_lfhn(cfg, seed=tcfg.seed)
     net.params.update(root)
     if tcfg.freeze_root and not root:
         print("warning: freeze_root set without root_from; "
@@ -269,18 +239,18 @@ def cmd_train(args):
     try:
         _, log = train_mod.train(net, samples, tcfg)
     except train_mod.TrainingDiverged as err:
-        return _error(f"{err}; no checkpoint written", EXIT_CHECK_FAILED)
+        raise Refusal(f"{err}; no checkpoint written", EXIT_CHECK_FAILED) from err
     except ValueError as err:
-        return _error(str(err), EXIT_MISMATCH)
+        raise Refusal(str(err), EXIT_MISMATCH) from err
     # the checkpoint first, so that a failed save leaves no epoch log
     try:
         graph.save_checkpoint(net, args.out)
     except OSError as err:
-        return _error(f"checkpoint {args.out}: {err.strerror or err}", EXIT_USAGE)
+        raise Refusal(f"checkpoint {args.out}: {err.strerror or err}", EXIT_USAGE) from err
     try:
         train_mod.write_log(log, log_path)
     except OSError as err:
-        return _error(f"epoch log {log_path}: {err.strerror or err}", EXIT_USAGE)
+        raise Refusal(f"epoch log {log_path}: {err.strerror or err}", EXIT_USAGE) from err
     if log:
         epoch, loss, acc = log[-1]
         print(f"epoch {epoch}: mean_loss={loss:.6f} train_acc={acc:.4f}")
@@ -292,42 +262,23 @@ def cmd_eval(args):
     from . import data, graph
     from .evaluate import evaluate, format_table
 
-    try:
-        seed = resolve_seed(args.seed)
+    with _refusing(EXIT_USAGE):  # CheckpointError among them
         if args.out:
-            _check_no_overwrite({"checkpoint": args.model}, {"table": args.out})
-            _check_outside_corpus(args.data, {"table": args.out})
-            _check_output_path(args.out, "table")
+            _check_outputs({"table": args.out}, {"checkpoint": args.model}, args.data)
         if args.split != "none":  # before the checkpoint, which may be 1.4 GiB
             data.parse_split(args.split)
         net = graph.load_checkpoint(args.model)
-    except (OSError, ValueError) as err:  # ConfigError and CheckpointError among them
-        return _error(str(err), EXIT_USAGE)
-    try:
-        samples = data.load_corpus(args.data)
-    except (OSError, ValueError) as err:
-        return _error(str(err), EXIT_MISMATCH)
-    if not samples:
-        return _error(f"no samples found in {args.data}", EXIT_MISMATCH)
-    if args.split != "none":
-        _, samples = data.split(samples, args.split, seed=seed)
-        if not samples:
-            return _error(f"split {args.split!r} left nothing to evaluate",
-                          EXIT_MISMATCH)
-    try:
+    _, samples = _read_corpus(args.data, args.split, args.seed or 0, side=1)
+    with _refusing(EXIT_MISMATCH, errors=ValueError):
         table = evaluate(net, samples)
-    except ValueError as err:
-        return _error(str(err), EXIT_MISMATCH)
     if table.absent:
         print(f"note: pose bins {', '.join(map(str, table.absent))} have no samples; "
               "excluded from the mean", file=sys.stderr)
     print(format_table(table, args.style))
     if args.out:
-        try:
+        with _refusing(EXIT_USAGE, errors=OSError):
             with open(args.out, "w", encoding="utf-8") as fh:
                 fh.write(format_table(table, "csv") + "\n")
-        except OSError as err:
-            return _error(str(err), EXIT_USAGE)
         print(f"wrote {args.out}", file=sys.stderr)
     return EXIT_OK
 
@@ -349,12 +300,9 @@ def cmd_gradcheck(args):
     from . import graph
     from . import train as train_mod
 
-    try:
-        seed = resolve_seed(args.seed)
-    except ConfigError as err:
-        return _error(str(err), EXIT_USAGE)
     if not 0 < args.tol < math.inf:
-        return _error(f"--tol must be finite and > 0, got {args.tol}", EXIT_USAGE)
+        raise Refusal(f"--tol must be finite and > 0, got {args.tol}", EXIT_USAGE)
+    seed = args.seed or 0
     cfg = graph.tiny_config()
     net = graph.build_lfhn(cfg, seed=seed)
     train_mod.randomize_biases(net, seed=seed)
@@ -362,14 +310,12 @@ def cmd_gradcheck(args):
     images = rng.uniform(0.0, 1.0, (2, cfg.input_height, cfg.input_width,
                                     cfg.input_channels))
     labels = rng.integers(0, cfg.num_classes, size=2)
-    try:
+    with _refusing(EXIT_USAGE, errors=ValueError):
         report = train_mod.grad_check(net, images, labels, epsilon=args.epsilon,
                                       max_per_tensor=args.samples, seed=seed,
                                       param_filter=_layer_predicate(args.layer))
-    except ValueError as err:
-        return _error(str(err), EXIT_USAGE)
     if not report.checks:
-        return _error(f"no parameters match layer filter {args.layer!r}", EXIT_USAGE)
+        raise Refusal(f"no parameters match layer filter {args.layer!r}", EXIT_USAGE)
     for line in report.format_lines():
         print(line)
     if report.passed(args.tol):
@@ -383,25 +329,19 @@ def cmd_shapes(args):
     from . import graph
     from . import train as train_mod
 
-    try:
-        values = _merged_config(args)
-    except (OSError, ConfigError) as err:
-        return _error(str(err), EXIT_USAGE)
+    with _refusing(EXIT_USAGE):
+        values = _values(args)  # --classes among the flags
     if args.input:
         try:
             h, w, c = (int(tok) for tok in args.input.split("x"))
         except ValueError:
-            return _error(f"--input must look like 227x227x3, got {args.input!r}",
-                          EXIT_USAGE)
+            raise Refusal(f"--input must look like 227x227x3, got {args.input!r}",
+                          EXIT_USAGE) from None
         values.update(input_height=h, input_width=w, input_channels=c)
-    if args.classes is not None:
-        values["num_classes"] = args.classes
-    try:
-        cfg = _build_model_config(values, graph)
+    with _refusing(EXIT_USAGE):
+        cfg = _config(graph.LfhnConfig, values)
         # the training keys of the file are checked too, though no training runs
-        train_mod.TrainConfig(**_fields_in(values, train_mod.TrainConfig))
-    except ValueError as err:
-        return _error(str(err), EXIT_USAGE)
+        _config(train_mod.TrainConfig, values)
     for name, shape in graph.shape_trace(cfg):
         printed = "x".join(str(e) for e in shape)
         print(f"{name:<10} {printed}")
@@ -415,20 +355,21 @@ def build_parser():
                     "generation, training, evaluation, checking",
     )
     common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--threads", type=_positive_int, default=None,
+    common.add_argument("--threads", type=_at_least(1), default=None,
                         help="pin the BLAS thread pools only; checkpoint loads read "
                              "on one thread per CPU (1 = fully deterministic path)")
-    common.add_argument("--seed", type=_non_negative_int, default=None,
-                        help="random seed (falls back to LFHN_SEED, then 0)")
+    common.add_argument("--seed", type=_at_least(0), default=None,
+                        help="random seed >= 0 (default 0; train takes its run "
+                             "config's seed first)")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("gen-data", parents=[common],
                        help="write a synthetic pose/illumination corpus")
-    p.add_argument("--ids", type=_positive_int, required=True, help="number of identities")
+    p.add_argument("--ids", type=_at_least(1), required=True, help="number of identities")
     p.add_argument("--out", required=True, help="output directory")
-    p.add_argument("--lights", type=_positive_int, default=8,
+    p.add_argument("--lights", type=_at_least(1), default=8,
                    help="number of lighting bins")
-    p.add_argument("--size", type=_positive_int, default=67, help="square image extent")
+    p.add_argument("--size", type=_at_least(1), default=67, help="square image extent")
     p.add_argument("--channels", type=int, choices=(1, 3), default=1)
     p.set_defaults(func=cmd_gen_data)
 
@@ -477,7 +418,8 @@ def build_parser():
                        help="print the symbolic shape trace of a configuration")
     p.add_argument("--config", help="key = value run config file")
     p.add_argument("--input", help="override input extents, e.g. 67x67x1")
-    p.add_argument("--classes", type=int, help="override the class count")
+    p.add_argument("--classes", dest="num_classes", metavar="CLASSES", type=int,
+                   help="override the class count")
     p.set_defaults(func=cmd_shapes)
     return parser
 
@@ -486,7 +428,11 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     _apply_threads(args)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except Refusal as refusal:
+        print(f"error: {refusal}", file=sys.stderr)
+        return refusal.code
 
 
 def entry():

@@ -36,6 +36,8 @@ class TrainConfig:
             raise ValueError(f"batch_size must be >= 1, got {self.batch_size}")
         if self.epochs < 0:
             raise ValueError(f"epochs must be >= 0, got {self.epochs}")
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
         if self.lr_decay_every < 0:
             raise ValueError(f"lr_decay_every must be >= 0, got {self.lr_decay_every}")
         if not 0 < self.lr_decay_factor < np.inf:

@@ -5,6 +5,7 @@ per criterion. The heavy criteria train real networks and keep inside the
 stated runtime budgets on a single desktop core.
 """
 
+import os
 import subprocess
 import sys
 import time
@@ -234,6 +235,10 @@ def test_criterion_6_determinism(tmp_path):
                       "checkpoints and logs; save/load round-trips bit-exactly"):
         corpus_dir = tmp_path / "corpus"
         data.generate_corpus(corpus_dir, 2, seed=5, height=35, width=35)
+        # the package need not be installed: the child imports it from src
+        src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+        env = {**os.environ,
+               "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
         outputs = []
         for tag in ("a", "b"):
             model = tmp_path / f"model_{tag}.lfhn"
@@ -243,7 +248,7 @@ def test_criterion_6_determinism(tmp_path):
                  "--data", str(corpus_dir), "--out", str(model),
                  "--log", str(log), "--epochs", "3", "--lr", "0.01",
                  "--seed", "11", "--threads", "1"],
-                capture_output=True, text=True)
+                env=env, capture_output=True, text=True)
             assert proc.returncode == 0, proc.stderr
             outputs.append((model.read_bytes(), log.read_bytes()))
         assert outputs[0][0] == outputs[1][0], "checkpoints differ"

@@ -513,7 +513,7 @@ def test_a_failed_write_exits_2_with_one_error_line(tmp_path, small_corpus, caps
                                                     monkeypatch):
     # a path that passes the early check but fails when written, as when the
     # directory goes away during the run
-    monkeypatch.setattr(cli, "_check_output_path", lambda path, what: None)
+    monkeypatch.setattr(cli, "_check_outputs", lambda outputs, inputs, corpus: None)
     model = tmp_path / "model.lfhn"
     missing = tmp_path / "missing"
     rc = cli.main(["train", "--data", str(small_corpus), "--out", str(missing / "m.lfhn"),
@@ -792,12 +792,24 @@ def test_shapes_config_bad_value_exits_2(tmp_path, capsys, line):
     ("batch_size = 0", "batch_size must be >= 1, got 0"),
     ("epochs = -1", "epochs must be >= 0, got -1"),
     ("lr_decay_every = -1", "lr_decay_every must be >= 0, got -1"),
+    ("seed = -2", "seed must be >= 0, got -2"),
 ])
 def test_run_config_refusal_names_the_key_and_the_value(tmp_path, capsys, line, message):
     cfg = tmp_path / "run.cfg"
     cfg.write_text(line + "\n")
     assert cli.main(["shapes", "--config", str(cfg)]) == 2
     assert capsys.readouterr().err == f"error: {message}\n"
+
+
+def test_train_refuses_a_bad_training_key_before_reading_the_corpus(tmp_path, capsys,
+                                                                   monkeypatch):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("batch_size = 0\n")
+    _refuse_to_load(monkeypatch)
+    rc = cli.main(["train", "--data", str(tmp_path / "absent"), "--config", str(cfg),
+                   "--out", str(tmp_path / "m.lfhn")])
+    assert rc == 2
+    assert capsys.readouterr().err == "error: batch_size must be >= 1, got 0\n"
 
 
 def test_config_file_repeated_key_exits_2(tmp_path, small_corpus, capsys):
@@ -872,22 +884,31 @@ def test_config_file_flag_override_wins(tmp_path, small_corpus):
     assert np.array_equal(loaded.params["fc7.weight"], fresh.params["fc7.weight"])
 
 
-def test_seed_env_fallback(tmp_path, monkeypatch):
-    monkeypatch.setenv("LFHN_SEED", "41")
-    assert cli.resolve_seed(None) == 41
-    assert cli.resolve_seed(7) == 7
-    assert cli.resolve_seed(None, 13) == 13
-    monkeypatch.setenv("LFHN_SEED", "junk")
-    with pytest.raises(cli.ConfigError, match="not an integer"):
-        cli.resolve_seed(None)
-    assert cli.resolve_seed(0) == 0  # a flag wins before the variable is read
-    monkeypatch.setenv("LFHN_SEED", "-3")
-    with pytest.raises(cli.ConfigError, match="LFHN_SEED must be >= 0, got -3"):
-        cli.resolve_seed(None)
-    with pytest.raises(cli.ConfigError, match="--seed must be >= 0"):
-        cli.resolve_seed(-1)
-    with pytest.raises(cli.ConfigError, match="config seed must be >= 0"):
-        cli.resolve_seed(None, -2)
+@pytest.mark.parametrize("flag, seed", [([], 5), (["--seed", "2"], 2), (["--seed", "0"], 0)],
+                         ids=["config", "flag", "flag-zero"])
+def test_the_seed_flag_beats_the_run_configs_seed(tmp_path, small_corpus, monkeypatch,
+                                                  flag, seed):
+    seen, train_fn = {}, train.train
+
+    def recording(net, samples, cfg):
+        seen.update(samples=_sample_keys(samples), seed=cfg.seed)
+        return train_fn(net, samples, cfg)
+
+    monkeypatch.setattr(train, "train", recording)
+    run_config = tmp_path / "run.cfg"
+    run_config.write_text(SMALL_RUN_CONFIG + "seed = 5\nlr = 0\n")
+    model = tmp_path / "model.lfhn"
+    assert cli.main(["train", "--data", str(small_corpus), "--out", str(model),
+                     "--config", str(run_config), "--epochs", "1",
+                     "--split", "random:0.5", *flag]) == 0
+    loaded = graph.load_checkpoint(model)
+    # lr 0 leaves the parameters as the build drew them
+    fresh = graph.build_lfhn(loaded.config, seed=seed)
+    for name in fresh.params:
+        assert loaded.params[name].tobytes() == fresh.params[name].tobytes(), name
+    assert seen["seed"] == seed  # train.train shuffles with its config's seed
+    corpus = data.load_corpus(small_corpus)
+    assert seen["samples"] == _sample_keys(data.split(corpus, "random:0.5", seed=seed)[0])
 
 
 SEEDED_COMMANDS = {
@@ -896,18 +917,6 @@ SEEDED_COMMANDS = {
     "eval": ["eval", "--model", "{tmp}/model", "--data", "{tmp}/corpus"],
     "gradcheck": ["gradcheck", "--samples", "1"],
 }
-
-
-@pytest.mark.parametrize("env", ["abc", "-3"])
-@pytest.mark.parametrize("command", SEEDED_COMMANDS)
-def test_bad_seed_variable_exits_2_with_one_error_line(command, env, tmp_path, monkeypatch,
-                                                        capsys):
-    monkeypatch.setenv("LFHN_SEED", env)
-    argv = [arg.format(tmp=tmp_path) for arg in SEEDED_COMMANDS[command]]
-    assert cli.main(argv) == 2
-    err = capsys.readouterr().err
-    assert err.startswith("error: LFHN_SEED") and err.count("\n") == 1
-    assert not os.listdir(tmp_path)
 
 
 @pytest.mark.parametrize("command", SEEDED_COMMANDS)
