@@ -3,10 +3,10 @@
 Exit codes: 0 success, 1 check failure (a failed gradcheck, or training that
 diverged to a non-finite loss), 2 usage or config error (an output path that
 cannot be written, or that names an input or the other output, included),
-3 data/model mismatch. A command refuses a run by raising Refusal, which
-main prints as one `error:` line and returns as the exit code. Heavy modules
-are imported inside the command handlers so that --threads can pin the BLAS
-thread pools before numpy loads.
+3 data/model mismatch. A command, or the parser for bad argv, refuses a run
+by raising Refusal, which main prints as one `error:` line and returns as
+the exit code. Heavy modules are imported inside the command handlers so
+that --threads can pin the BLAS thread pools before numpy loads.
 """
 
 from __future__ import annotations
@@ -185,9 +185,8 @@ def _read_corpus(directory, protocol, seed, side):
 def cmd_gen_data(args):
     from . import data
 
-    lights = data.default_light_roster(args.lights)
     with _refusing(EXIT_USAGE):
-        rows = data.generate_corpus(args.out, args.ids, lights=lights, seed=args.seed or 0,
+        rows = data.generate_corpus(args.out, args.ids, args.lights, seed=args.seed or 0,
                                     height=args.size, width=args.size,
                                     channels=args.channels)
     print(f"wrote {len(rows)} images and {data.MANIFEST_NAME} to {args.out}")
@@ -348,8 +347,13 @@ def cmd_shapes(args):
     return EXIT_OK
 
 
+class _Parser(argparse.ArgumentParser):
+    def error(self, message):  # main prints one error line, not a usage block
+        raise Refusal(message, EXIT_USAGE)
+
+
 def build_parser():
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="lfhn",
         description="multi-stream 1x1-convolution recognition network: data "
                     "generation, training, evaluation, checking",
@@ -425,10 +429,9 @@ def build_parser():
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    _apply_threads(args)
     try:
+        args = build_parser().parse_args(argv)
+        _apply_threads(args)
         return args.func(args)
     except Refusal as refusal:
         print(f"error: {refusal}", file=sys.stderr)

@@ -28,18 +28,8 @@ MANIFEST_FIELDS = ["filename", "identity", "pose_id", "light_id", "yaw_deg"]
 # signs pass so that read_image can name an extent below 1, and 20 digits keep
 # every number inside what int() converts
 _IMAGE_HEADER_RE = re.compile(rb"(P[56])\n(-?\d{1,20}) (-?\d{1,20})\n")
-
-
-@dataclass(frozen=True)
-class LightSpec:
-    """Directional ramp light over an ambient floor."""
-
-    direction_deg: float
-    ambient: float = 0.2
-
-    def __post_init__(self):
-        if not 0.1 <= self.ambient <= 1.0:
-            raise ValueError("ambient must lie in [0.1, 1]")
+# every light's intensity floor: a light is the direction of its ramp alone
+AMBIENT = 0.2
 
 
 @dataclass(frozen=True)
@@ -65,8 +55,8 @@ def default_pose_roster():
 
 
 def default_light_roster(count: int = 8):
-    """Evenly spaced ramp directions with a fixed ambient floor."""
-    return tuple(LightSpec(360.0 * i / count, ambient=0.2) for i in range(count))
+    """Ramp directions in degrees of count evenly spaced lights; a light id indexes it."""
+    return tuple(360.0 * i / count for i in range(count))
 
 
 def _ellipse(reflectance, cy, cx, ry, rx, albedo):
@@ -172,23 +162,23 @@ def project(reflectance, yaw_deg) -> np.ndarray:
     return out
 
 
-def light_field(light: LightSpec, height, width) -> np.ndarray:
-    """Lighting intensity map in [ambient, 1], strictly positive everywhere:
-    a linear ramp toward direction_deg; ambient 1 gives exactly 1 everywhere."""
-    rad = np.deg2rad(light.direction_deg)
+def light_field(direction_deg: float, height, width) -> np.ndarray:
+    """Lighting intensity map in [AMBIENT, 1], strictly positive everywhere:
+    a linear ramp toward direction_deg over the AMBIENT floor."""
+    rad = np.deg2rad(direction_deg)
     c, s = np.cos(rad), np.sin(rad)
     u = np.linspace(-1.0, 1.0, width, dtype=DTYPE)[None, :]
     v = np.linspace(-1.0, 1.0, height, dtype=DTYPE)[:, None]
     # dividing by |c|+|s| pins the ramp inside [0, 1] for every direction
     ramp = 0.5 * (1.0 + (c * u + s * v) / (abs(c) + abs(s)))
-    return light.ambient + (1.0 - light.ambient) * ramp
+    return AMBIENT + (1.0 - AMBIENT) * ramp
 
 
-def render(template: IdentityTemplate, yaw_deg: float, light: LightSpec) -> np.ndarray:
-    """Image = clamp(project(reflectance, yaw_deg) * light, 0, 1), per channel."""
+def render(template: IdentityTemplate, yaw_deg: float, light_deg: float) -> np.ndarray:
+    """Image = clamp(project(reflectance, yaw) * light_field(light), 0, 1), per channel."""
     posed = project(template.reflectance, yaw_deg)
     h, w = posed.shape
-    field = light_field(light, h, w)
+    field = light_field(light_deg, h, w)
     image = (posed * field)[:, :, None] * template.tint[None, None, :]
     return np.clip(image, 0.0, 1.0)
 
@@ -264,19 +254,18 @@ def network_input(images) -> np.ndarray:
     raise ValueError(f"images must be uint8 or float, got dtype {images.dtype}")
 
 
-def generate_corpus(out_dir, n_identities, lights=None, seed=0,
+def generate_corpus(out_dir, n_identities, n_lights=8, seed=0,
                     height=67, width=67, channels=1):
     """Render and write every (identity, pose, light) triple plus a manifest.
 
-    The poses are the default 13-bin roster; lights defaults to
-    default_light_roster().
+    The poses are default_pose_roster() and the lights default_light_roster(n_lights).
     Re-running with the same arguments reproduces byte-identical files.
     Returns the manifest rows as dicts. An out_dir that already holds a
     manifest or an image raises ValueError naming it before anything is
     written, since load_corpus would read the old images with the new.
     """
     poses = default_pose_roster()
-    lights = default_light_roster() if lights is None else tuple(lights)
+    lights = default_light_roster(n_lights)
     if os.path.isdir(out_dir):
         for name in sorted(os.listdir(out_dir)):
             if name == MANIFEST_NAME or name.endswith(CORPUS_SUFFIXES):

@@ -3,9 +3,10 @@
 The graph template is fixed: a root convolution, ReLU, 3x3/stride-2 max pool
 and response normalization, then parallel streams of 1x1 convolutions off the
 normalized root features, channel concatenation, one more 1x1 convolution,
-flatten, a hidden fully connected layer and the class logits. Convolutions
-are numbered in build order (conv1 is the root, the post-concat mixer gets
-the next free number), fully connected layers continue the numbering.
+flatten, a hidden fully connected layer and the class logits. Each conv and
+the hidden layer is followed by its ReLU, as in Network in Network (arXiv
+1312.4400). Convolutions are numbered in build order (conv1 is the root, the
+post-concat mixer gets the next free number), fc layers continue the numbering.
 
 The node list is derived from the config alone: a NetworkGraph is its
 config plus the parameter arrays. All per-kind code lives in one table, OPS:
@@ -30,7 +31,7 @@ from . import layers
 from .tensor import DTYPE, conv_extent
 
 CHECKPOINT_MAGIC = b"LFHN"
-CHECKPOINT_VERSION = 1
+CHECKPOINT_VERSION = 2
 
 POOL_WINDOW = 3
 POOL_STRIDE = 2
@@ -59,28 +60,25 @@ class LfhnConfig:
     post_concat_channels: int = 500
     fc_hidden: int = 512
     num_classes: int = 337
-    relu_after_1x1: bool = True
-    relu_after_hidden: bool = True
     lrn_size: int = 5
     lrn_k: float = 2.0
     lrn_alpha: float = 1e-4
     lrn_beta: float = 0.75
 
     def __post_init__(self):
-        extents = (self.input_height, self.input_width, self.input_channels,
-                   self.root_kernel, self.root_channels, self.root_stride,
-                   self.post_concat_channels, self.fc_hidden, self.num_classes)
-        if any(e < 1 for e in extents):
-            raise ValueError("all extents and widths must be >= 1")
+        # every int field is an extent, a width, a count or lrn_size
+        for key, kind in field_types(LfhnConfig).items():
+            if kind is int and getattr(self, key) < 1:
+                raise ValueError(f"{key} must be >= 1, got {getattr(self, key)}")
         if not self.streams or any(not s for s in self.streams):
             raise ValueError("streams must be a non-empty tuple of non-empty width tuples")
-        if any(w < 1 for s in self.streams for w in s):
-            raise ValueError("stream widths must be >= 1")
+        for n, widths in enumerate(self.streams, start=1):
+            if any(w < 1 for w in widths):
+                raise ValueError(f"streams: stream {n} widths must be >= 1, "
+                                 f"got {','.join(map(str, widths))}")
         object.__setattr__(self, "streams", tuple(tuple(int(w) for w in s)
                                                   for s in self.streams))
         # k > 0 and beta > 0 keep the LRN denominator positive and differentiable
-        if self.lrn_size < 1:
-            raise ValueError(f"lrn_size must be >= 1, got {self.lrn_size}")
         if not 0 < self.lrn_k < math.inf:
             raise ValueError(f"lrn_k must be finite and > 0, got {self.lrn_k}")
         if not 0 <= self.lrn_alpha < math.inf:
@@ -179,8 +177,7 @@ def _architecture(cfg: LfhnConfig):
         channels = cfg.root_channels
         for width in widths:
             prev = add_conv(f"conv{number}", prev, hw + (width,), 1, channels, 1)
-            if cfg.relu_after_1x1:
-                prev = add(f"relu{number}", "relu", [prev], hw + (width,))
+            prev = add(f"relu{number}", "relu", [prev], hw + (width,))
             channels = width
             number += 1
         tails.append(prev)
@@ -188,16 +185,14 @@ def _architecture(cfg: LfhnConfig):
     prev = add("concat", "concat", tails, hw + (cfg.concat_channels,))
     mixed_shape = hw + (cfg.post_concat_channels,)
     prev = add_conv(f"conv{number}", prev, mixed_shape, 1, cfg.concat_channels, 1)
-    if cfg.relu_after_1x1:
-        prev = add(f"relu{number}", "relu", [prev], mixed_shape)
+    prev = add(f"relu{number}", "relu", [prev], mixed_shape)
     number += 1
 
     flat = hw[0] * hw[1] * cfg.post_concat_channels
     prev = add("flatten", "flatten", [prev], (flat,))
     prev = add(f"fc{number}", "fc", [prev], (cfg.fc_hidden,),
                {"weight": (flat, cfg.fc_hidden), "bias": (cfg.fc_hidden,)})
-    if cfg.relu_after_hidden:
-        prev = add(f"relu{number}", "relu", [prev], (cfg.fc_hidden,))
+    prev = add(f"relu{number}", "relu", [prev], (cfg.fc_hidden,))
     number += 1
     add(f"fc{number}", "fc", [prev], (cfg.num_classes,),
         {"weight": (cfg.fc_hidden, cfg.num_classes), "bias": (cfg.num_classes,)})
@@ -448,8 +443,6 @@ def field_types(cls) -> types.MappingProxyType:
 
 def format_value(kind, value) -> str:
     """Text form of a config value; parse_value(kind, ...) reads it back."""
-    if kind is bool:
-        return "true" if value else "false"
     if kind is tuple:
         return "|".join(",".join(str(w) for w in s) for s in value)
     return str(value)
@@ -559,7 +552,8 @@ def load_checkpoint(path) -> NetworkGraph:
             raise CheckpointError("bad magic bytes: not a checkpoint file")
         version = int.from_bytes(fh.read(left(4, "version")), "little")
         if version != CHECKPOINT_VERSION:
-            raise CheckpointError(f"unsupported checkpoint version {version}")
+            raise CheckpointError(f"unsupported checkpoint version {version} "
+                                  f"(this build reads version {CHECKPOINT_VERSION})")
         config_len = int.from_bytes(fh.read(left(4, "config length")), "little")
         cfg, frozen = _config_from_block(fh.read(left(config_len, "config")))
         expected = parameter_shapes(cfg)

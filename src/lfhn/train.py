@@ -193,9 +193,10 @@ class GradReport:
         return lines
 
 
-def relative_error(a: float, b: float) -> float:
-    """|a - b| over the larger magnitude, or inf where a nan or inf input makes that nan."""
-    err = abs(a - b) / max(abs(a), abs(b), 1e-8)
+def relative_error(a: float, b: float, slack: float) -> float:
+    """|a - b| less slack, at least 0, over the larger magnitude; inf where
+    a nan or inf input makes that nan."""
+    err = max(abs(a - b) - slack, 0.0) / max(abs(a), abs(b), 1e-8)
     return np.inf if np.isnan(err) else err
 
 
@@ -225,6 +226,11 @@ def grad_check(net, images, labels, epsilon=1e-5, max_per_tensor=32, seed=0,
     softmax cross-entropy on the given batch. Cost is two forward passes per
     checked element, so use a tiny configuration. Raises ValueError for
     settings that would check nothing.
+
+    Each computed loss L is off by up to u * |L| from its rounding alone, u
+    = 2**-53 being float64's unit roundoff, so a central difference is off
+    by up to u * |L| / |epsilon| (Nocedal & Wright, Numerical Optimization,
+    2nd ed., section 8.1): the relative error discounts that much.
     """
     if max_per_tensor < 1:
         raise ValueError(f"max_per_tensor must be >= 1, got {max_per_tensor}")
@@ -263,8 +269,9 @@ def grad_check(net, images, labels, epsilon=1e-5, max_per_tensor=32, seed=0,
             loss_minus = loss_at()
             flat[off] = original
             numeric = (loss_plus - loss_minus) / (2.0 * epsilon)
+            roundoff = 2.0**-53 * max(abs(loss_plus), abs(loss_minus)) / abs(epsilon)
             analytic_value = float(grad.reshape(-1)[off])
-            rel = relative_error(analytic_value, numeric)
+            rel = relative_error(analytic_value, numeric, roundoff)
             if rel > worst.max_rel_err:
                 index = tuple(int(i) for i in np.unravel_index(off, param.shape))
                 worst = ParamCheck(name, rel, index, analytic_value, numeric,

@@ -40,10 +40,9 @@ def test_gen_data_writes_corpus_and_manifest(tmp_path, capsys):
     assert len([n for n in os.listdir(out) if n.endswith(".pgm")]) == 2 * 13 * 8
 
 
-def test_gen_data_requires_out():
-    with pytest.raises(SystemExit) as err:
-        cli.main(["gen-data", "--ids", "2"])
-    assert err.value.code == 2
+def test_gen_data_requires_out(capsys):
+    assert cli.main(["gen-data", "--ids", "2"]) == 2
+    assert capsys.readouterr().err == "error: the following arguments are required: --out\n"
 
 
 @pytest.mark.parametrize("flag,value", [("--ids", "0"), ("--ids", "-1"),
@@ -52,10 +51,8 @@ def test_gen_data_requires_out():
 def test_gen_data_extents_below_one_exit_2_writing_nothing(tmp_path, capsys, flag, value):
     out = tmp_path / "corpus"
     argv = ["gen-data", "--ids", "2", "--out", str(out), flag, value]
-    with pytest.raises(SystemExit) as err:
-        cli.main(argv)
-    assert err.value.code == 2
-    assert "must be >= 1" in capsys.readouterr().err
+    assert cli.main(argv) == 2
+    assert capsys.readouterr().err == f"error: argument {flag}: must be >= 1, got {value}\n"
     assert not out.exists()
 
 
@@ -65,6 +62,16 @@ def test_gen_data_rerun_is_byte_identical(tmp_path):
         cli.main(["gen-data", "--ids", "1", "--out", str(out),
                   "--size", "24", "--seed", "3"])
     assert _digest(a) == _digest(b)
+
+
+def test_gen_data_writes_the_pinned_corpus_bytes(tmp_path):
+    # the digest of this corpus as written before lights became bare ramp
+    # directions over a fixed ambient floor; any change to the renderer,
+    # the rosters or the file formats shows here
+    out = tmp_path / "corpus"
+    assert cli.main(["gen-data", "--ids", "1", "--size", "24", "--lights", "2",
+                     "--seed", "3", "--out", str(out)]) == 0
+    assert _digest(out) == "3aaca6b8c68206b648f73ffde696f0b5dced59ca18fb28efa5ad511101f7a51c"
 
 
 def test_gen_data_into_an_existing_corpus_exits_2_leaving_it_unchanged(tmp_path, capsys):
@@ -104,6 +111,15 @@ def test_shapes_invalid_config_names_node(capsys):
 
 def test_shapes_bad_input_flag(capsys):
     assert cli.main(["shapes", "--input", "bogus"]) == 2
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["--classes", "0"], "num_classes must be >= 1, got 0"),
+    (["--input", "67x67x0"], "input_channels must be >= 1, got 0"),
+])
+def test_shapes_extent_below_one_names_the_key_and_the_value(capsys, argv, message):
+    assert cli.main(["shapes", *argv]) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
 
 
 # ---------------------------------------------------------------- gradcheck
@@ -588,6 +604,18 @@ def test_eval_rejects_malformed_config_block_with_one_error_line(tmp_path, small
     assert len(err) == 1 and err[0].startswith("error: "), err
 
 
+def test_eval_on_a_version_1_checkpoint_exits_2_with_one_error_line(tmp_path, small_corpus,
+                                                                   capsys):
+    model = tmp_path / "model.lfhn"
+    graph.save_checkpoint(graph.build_lfhn(graph.tiny_config(), seed=0), model)
+    blob = model.read_bytes()
+    model.write_bytes(blob[:4] + (1).to_bytes(4, "little") + blob[8:])
+    capsys.readouterr()
+    assert cli.main(["eval", "--model", str(model), "--data", str(small_corpus)]) == 2
+    assert capsys.readouterr().err == ("error: unsupported checkpoint version 1 "
+                                       "(this build reads version 2)\n")
+
+
 def test_eval_refuses_a_rank_past_the_end_of_the_file_with_one_error_line(tmp_path,
                                                                           small_corpus, capsys):
     model = tmp_path / "model.lfhn"
@@ -793,6 +821,8 @@ def test_shapes_config_bad_value_exits_2(tmp_path, capsys, line):
     ("epochs = -1", "epochs must be >= 0, got -1"),
     ("lr_decay_every = -1", "lr_decay_every must be >= 0, got -1"),
     ("seed = -2", "seed must be >= 0, got -2"),
+    ("fc_hidden = 0", "fc_hidden must be >= 1, got 0"),
+    ("streams = 16,24|16,0", "streams: stream 2 widths must be >= 1, got 16,0"),
 ])
 def test_run_config_refusal_names_the_key_and_the_value(tmp_path, capsys, line, message):
     cfg = tmp_path / "run.cfg"
@@ -919,13 +949,27 @@ SEEDED_COMMANDS = {
 }
 
 
-@pytest.mark.parametrize("command", SEEDED_COMMANDS)
+@pytest.mark.parametrize("command", [*SEEDED_COMMANDS, "bogus"])
 def test_negative_seed_flag_exits_2(command, tmp_path, capsys):
-    argv = [arg.format(tmp=tmp_path) for arg in SEEDED_COMMANDS[command]]
+    # argparse's refusals leave through main as one error: line, like the rest
+    argv = [arg.format(tmp=tmp_path) for arg in SEEDED_COMMANDS.get(command, [command])]
+    assert cli.main(argv + ["--seed", "-1"]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1, err
+    if command == "bogus":  # how the choices are quoted varies across Python versions
+        assert err[0].startswith("error: argument command: invalid choice: 'bogus' "), err
+    else:
+        assert err[0] == "error: argument --seed: must be >= 0, got -1"
+
+
+@pytest.mark.parametrize("argv, usage", [(["--help"], "usage: lfhn [-h]"),
+                                         (["train", "--help"], "usage: lfhn train [-h]")])
+def test_help_exits_0_with_the_usage(argv, usage, capsys):
     with pytest.raises(SystemExit) as exc:
-        cli.main(argv + ["--seed", "-1"])
-    assert exc.value.code == 2
-    assert "argument --seed: must be >= 0, got -1" in capsys.readouterr().err
+        cli.main(argv)
+    assert exc.value.code == 0
+    out = capsys.readouterr()
+    assert out.out.startswith(usage) and out.err == ""
 
 
 def test_threads_flag_sets_env(monkeypatch):
@@ -937,11 +981,10 @@ def test_threads_flag_sets_env(monkeypatch):
 
 
 @pytest.mark.parametrize("threads", ["0", "-2"])
-def test_threads_below_one_exits_2(threads, monkeypatch):
+def test_threads_below_one_exits_2(threads, monkeypatch, capsys):
     monkeypatch.delenv("OPENBLAS_NUM_THREADS", raising=False)
-    with pytest.raises(SystemExit) as exc:
-        cli.main(["shapes", "--threads", threads])
-    assert exc.value.code == 2
+    assert cli.main(["shapes", "--threads", threads]) == 2
+    assert capsys.readouterr().err == f"error: argument --threads: must be >= 1, got {threads}\n"
     assert "OPENBLAS_NUM_THREADS" not in os.environ
 
 

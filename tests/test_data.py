@@ -6,7 +6,6 @@ import numpy as np
 import pytest
 
 from lfhn import data
-from lfhn.data import LightSpec
 
 
 def _tree_digest(directory):
@@ -38,9 +37,11 @@ def test_template_channel_tint():
 # ---------------------------------------------------------------- rendering
 
 def test_render_identity_pose_and_unit_light_is_exact():
+    # yaw 0 leaves the reflectance as it is, and a light only multiplies it
     t = data.make_template(1, 0, 24, 24)
-    image = data.render(t, 0.0, LightSpec(0.0, ambient=1.0))
-    assert np.array_equal(image[:, :, 0], t.reflectance)
+    for light in data.default_light_roster():
+        image = data.render(t, 0.0, light)
+        assert np.array_equal(image[:, :, 0], t.reflectance * data.light_field(light, 24, 24))
 
 
 def test_render_zero_reflectance_stays_zero():
@@ -54,7 +55,7 @@ def test_lighting_is_multiplicative_before_clamping():
     t = data.make_template(2, 4, 20, 20)
     yaw = -30.0
     light = data.default_light_roster()[3]
-    unit = data.render(t, yaw, LightSpec(0.0, ambient=1.0))
+    unit = data.project(t.reflectance, yaw)[:, :, None] * t.tint
     field = data.light_field(light, 20, 20)
     lit = data.render(t, yaw, light)
     assert np.abs(unit * field[:, :, None] - lit).max() < 1e-12
@@ -63,7 +64,7 @@ def test_lighting_is_multiplicative_before_clamping():
 def test_light_field_range_and_positivity():
     for light in data.default_light_roster():
         field = data.light_field(light, 13, 17)
-        assert field.min() >= light.ambient - 1e-12
+        assert field.min() >= data.AMBIENT - 1e-12
         assert field.max() <= 1.0 + 1e-12
         assert (field > 0).all()
 

@@ -90,7 +90,6 @@ CONFIGS = {
     "tiny": graph.tiny_config(),
     "desk": graph.desk_config(10),
     "single-stream": replace(graph.tiny_config(), streams=((4,),), post_concat_channels=3),
-    "no-relu": replace(graph.tiny_config(), relu_after_1x1=False, relu_after_hidden=False),
     "115x115": LfhnConfig(input_height=115, input_width=115, root_channels=8,
                           streams=((8, 6), (5,)), post_concat_channels=4, fc_hidden=8,
                           num_classes=5),
@@ -127,7 +126,7 @@ def test_single_stream_config_is_valid():
 def test_invalid_widths_rejected():
     with pytest.raises(ValueError):
         LfhnConfig(streams=())
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"^streams: stream 1 widths must be >= 1, got 0$"):
         LfhnConfig(streams=((0,),))
 
 
@@ -270,13 +269,11 @@ def test_liveness_frees_norm1_after_the_last_stream_reads_it():
        channels=st.sampled_from([1, 3]), widths=st.tuples(*[st.integers(1, 4)] * 4),
        streams=st.lists(st.lists(st.integers(1, 4), min_size=1, max_size=3),
                         min_size=1, max_size=3),
-       relu_after_1x1=st.booleans(), relu_after_hidden=st.booleans(),
        lrn_size=st.sampled_from([1, 3, 5]))
 def test_any_config_that_tiles_traces_infers_and_saves_consistently(
-        tmp_path, kernel, stride, pooled, channels, widths, streams, relu_after_1x1,
-        relu_after_hidden, lrn_size):
-    """Over root kernels and strides 1-3, 1-3 streams of 1-3 convs, widths 1-4,
-    both ReLU flags and LRN sizes 1, 3 and 5: the node list keeps the
+        tmp_path, kernel, stride, pooled, channels, widths, streams, lrn_size):
+    """Over root kernels and strides 1-3, 1-3 streams of 1-3 convs, widths 1-4
+    and LRN sizes 1, 3 and 5: the node list keeps the
     template's invariants, the training forward's shapes are shape_trace's,
     the inference logits are the training ones bit for bit, a loaded
     checkpoint saves to the bytes it was loaded from, and every parameter's
@@ -287,8 +284,7 @@ def test_any_config_that_tiles_traces_infers_and_saves_consistently(
     cfg = LfhnConfig(input_height=extents[0], input_width=extents[1], input_channels=channels,
                      root_kernel=kernel, root_channels=root, root_stride=stride,
                      streams=tuple(map(tuple, streams)), post_concat_channels=mixer,
-                     fc_hidden=hidden, num_classes=classes, relu_after_1x1=relu_after_1x1,
-                     relu_after_hidden=relu_after_hidden, lrn_size=lrn_size)
+                     fc_hidden=hidden, num_classes=classes, lrn_size=lrn_size)
     net = graph.build_lfhn(cfg, seed=0)
     train.randomize_biases(net, seed=0)
     # the template's invariants, which NetworkGraph and the OPS steps rely on
@@ -342,7 +338,7 @@ def _step_bytes(net, x, labels):
             {k: p.tobytes() for k, p in net.params.items()})
 
 
-@pytest.mark.parametrize("config", ["tiny", "desk", "no-relu"])
+@pytest.mark.parametrize("config", ["tiny", "desk"])
 def test_relu_in_place_gives_the_copy_reference_bits(config, monkeypatch):
     net = graph.build_lfhn(CONFIGS[config], seed=25)
     train.randomize_biases(net, seed=25)
@@ -786,6 +782,19 @@ def test_checkpoint_rejects_unknown_version(tmp_path):
         graph.load_checkpoint(path)
 
 
+def test_checkpoint_refuses_a_version_1_file_naming_the_version(tmp_path):
+    # the bytes version 1 wrote: its config block held two ReLU switches,
+    # true in every file, which the format lost with version 2
+    path = tmp_path / "model.lfhn"
+    _tiny_checkpoint_with_config(path, lambda text: text.replace(
+        b"num_classes=3\n", b"num_classes=3\nrelu_after_1x1=true\nrelu_after_hidden=true\n"))
+    blob = path.read_bytes()
+    path.write_bytes(blob[:4] + (1).to_bytes(4, "little") + blob[8:])
+    with pytest.raises(CheckpointError, match=r"^unsupported checkpoint version 1 "
+                                              r"\(this build reads version 2\)$"):
+        graph.load_checkpoint(path)
+
+
 def test_checkpoint_rejects_truncation(tmp_path):
     net = graph.build_lfhn(graph.tiny_config(), seed=20)
     path = tmp_path / "model.lfhn"
@@ -856,7 +865,7 @@ def test_checkpoint_loads_only_the_bytes_its_save_writes(tmp_path):
         header = 8 + len(name) + 4 * len(shape)
         offsets += range(pos, pos + header)
         pos += header + 8 * int(np.prod(shape))
-    assert pos == len(blob) and len(offsets) == 656
+    assert pos == len(blob) and len(offsets) == 613
     cases = [blob[:n] for n in sorted({*offsets, *range(0, len(blob), 7)})]
     for i in offsets:
         for value in sorted({*MUTATION_VALUES, blob[i] ^ 0x20} - {blob[i]}):
@@ -991,7 +1000,6 @@ def test_checkpoint_config_block_format_is_pinned(tmp_path):
         "input_height=8\ninput_width=8\ninput_channels=3\n"
         "root_kernel=2\nroot_channels=4\nroot_stride=1\n"
         "streams=4,6|5\npost_concat_channels=5\nfc_hidden=8\nnum_classes=3\n"
-        "relu_after_1x1=true\nrelu_after_hidden=true\n"
         "lrn_size=3\nlrn_k=2.0\nlrn_alpha=0.01\nlrn_beta=0.75\nfrozen="
     )
 
@@ -1005,17 +1013,9 @@ def _tiny_checkpoint_with_config(path, edit):
     path.write_bytes(blob[:8] + len(text).to_bytes(4, "little") + text + blob[end:])
 
 
-def test_checkpoint_rejects_bad_bool_in_config(tmp_path):
-    path = tmp_path / "model.lfhn"
-    _tiny_checkpoint_with_config(
-        path, lambda text: text.replace(b"relu_after_1x1=true", b"relu_after_1x1=maybe"))
-    with pytest.raises(CheckpointError, match="relu_after_1x1"):
-        graph.load_checkpoint(path)
-
-
 @pytest.mark.parametrize("old, new, match", [
-    (b"frozen=", b"bogus=1\nfrozen=", r"line 17 reads \['bogus=1'\]"),
-    (b"frozen=", b"lrn_k=3.0\nfrozen=", r"line 17 reads \['lrn_k=3.0'\]"),
+    (b"frozen=", b"bogus=1\nfrozen=", r"line 15 reads \['bogus=1'\]"),
+    (b"frozen=", b"lrn_k=3.0\nfrozen=", r"line 15 reads \['lrn_k=3.0'\]"),
     (b"frozen=", b"frozen=conv99,norm1", r"\['conv99', 'norm1'\] are not nodes with parameters"),
 ], ids=["unknown-key", "repeated-key", "frozen-without-parameters"])
 def test_checkpoint_refuses_config_it_would_ignore(tmp_path, old, new, match):
@@ -1038,6 +1038,14 @@ def test_checkpoint_rejects_a_bad_lrn_constant_naming_the_key(tmp_path):
     _tiny_checkpoint_with_config(path, lambda text: text.replace(b"lrn_k=2.0", b"lrn_k=nan"))
     with pytest.raises(CheckpointError,
                        match="invalid config block: lrn_k must be finite and > 0, got nan"):
+        graph.load_checkpoint(path)
+
+
+def test_checkpoint_rejects_a_config_value_that_does_not_parse_naming_the_key(tmp_path):
+    path = tmp_path / "model.lfhn"
+    _tiny_checkpoint_with_config(path, lambda text: text.replace(b"lrn_size=3", b"lrn_size=3.0"))
+    with pytest.raises(CheckpointError, match=r"^invalid config block: lrn_size: invalid "
+                                              r"literal for int\(\) with base 10: '3\.0'$"):
         graph.load_checkpoint(path)
 
 

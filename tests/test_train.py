@@ -188,8 +188,7 @@ def test_training_on_stored_pixels_matches_training_on_scaled_floats(tmp_path, a
     # images as loaded (uint8) and the same images given as floats in [0, 1]
     # must give the same bits: parameters, epoch log and rank-1 table
     size = 10
-    data.generate_corpus(tmp_path, 2, lights=data.default_light_roster(2), seed=3,
-                         height=size, width=size)
+    data.generate_corpus(tmp_path, 2, n_lights=2, seed=3, height=size, width=size)
     stored = data.load_corpus(tmp_path)
     assert stored[0].image.dtype == np.uint8
     scaled = [replace(s, image=s.image.astype(np.float64) / 255.0) for s in stored]
@@ -215,8 +214,7 @@ def test_batches_of_one_dtype_each_train_and_predict_like_all_uint8(tmp_path):
     # the dtype rule holds per batch: at batch size 1, alternating stored
     # uint8 images with the same pixels as floats gives the all-uint8 bits
     size = 10
-    data.generate_corpus(tmp_path, 2, lights=data.default_light_roster(2), seed=3,
-                         height=size, width=size)
+    data.generate_corpus(tmp_path, 2, n_lights=2, seed=3, height=size, width=size)
     stored = data.load_corpus(tmp_path)
     alternating = [replace(s, image=s.image.astype(np.float64) / 255.0) if i % 2 else s
                    for i, s in enumerate(stored)]
@@ -435,7 +433,11 @@ def test_grad_check_param_filter():
 
 
 def test_grad_report_relative_error_definition():
-    assert train.relative_error(1.0, 1.0) == 0.0
-    assert train.relative_error(0.0, 1e-9) == pytest.approx(1e-9 / 1e-8)
-    assert train.relative_error(2.0, 1.0) == 0.5
-    assert train.relative_error(np.nan, 1.0) == np.inf
+    assert train.relative_error(1.0, 1.0, 0.0) == 0.0
+    assert train.relative_error(0.0, 1e-9, 0.0) == pytest.approx(1e-9 / 1e-8)
+    assert train.relative_error(2.0, 1.0, 0.0) == 0.5
+    assert train.relative_error(np.nan, 1.0, 0.0) == np.inf
+    # the slack is taken off the difference, which stays at least 0
+    assert train.relative_error(2.0, 1.0, 0.5) == 0.25
+    assert train.relative_error(2.0, 1.0, 3.0) == 0.0
+    assert train.relative_error(np.nan, 1.0, 3.0) == np.inf
