@@ -218,6 +218,20 @@ def fc_forward(x, weight, bias) -> np.ndarray:
     return out
 
 
+# fc_backward's weight-gradient row block, in bytes. One BLAS call over a
+# large gradient most likely passes over it twice, as OpenBLAS clears C for
+# beta = 0 before it accumulates; a block is still in cache for the second
+# pass. For fc6's 364500x512 gradient at batch 4 (2 cores, OpenBLAS 0.3.31
+# at 2 threads; median of 6 calls) one call took 164 ms, and blocks of 2, 4,
+# 6, 8 and 16 MiB took 141, 121, 140, 159 and 156 ms. The input gradient in
+# the same row blocks was no faster: 117 against 115 ms. With OpenBLAS
+# 0.3.31's SkylakeX kernels the blocks give one call's bits for an fc of at
+# most 192 outputs or a multiple of 8, as LfhnConfig()'s fc6 is (no other fc
+# of it or of desk_config splits); at other widths a block's edge rows round
+# differently.
+FC_BLOCK_BYTES = 4 << 20
+
+
 def fc_backward(x, weight, grad_out, need_input_grad=True, out=None):
     """Adjoint of fc_forward: (grad_input, grad_weight, grad_bias).
 
@@ -225,9 +239,18 @@ def fc_backward(x, weight, grad_out, need_input_grad=True, out=None):
     asks wherever no trainable parameter lies upstream of x (for fc6 when
     every conv is frozen). out, when given, is a (grad_weight, grad_bias)
     pair that the parameter gradients are written into and returned as.
+    grad_weight = x.T @ grad_out is written in row blocks of at least
+    FC_BLOCK_BYTES, each while it is in cache; a weight under two blocks
+    takes one call.
     """
-    grad_weight, grad_bias = out or (None, None)
-    grad_weight = np.matmul(x.T, grad_out, out=grad_weight)
+    grad_weight, grad_bias = out or (np.empty(weight.shape, np.result_type(x, grad_out)),
+                                     None)
+    # at least two rows per block: numpy hands a one-row product to gemv,
+    # which rounds differently from a GEMM
+    n_blocks = max(1, min(grad_weight.nbytes // FC_BLOCK_BYTES, len(grad_weight) // 2))
+    cuts = [len(grad_weight) * i // n_blocks for i in range(n_blocks + 1)]
+    for start, stop in zip(cuts, cuts[1:]):
+        np.matmul(x.T[start:stop], grad_out, out=grad_weight[start:stop])
     grad_bias = grad_out.sum(axis=0, out=grad_bias)
     grad_input = grad_out @ weight.T if need_input_grad else None
     return grad_input, grad_weight, grad_bias

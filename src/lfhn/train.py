@@ -45,22 +45,44 @@ class TrainConfig:
                              f"got {self.lr_decay_factor}")
 
 
+# sgd_step's block, in values: 256 KiB of float64, so a block of p, g and v
+# stays in cache through the four operations. On one 364500x512 tensor (2
+# cores; median of 5 steps) the four whole-array operations took 639 ms, and
+# blocks of 2^13, 2^15, 2^17 and 2^19 values 481, 445, 496 and 562 ms.
+UPDATE_BLOCK = 2**15
+
+
 def sgd_step(params, grads, velocity, lr, momentum):
     """In-place update: v <- momentum*v - lr*g; p <- p + v, per named tensor.
 
     Consumes grads: each gradient array is overwritten with lr*g, so the
-    update allocates no full-size temporary.
+    update allocates no full-size temporary. The four operations run on one
+    block of UPDATE_BLOCK values at a time, while it is in cache; they are
+    elementwise, so the blocks do not change a bit. Each parameter, its
+    gradient and its velocity must be C-contiguous arrays of one shape, as
+    the net's own are; others raise ValueError.
     """
     for name, g in grads.items():
         if name not in params:
             raise KeyError(f"unknown parameter {name!r} in gradients")
+        p = params[name]
         v = velocity.get(name)
         if v is None:
-            v = velocity[name] = np.zeros_like(params[name])
-        v *= momentum
-        g *= lr
-        v -= g
-        params[name] += v
+            v = velocity[name] = np.zeros_like(p)
+        # a flat view of a non-contiguous array would be a copy, and the
+        # update would be lost in it
+        if not (p.flags.c_contiguous and g.flags.c_contiguous and v.flags.c_contiguous
+                and p.shape == g.shape == v.shape):
+            raise ValueError(f"{name!r}: parameter, gradient and velocity must be "
+                             "C-contiguous arrays of one shape")
+        p, g, v = p.reshape(-1), g.reshape(-1), v.reshape(-1)
+        for start in range(0, g.size, UPDATE_BLOCK):
+            stop = start + UPDATE_BLOCK
+            vb, gb = v[start:stop], g[start:stop]
+            vb *= momentum
+            gb *= lr
+            vb -= gb
+            p[start:stop] += vb
     return params, velocity
 
 

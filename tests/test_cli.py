@@ -122,6 +122,17 @@ def test_shapes_extent_below_one_names_the_key_and_the_value(capsys, argv, messa
     assert capsys.readouterr().err == f"error: {message}\n"
 
 
+def test_a_refusal_through_the_entry_point_exits_2_with_one_error_line(monkeypatch, capsys):
+    # the installed lfhn script calls entry(), which exits with main's code
+    monkeypatch.setattr(sys, "argv", ["lfhn", "shapes", "--classes", "0"])
+    with pytest.raises(SystemExit) as exit_:
+        cli.entry()
+    assert exit_.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.err == "error: num_classes must be >= 1, got 0\n"
+    assert captured.out == ""
+
+
 # ---------------------------------------------------------------- gradcheck
 
 def test_gradcheck_passes_on_healthy_build(capsys):

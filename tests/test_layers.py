@@ -401,6 +401,39 @@ def test_fc_backward_matches_finite_differences():
         bias.copy())) < 1e-7
 
 
+# 103 rows at 16 rows' bytes a block make 6 blocks of 17 or 18 rows; at one
+# row's bytes a block, 51 blocks of two rows and a last of three, as a
+# one-row block would go to gemv
+@pytest.mark.parametrize("block_rows, blocks", [(16, [17] * 5 + [18]),
+                                                (1, [2] * 50 + [3])], ids=["16", "1"])
+@pytest.mark.parametrize("width", [64, 512])  # desk's and the paper's fc_hidden
+@pytest.mark.parametrize("batch", [1, 4, 300])  # numpy skips BLAS at 1; 300 sums deep
+@pytest.mark.parametrize("given_out", [False, True], ids=["fresh", "out"])
+def test_fc_weight_gradient_in_row_blocks_has_the_bits_of_one_call(
+        monkeypatch, block_rows, blocks, width, batch, given_out):
+    r = rng(33)
+    x, grad_out = r.normal(size=(batch, 103)), r.normal(size=(batch, width))
+    weight = r.normal(size=(103, width))
+    monkeypatch.setattr(layers, "FC_BLOCK_BYTES", block_rows * width * 8)
+    rows = []
+    matmul = np.matmul
+
+    def recording(a, b, **kw):
+        rows.append(len(a))
+        return matmul(a, b, **kw)
+
+    monkeypatch.setattr(np, "matmul", recording)
+    out = (np.empty((103, width)), np.empty(width)) if given_out else None
+    gi, gw, gb = layers.fc_backward(x, weight, grad_out, out=out)
+    monkeypatch.undo()
+    assert rows == blocks
+    assert gw.tobytes() == np.matmul(x.T, grad_out).tobytes()
+    assert gi.tobytes() == (grad_out @ weight.T).tobytes()
+    assert gb.tobytes() == grad_out.sum(axis=0).tobytes()
+    if given_out:
+        assert gw is out[0] and gb is out[1]
+
+
 def test_fc_dimension_mismatch():
     with pytest.raises(ValueError):
         layers.fc_forward(np.zeros((2, 3)), np.zeros((4, 5)), np.zeros(5))

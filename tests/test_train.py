@@ -55,6 +55,45 @@ def test_sgd_step_matches_scalar_recurrence():
     assert np.allclose(velocity["p"], [v], atol=1e-15)
 
 
+def test_sgd_step_in_blocks_gives_the_bits_of_whole_array_operations(monkeypatch):
+    # at 8 values a block, "big" spans 4 blocks and a ragged 3-value tail
+    # and "small" fits in one
+    monkeypatch.setattr(train, "UPDATE_BLOCK", 8)
+    lr, momentum = 0.037, 0.9
+    r = np.random.default_rng(46)
+    params = {"big": r.normal(size=(5, 7)), "small": r.normal(size=(2, 3))}
+    expected = {name: p.copy() for name, p in params.items()}
+    velocity, expected_velocity = {}, {name: np.zeros_like(p) for name, p in params.items()}
+    for _ in range(3):
+        grads = {name: r.normal(size=p.shape) for name, p in params.items()}
+        expected_grads = {name: g.copy() for name, g in grads.items()}
+        for name, g in expected_grads.items():
+            v = expected_velocity[name]
+            v *= momentum
+            g *= lr
+            v -= g
+            expected[name] += v
+        train.sgd_step(params, grads, velocity, lr, momentum)
+        for name, g in grads.items():
+            assert g.tobytes() == expected_grads[name].tobytes()
+    for name in params:
+        assert params[name].tobytes() == expected[name].tobytes()
+        assert velocity[name].tobytes() == expected_velocity[name].tobytes()
+
+
+@pytest.mark.parametrize("grad, velocity", [
+    (np.zeros((3, 2)).T, None),             # a gradient that is not C-contiguous
+    (np.zeros((3, 2)), None),               # a gradient of another shape
+    (np.zeros((2, 3)), np.zeros((3, 2)).T),  # a velocity that is not C-contiguous
+], ids=["strided-grad", "other-shape", "strided-velocity"])
+def test_sgd_step_refuses_an_array_it_cannot_update_as_a_flat_view(grad, velocity):
+    params = {"w": np.ones((2, 3))}
+    velocities = {} if velocity is None else {"w": velocity}
+    with pytest.raises(ValueError, match="'w'.*C-contiguous arrays of one shape"):
+        train.sgd_step(params, {"w": grad}, velocities, 0.1, 0.9)
+    assert np.array_equal(params["w"], np.ones((2, 3)))
+
+
 def test_sgd_step_unknown_parameter():
     with pytest.raises(KeyError, match="ghost"):
         train.sgd_step({"p": np.zeros(1)}, {"ghost": np.zeros(1)}, {}, 0.1, 0.0)
@@ -144,6 +183,24 @@ def test_train_seeded_rerun_gives_identical_log():
                              TrainConfig(lr=0.02, epochs=4, seed=14))
         logs.append(log)
     assert logs[0] == logs[1]
+
+
+def test_desk_training_in_small_blocks_gives_the_bits_of_whole_blocks(monkeypatch):
+    # at the real block sizes every desk fc weight takes one call and only
+    # fc6.weight's update splits; shrunk, fc6's gradient is written in 501
+    # row blocks and fc7's in 4, and every weight is updated in 97-value blocks
+    rng = np.random.default_rng(47)
+    samples = [LabeledSample(rng.integers(0, 256, size=(71, 71, 1), dtype=np.uint8),
+                             i % 10, 0, 0) for i in range(40)]
+    cfg = TrainConfig(lr=0.02, batch_size=16, epochs=2, seed=48, augment=True)
+    runs = []
+    for fc_block_bytes, update_block in [(layers.FC_BLOCK_BYTES, train.UPDATE_BLOCK),
+                                         (1200, 97)]:
+        monkeypatch.setattr(layers, "FC_BLOCK_BYTES", fc_block_bytes)
+        monkeypatch.setattr(train, "UPDATE_BLOCK", update_block)
+        net, log = train.train(graph.build_lfhn(graph.desk_config(10), seed=49), samples, cfg)
+        runs.append(({name: p.tobytes() for name, p in net.params.items()}, log))
+    assert runs[0] == runs[1]
 
 
 def test_train_frozen_root_invariance():
@@ -373,6 +430,19 @@ def test_grad_check_full_tiny_network():
     x = rng.uniform(size=(2, 8, 8, 3))
     y = rng.integers(0, 3, size=2)
     report = train.grad_check(net, x, y, max_per_tensor=16, seed=27)
+    assert report.passed(1e-5), "\n".join(report.format_lines())
+    assert {c.name for c in report.checks} == set(net.params)
+
+
+def test_grad_check_passes_with_fc6_written_in_row_blocks(monkeypatch):
+    # desk's 588 KiB fc6 gradient in 9 row blocks of 64 KiB or more
+    monkeypatch.setattr(layers, "FC_BLOCK_BYTES", 64 << 10)
+    net = graph.build_lfhn(graph.desk_config(10), seed=50)
+    train.randomize_biases(net, seed=50)
+    rng = np.random.default_rng(51)
+    x = rng.uniform(size=(2, 67, 67, 1))
+    y = rng.integers(0, 10, size=2)
+    report = train.grad_check(net, x, y, max_per_tensor=8, seed=51)
     assert report.passed(1e-5), "\n".join(report.format_lines())
     assert {c.name for c in report.checks} == set(net.params)
 
