@@ -312,47 +312,97 @@ def _on_threads(work, parts):
             future.result()
 
 
-# {kind: (forward step, backward step)}. forward(xs, ps, attrs) returns the
-# node's output from its input tensors xs, its parameter arrays ps (in
-# node.param_shapes order) and its attrs. backward(xs, ps, gs, need, attrs,
-# y, g), given the node's output y and its gradient g, writes the gradients
-# of ps into the arrays gs (same order; None for a frozen node, whose
-# parameter gradients are computed into fresh arrays and dropped) and
+def _conv_forward(xs, ps, attrs, saved):
+    """conv's forward step: a training conv that is lowered saves its rows."""
+    rows = None
+    if saved is not None:
+        rows = saved["rows"] = layers.conv_rows(xs[0], ps[0].shape, attrs["stride"])
+    return layers.conv_forward(xs[0], *ps, attrs["stride"], rows=rows)
+
+
+def _lrn_forward(xs, ps, attrs, saved):
+    """LRN's forward step: a training LRN saves its base."""
+    base = None
+    if saved is not None:
+        base = saved["base"] = np.empty_like(xs[0])
+    return layers.lrn_forward(xs[0], **attrs, base=base)
+
+
+# {kind: (forward step, backward step)}. forward(xs, ps, attrs, saved)
+# returns the node's output from its input tensors xs, its parameter arrays
+# ps (in node.param_shapes order) and its attrs. saved is a dict for a node
+# whose backward step will run, else None: conv puts its lowered rows there
+# (None for a 1x1 kernel at stride 1, whose rows are its input) and LRN its
+# base. backward(xs, ps, gs, need, attrs, y, g, saved), given the node's
+# output y, its gradient g and the dict its forward filled, writes the
+# gradients of ps into the arrays gs (same order; None for a frozen node,
+# whose parameter gradients are computed into fresh arrays and dropped) and
 # returns the gradients of xs: conv and fc compute xs[i]'s only where
 # need[i] holds, and backward drops any other. Layers and parameter arrays
 # are looked up at call time, so that patches and rebound arrays take effect.
 # Every node's attrs are its layer's keywords: conv attrs conv_backward's,
 # pool attrs maxpool's, LRN attrs (size, k, alpha, beta) lrn's. Every ReLU
 # of the template reads a conv or fc that only it reads, never the batch or
-# a flatten view, so it rectifies that tensor in place.
+# a flatten view, so it rectifies that tensor in place. Every g is read by
+# its step alone (a split_channels view too), so ReLU masks it in place.
 OPS = {
-    "conv": (lambda xs, ps, attrs: layers.conv_forward(xs[0], *ps, attrs["stride"]),
-             lambda xs, ps, gs, need, attrs, y, g: layers.conv_backward(
-                 xs[0], ps[0], g, need_input_grad=need[0], out=gs, **attrs)[:1]),
-    "relu": (lambda xs, ps, attrs: layers.relu(xs[0], out=xs[0]),
-             lambda xs, ps, gs, need, attrs, y, g: (layers.relu_backward(xs[0], g),)),
-    "maxpool": (lambda xs, ps, attrs: layers.maxpool_forward(xs[0], **attrs),
-                lambda xs, ps, gs, need, attrs, y, g: (
+    "conv": (_conv_forward,
+             lambda xs, ps, gs, need, attrs, y, g, saved: layers.conv_backward(
+                 xs[0], ps[0], g, need_input_grad=need[0], out=gs, rows=saved["rows"],
+                 **attrs)[:1]),
+    "relu": (lambda xs, ps, attrs, saved: layers.relu(xs[0], out=xs[0]),
+             lambda xs, ps, gs, need, attrs, y, g, saved: (
+                 layers.relu_backward(xs[0], g, out=g),)),
+    "maxpool": (lambda xs, ps, attrs, saved: layers.maxpool_forward(xs[0], **attrs),
+                lambda xs, ps, gs, need, attrs, y, g, saved: (
                     layers.maxpool_backward(xs[0], y, g, **attrs),)),
-    "lrn": (lambda xs, ps, attrs: layers.lrn_forward(xs[0], **attrs),
-            lambda xs, ps, gs, need, attrs, y, g: (layers.lrn_backward(xs[0], g, **attrs),)),
-    "concat": (lambda xs, ps, attrs: layers.concat_channels(xs),
-               lambda xs, ps, gs, need, attrs, y, g: layers.split_channels(
+    "lrn": (_lrn_forward,
+            lambda xs, ps, gs, need, attrs, y, g, saved: (
+                layers.lrn_backward(xs[0], g, **attrs, base=saved["base"]),)),
+    "concat": (lambda xs, ps, attrs, saved: layers.concat_channels(xs),
+               lambda xs, ps, gs, need, attrs, y, g, saved: layers.split_channels(
                    g, [x.shape[-1] for x in xs])),
-    "flatten": (lambda xs, ps, attrs: xs[0].reshape(xs[0].shape[0], -1),
-                lambda xs, ps, gs, need, attrs, y, g: (g.reshape(xs[0].shape),)),
-    "fc": (lambda xs, ps, attrs: layers.fc_forward(xs[0], *ps),
-           lambda xs, ps, gs, need, attrs, y, g: layers.fc_backward(
+    "flatten": (lambda xs, ps, attrs, saved: xs[0].reshape(xs[0].shape[0], -1),
+                lambda xs, ps, gs, need, attrs, y, g, saved: (g.reshape(xs[0].shape),)),
+    "fc": (lambda xs, ps, attrs, saved: layers.fc_forward(xs[0], *ps),
+           lambda xs, ps, gs, need, attrs, y, g, saved: layers.fc_backward(
                xs[0], ps[0], g, need_input_grad=need[0], out=gs)[:1]),
 }
+
+
+class TrainingCache(dict):
+    """The cache a training forward returns: "input" and every node name
+    map to its tensor. saved maps each node whose backward step runs to the
+    dict its forward step filled, and frozen is net.frozen at the forward."""
+
+    def __init__(self, saved, frozen):
+        super().__init__()
+        self.saved = saved
+        self.frozen = frozen
+
+
+def _backward_steps(net: NetworkGraph) -> set:
+    """Names of the nodes whose backward step runs: those at or downstream
+    of a trainable parameter. With only conv1 frozen, conv1, relu1, pool1
+    and norm1 are not among them."""
+    steps = set()
+    for node in net.nodes:
+        trainable = node.param_shapes and node.name not in net.frozen
+        if trainable or not steps.isdisjoint(node.inputs):
+            steps.add(node.name)
+    return steps
 
 
 def forward(net: NetworkGraph, batch, inference=False):
     """Run the graph on a batch, returning (logits, activation cache).
 
-    The cache maps "input" and every node name to its tensor. backward()
-    needs the full cache and consumes it. With inference=True the cache is
-    None: each tensor is freed once the last node that reads it
+    The cache (a TrainingCache) maps "input" and every node name to its
+    tensor, and keeps what the forward step of each node whose backward
+    step will run saved for it (_backward_steps; none with all of them
+    frozen): a lowered conv's rows (conv1's, 35 MiB at the paper's size
+    and batch 4) and the LRN base. backward() needs the full cache and
+    consumes it. With inference=True the cache is None and nothing is
+    saved: each tensor is freed once the last node that reads it
     (net.dead_after) has run, so only live tensors are held. In both modes
     each ReLU rectifies its input in place, so a conv or fc and the ReLU
     that alone reads it share one tensor; the batch itself is never written.
@@ -368,11 +418,13 @@ def forward(net: NetworkGraph, batch, inference=False):
     if x.ndim != 4 or x.shape[1:] != expected:
         raise ValueError(f"batch shape {x.shape} does not match input "
                          f"(n, {expected[0]}, {expected[1]}, {expected[2]})")
-    tensors = {"input": x}
+    saved = {} if inference else {name: {} for name in _backward_steps(net)}
+    tensors = TrainingCache(saved, frozenset(net.frozen))
+    tensors["input"] = x
     for node in net.nodes[1:]:
         xs = [tensors[name] for name in node.inputs]
         ps = [net.params[name] for name in node.param_shapes]
-        tensors[node.name] = OPS[node.kind][0](xs, ps, node.attrs)
+        tensors[node.name] = OPS[node.kind][0](xs, ps, node.attrs, saved.get(node.name))
         if inference:
             for name in net.dead_after[node.name]:
                 del tensors[name]
@@ -387,9 +439,12 @@ def backward(net: NetworkGraph, cache, grad_logits):
     that must copy it. Only the steps a trainable parameter needs run: a
     node's step runs if a trainable parameter lies at or upstream of its
     output, and asks for an input's gradient only if one lies at or upstream
-    of that input (never the batch's). With only conv1 frozen, conv1, relu1,
-    pool1 and norm1 run no step. Consumes the cache: every node's output is
-    dropped on its turn, and only "input", the caller's batch, is left.
+    of that input (never the batch's). forward worked these steps out
+    (_backward_steps), and each step takes what its forward step saved:
+    conv1 multiplies the rows forward lowered, and LRN reuses its base. With
+    only conv1 frozen, conv1, relu1, pool1 and norm1 run no step. Consumes
+    the cache: every node's output and saved arrays are dropped on its
+    turn, and only "input", the caller's batch, is left.
     """
     if cache is None:
         raise ValueError("no activation cache: an inference forward frees each "
@@ -398,24 +453,25 @@ def backward(net: NetworkGraph, cache, grad_logits):
     if cache.keys() == {"input"}:
         raise ValueError("the activation cache was consumed by an earlier backward; "
                          "run forward again")
-    if "input" not in cache or net.output_name not in cache:
+    if (not isinstance(cache, TrainingCache) or "input" not in cache
+            or net.output_name not in cache):
         raise ValueError("cache does not come from a matching forward pass")
+    if cache.frozen != net.frozen:
+        raise ValueError(f"net.frozen is {sorted(net.frozen)} but was "
+                         f"{sorted(cache.frozen)} at the forward; run forward again")
     grad_logits = np.asarray(grad_logits, dtype=DTYPE)
     if grad_logits.shape != cache[net.output_name].shape:
         raise ValueError(f"grad_logits shape {grad_logits.shape} does not match "
                          f"logits {cache[net.output_name].shape}")
-    needed = set()  # the tensors at or downstream of a trainable parameter
-    for node in net.nodes:
-        trainable = node.param_shapes and node.name not in net.frozen
-        if trainable or not needed.isdisjoint(node.inputs):
-            needed.add(node.name)
+    steps = cache.saved  # {node whose step runs: what its forward step saved}
     node_grads = {net.output_name: grad_logits}
     param_grads = {}
     for node in reversed(net.nodes[1:]):
         y = cache.pop(node.name)
-        if node.name not in needed:
+        saved = steps.pop(node.name, None)
+        if saved is None:
             continue
-        # every needed node after "input" is read by a needed node, or is the output
+        # every stepping node is read by a stepping node, or is the output
         g = node_grads.pop(node.name)
         gs = None
         if node.param_shapes and node.name not in net.frozen:
@@ -426,8 +482,8 @@ def backward(net: NetworkGraph, cache, grad_logits):
             param_grads.update(zip(node.param_shapes, gs))
         xs = [cache[name] for name in node.inputs]
         ps = [net.params[name] for name in node.param_shapes]
-        need = [name in needed for name in node.inputs]
-        grads = OPS[node.kind][1](xs, ps, gs, need, node.attrs, y, g)
+        need = [name in steps for name in node.inputs]
+        grads = OPS[node.kind][1](xs, ps, gs, need, node.attrs, y, g, saved)
         for name, gi, wanted in zip(node.inputs, grads, need):
             if wanted:
                 node_grads[name] = node_grads[name] + gi if name in node_grads else gi

@@ -2,7 +2,8 @@
 
 Each backward function is the exact adjoint of its forward given the gradient
 of a scalar loss with respect to the forward output. Nothing here mutates its
-inputs, except relu when it is handed its input as out. Every function
+inputs, except relu when it is handed its input as out and relu_backward
+when it is handed its gradient as out. Every function
 computes on the arrays it is handed, in their dtype; graph.forward and
 graph.backward fix that at float64.
 """
@@ -14,12 +15,26 @@ import numpy as np
 from . import tensor
 
 
-def conv_forward(x, kernel, bias, stride=1) -> np.ndarray:
+def conv_rows(x, kernel_shape, stride=1):
+    """An empty (n, ho*wo, kh*kw*cin) array for the lowered rows of x, or
+    None for a 1x1 kernel at stride 1, whose rows are a reshape of x."""
+    kh, kw, cin, _ = kernel_shape
+    if (kh, kw, stride) == (1, 1, 1):
+        return None
+    n, h, w, _ = x.shape
+    ho = tensor.conv_extent(h, kh, stride)
+    wo = tensor.conv_extent(w, kw, stride)
+    return np.empty((n, ho * wo, kh * kw * cin), dtype=x.dtype)
+
+
+def conv_forward(x, kernel, bias, stride=1, rows=None) -> np.ndarray:
     """Convolve (n, h, w, cin) with a (kh, kw, cin, cout) kernel and add the bias.
 
     A 1x1 kernel at stride 1 reads every pixel once: its lowered rows are a
     reshape of x. Any other kernel is lowered and multiplied one image at a
-    time, so at most one image's rows exist.
+    time, each image's rows while they are in cache: into rows[i] when rows
+    (conv_rows's array) is given, for conv_backward to reuse, and otherwise
+    into one one-image array that every image reuses.
     """
     if x.ndim != 4 or kernel.ndim != 4:
         raise ValueError(f"conv input and kernel must be rank 4, got shapes "
@@ -36,25 +51,34 @@ def conv_forward(x, kernel, bias, stride=1) -> np.ndarray:
     wo = tensor.conv_extent(w, kw, stride)
     weights = kernel.reshape(-1, cout)
     if (kh, kw, stride) == (1, 1, 1):
+        if rows is not None:
+            raise ValueError("a 1x1 kernel at stride 1 has no rows to lower")
         out = x.reshape(n * ho * wo, cin) @ weights
     else:
         out = np.empty((n, ho * wo, cout), dtype=x.dtype)
+        one = conv_rows(x[:1], kernel.shape, stride) if rows is None else None
         for i in range(n):
-            np.matmul(tensor.im2col(x[i:i + 1], kh, kw, stride)[0], weights, out=out[i])
+            lowered = tensor.im2col(x[i:i + 1], kh, kw, stride,
+                                    out=one if rows is None else rows[i:i + 1])
+            np.matmul(lowered[0], weights, out=out[i])
     out += bias
     return out.reshape(n, ho, wo, cout)
 
 
-def conv_backward(x, kernel, grad_out, stride=1, need_input_grad=True, out=None):
+def conv_backward(x, kernel, grad_out, stride=1, need_input_grad=True, out=None,
+                  rows=None):
     """Adjoint of conv_forward at its input x.
 
-    x is lowered again here, in one batch: a reshape for a 1x1 kernel at
-    stride 1, one im2col otherwise. Returns (grad_input, grad_kernel,
-    grad_bias); grad_input is None when need_input_grad is False, as
-    graph.backward asks wherever no trainable parameter lies upstream of x
-    (for conv1, which reads the batch, always). out, when given, is a
-    (grad_kernel, grad_bias) pair of contiguous arrays that the two
-    parameter gradients are written into and returned as.
+    The weight gradient is rows.T @ grad_out over x's lowered rows: the
+    rows conv_forward wrote when they are given, else x lowered again here
+    in one batch (a reshape for a 1x1 kernel at stride 1, one im2col
+    otherwise); both hold the same values, so the bits agree. Returns
+    (grad_input, grad_kernel, grad_bias); grad_input is None when
+    need_input_grad is False, as graph.backward asks wherever no trainable
+    parameter lies upstream of x (for conv1, which reads the batch,
+    always). out, when given, is a (grad_kernel, grad_bias) pair of
+    contiguous arrays that the two parameter gradients are written into
+    and returned as.
     """
     n, h, w, _ = x.shape
     kh, kw, cin, cout = kernel.shape
@@ -66,7 +90,11 @@ def conv_backward(x, kernel, grad_out, stride=1, need_input_grad=True, out=None)
             f"{(n, ho, wo, cout)}"
         )
     pointwise = (kh, kw, stride) == (1, 1, 1)
-    rows = x if pointwise else tensor.im2col(x, kh, kw, stride)
+    if rows is None:
+        rows = x if pointwise else tensor.im2col(x, kh, kw, stride)
+    elif rows.shape != (n, ho * wo, kh * kw * cin):
+        raise ValueError(f"rows shape {rows.shape} is not that of the lowered input "
+                         f"{(n, ho * wo, kh * kw * cin)}")
     g = grad_out.reshape(n * ho * wo, cout)
     grad_kernel, grad_bias = out or (np.empty(kernel.shape, np.result_type(x, g)), None)
     np.matmul(rows.reshape(n * ho * wo, kh * kw * cin).T, g,
@@ -91,9 +119,12 @@ def relu(x, out=None) -> np.ndarray:
     return np.maximum(x, 0.0, out=out)
 
 
-def relu_backward(x, grad_out) -> np.ndarray:
-    """Pass gradient where x > 0; the subgradient at exactly 0 is 0."""
-    return grad_out * (x > 0.0)
+def relu_backward(x, grad_out, out=None) -> np.ndarray:
+    """Pass gradient where x > 0; the subgradient at exactly 0 is 0.
+
+    Written into out when given (out=grad_out masks the gradient in place).
+    """
+    return np.multiply(grad_out, x > 0.0, out=out)
 
 
 def _pool_views(x, window, stride, ho, wo):
@@ -130,7 +161,7 @@ def pool_winners(x, out, window, stride) -> np.ndarray:
     indices = np.full(out.shape, views[-1][0], dtype=np.intp)
     mask = np.empty(out.shape, dtype=bool)
     for offset, view in reversed(views[:-1]):
-        np.putmask(indices, np.equal(view, out, out=mask), offset)
+        indices = np.where(np.equal(view, out, out=mask), offset, indices)
     indices += (np.arange(ho)[:, None] * (stride * x.shape[2])
                 + np.arange(wo) * stride)[:, :, None]
     return indices
@@ -154,33 +185,47 @@ def maxpool_backward(x, out, grad_out, window=3, stride=2) -> np.ndarray:
     return acc.reshape(n, h, w, c)
 
 
-def _window_sum_channels(v, half):
-    """Sum over the channel window [c - half, c + half] clipped to the tensor."""
+def _window_sum_channels(v, half, out=None):
+    """Sum over the channel window [c - half, c + half] clipped to the tensor,
+    written into out when given."""
     c = v.shape[-1]
     # running sums with half + 1 leading zeros and half trailing copies of the
     # total, so both window ends are plain slices: cs[j] = v[:clip(j - half, 0, c)].sum()
     cs = np.zeros(v.shape[:-1] + (c + 2 * half + 1,), dtype=v.dtype)
     np.cumsum(v, axis=-1, out=cs[..., half + 1:half + 1 + c])
     cs[..., half + 1 + c:] = cs[..., half + c:half + 1 + c]
-    return cs[..., 2 * half + 1:] - cs[..., :c]
+    return np.subtract(cs[..., 2 * half + 1:], cs[..., :c], out=out)
 
 
-def lrn_forward(x, size, k, alpha, beta) -> np.ndarray:
+def _lrn_base(x, size, k, alpha, out=None):
+    """k + (alpha/size) * local channel energy, the base that lrn raises to -beta."""
+    s = _window_sum_channels(x * x, size // 2, out=out)
+    s *= alpha / size
+    s += k
+    return s
+
+
+def lrn_forward(x, size, k, alpha, beta, base=None) -> np.ndarray:
     """Divide each value by (k + (alpha/size) * local channel energy) ** beta.
 
     The local region spans size nearby channels, centered on each channel and
-    truncated at the tensor edges. LfhnConfig checks the constants.
+    truncated at the tensor edges. LfhnConfig checks the constants. base,
+    when given, is an array of x's shape that receives k + (alpha/size) *
+    energy, for lrn_backward to reuse.
     """
-    ssum = _window_sum_channels(x * x, size // 2)
-    return x / (k + (alpha / size) * ssum) ** beta
+    return x / _lrn_base(x, size, k, alpha, out=base) ** beta
 
 
-def lrn_backward(x, grad_out, size, k, alpha, beta) -> np.ndarray:
-    """Exact derivative of lrn_forward including the shared-denominator terms."""
+def lrn_backward(x, grad_out, size, k, alpha, beta, base=None) -> np.ndarray:
+    """Exact derivative of lrn_forward including the shared-denominator terms.
+
+    base is the array lrn_forward(x, ..., base=) filled, or None to compute
+    it again from x; the two hold the same values.
+    """
     if grad_out.shape != x.shape:
         raise ValueError(f"grad_out shape {grad_out.shape} does not match input {x.shape}")
     half = size // 2
-    s = k + (alpha / size) * _window_sum_channels(x * x, half)
+    s = _lrn_base(x, size, k, alpha) if base is None else base
     # out_c = x_c * s_c**-beta, and channel j appears in the window of c iff
     # c appears in the window of j, so the cross terms fold into one window sum
     t = grad_out * x * s ** (-beta - 1.0)

@@ -25,11 +25,12 @@ def conv_extent(extent: int, window: int, stride: int) -> int:
     return span // stride + 1
 
 
-def im2col(x, kh, kw, stride=1) -> np.ndarray:
+def im2col(x, kh, kw, stride=1, out=None) -> np.ndarray:
     """Lower sliding windows to matrix rows.
 
     A batched (n, h, w, c) input yields (n, ho*wo, kh*kw*c), each row in
-    (kh, kw, c) order.
+    (kh, kw, c) order. out, when given, is a C-contiguous array of that
+    shape that the rows are written into and returned as.
     """
     if x.ndim != 4:
         raise ValueError(f"im2col expects a rank-4 tensor, got shape {x.shape}")
@@ -37,10 +38,17 @@ def im2col(x, kh, kw, stride=1) -> np.ndarray:
     ho = conv_extent(h, kh, stride)
     wo = conv_extent(w, kw, stride)
     sn, sh, sw, sc = x.strides
-    # (n, ho, wo, kh, kw, c) view of every window; the reshape is the one copy
+    # (n, ho, wo, kh, kw, c) view of every window; the reshape or the copy into
+    # out is the one copy
     windows = np.lib.stride_tricks.as_strided(
         x, (n, ho, wo, kh, kw, c), (sn, sh * stride, sw * stride, sh, sw, sc), writeable=False)
-    return windows.reshape(n, ho * wo, kh * kw * c)
+    if out is None:
+        return windows.reshape(n, ho * wo, kh * kw * c)
+    if out.shape != (n, ho * wo, kh * kw * c) or not out.flags.c_contiguous:
+        raise ValueError(f"im2col out must be C-contiguous of shape "
+                         f"{(n, ho * wo, kh * kw * c)}, got {out.shape}")
+    np.copyto(out.reshape(windows.shape), windows)
+    return out
 
 
 def col2im(cols, input_shape, kh, kw, stride=1) -> np.ndarray:

@@ -163,7 +163,7 @@ def test_gradcheck_unknown_layer(capsys):
 
 
 def test_gradcheck_detects_corrupted_backward(monkeypatch, capsys):
-    def lopsided(x, grad_out, size, k, alpha, beta):
+    def lopsided(x, grad_out, size, k, alpha, beta, base=None):
         s = k + (alpha / size) * layers._window_sum_channels(x * x, size // 2)
         return grad_out * s ** (-beta)
 

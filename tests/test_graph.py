@@ -377,19 +377,69 @@ def test_backward_consumes_the_cache():
         graph.backward(net, cache, grad_logits)
 
 
-def test_training_cache_holds_node_outputs_and_backward_lowers_the_root_batch(monkeypatch):
+def test_training_cache_holds_node_outputs_and_backward_lowers_nothing(monkeypatch):
     net = graph.build_lfhn(graph.desk_config(10), seed=5)
     x = np.random.default_rng(6).uniform(size=(2, 67, 67, 1))
     logits, cache = graph.forward(net, x)
     assert cache.keys() == {node.name for node in net.nodes}  # "input" is the first node
+    # conv1 and norm1 saved their arrays; a 1x1 conv's rows are its input
+    assert cache.saved["conv1"]["rows"].shape == (2, 15 * 15, 11 * 11 * 1)
+    assert cache.saved["norm1"]["base"].shape == cache["pool1"].shape
+    assert cache.saved["conv2"] == {"rows": None}
     calls = []
-    im2col = tensor.im2col
-    monkeypatch.setattr(tensor, "im2col",
-                        lambda *a, **k: calls.append((a[0].shape, *a[1:])) or im2col(*a, **k))
+    monkeypatch.setattr(tensor, "im2col", lambda *a, **k: calls.append(a[1:]))
     _, grad_logits = layers.softmax_xent(logits, [1, 7])
     grads = graph.backward(net, cache, grad_logits)
-    assert calls == [(x.shape, 11, 11, 4)]  # conv1 only, once for the whole batch
+    assert calls == []  # conv1 multiplies the rows its forward lowered
     assert set(grads) == set(net.params)
+    assert cache.keys() == {"input"} and cache.saved == {}
+
+
+DESK_CONVS = ("conv1", "conv2", "conv3", "conv4", "conv5")
+
+
+@pytest.mark.parametrize("frozen, saving", [
+    ((), {"conv1", "norm1"}),
+    (("conv1",), set()),
+    (DESK_CONVS, set()),
+], ids=["none", "conv1", "every-conv"])
+def test_forward_saves_arrays_only_for_the_steps_backward_runs(monkeypatch, frozen, saving):
+    net = graph.NetworkGraph(graph.desk_config(10),
+                             graph.build_lfhn(graph.desk_config(10), seed=41).params, frozen)
+    x = np.random.default_rng(42).uniform(size=(2, 67, 67, 1))
+    names = {id(net.params[name]): name.partition(".")[0] for name in net.params}
+    kept = {}
+    conv_forward, lrn_forward = layers.conv_forward, layers.lrn_forward
+
+    def conv(x, kernel, bias, stride=1, rows=None):
+        kept[names[id(kernel)]] = rows
+        return conv_forward(x, kernel, bias, stride, rows=rows)
+
+    def lrn(x, base=None, **attrs):
+        kept["norm1"] = base
+        return lrn_forward(x, base=base, **attrs)
+
+    monkeypatch.setattr(layers, "conv_forward", conv)
+    monkeypatch.setattr(layers, "lrn_forward", lrn)
+    graph.forward(net, x, inference=True)
+    assert set(kept) == set(DESK_CONVS) | {"norm1"}
+    assert all(array is None for array in kept.values())  # inference saves nothing
+    kept.clear()
+    logits, cache = graph.forward(net, x)
+    assert {name for name, array in kept.items() if array is not None} == saving
+    _, grad_logits = layers.softmax_xent(logits, [3, 8])
+    graph.backward(net, cache, grad_logits)
+    assert cache.keys() == {"input"} and cache.saved == {}
+
+
+def test_backward_refuses_a_frozen_set_changed_since_the_forward():
+    net = graph.build_lfhn(graph.tiny_config(), seed=43)
+    x = np.random.default_rng(44).uniform(size=(2, 8, 8, 3))
+    logits, cache = graph.forward(net, x)
+    net.frozen.add("conv1")
+    _, grad_logits = layers.softmax_xent(logits, [0, 2])
+    with pytest.raises(ValueError, match="frozen"):
+        graph.backward(net, cache, grad_logits)
 
 
 def test_only_the_backward_pass_selects_pool_winners(monkeypatch):
@@ -461,7 +511,6 @@ def test_frozen_root_runs_no_backward_step(monkeypatch):
 BACKWARD_LAYERS = {"conv": "conv_backward", "relu": "relu_backward",
                    "maxpool": "maxpool_backward", "lrn": "lrn_backward",
                    "concat": "split_channels", "fc": "fc_backward"}
-DESK_CONVS = ("conv1", "conv2", "conv3", "conv4", "conv5")
 
 
 @pytest.mark.parametrize("frozen, skipped, no_input_grad", [

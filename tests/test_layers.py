@@ -103,6 +103,38 @@ def test_conv_backward_shape_mismatch():
         layers.conv_backward(np.zeros((1, 4, 4, 2)), kernel, np.zeros((1, 2, 2, 3)))
 
 
+@pytest.mark.parametrize("x_shape, kernel_shape, stride", [
+    ((32, 67, 67, 1), (11, 11, 1, 16), 4),   # desk_config's conv1
+    ((2, 227, 227, 3), (11, 11, 3, 96), 4),  # LfhnConfig()'s conv1
+    ((3, 9, 9, 3), (3, 3, 3, 5), 2),
+], ids=["desk", "paper", "strided-c3"])
+def test_conv_backward_with_forward_rows_has_the_bits_of_lowering_again(
+        x_shape, kernel_shape, stride):
+    r = rng(40)
+    x = r.uniform(size=x_shape)
+    kernel = r.normal(size=kernel_shape) * 0.1
+    bias = r.normal(size=kernel_shape[-1])
+    rows = layers.conv_rows(x, kernel.shape, stride)
+    out = layers.conv_forward(x, kernel, bias, stride, rows=rows)
+    assert out.tobytes() == layers.conv_forward(x, kernel, bias, stride).tobytes()
+    assert rows.tobytes() == tensor.im2col(x, *kernel_shape[:2], stride).tobytes()
+    grad_out = r.normal(size=out.shape)
+    want = layers.conv_backward(x, kernel, grad_out, stride)
+    got = layers.conv_backward(x, kernel, grad_out, stride, rows=rows)
+    for g, w in zip(got, want):
+        assert g.tobytes() == w.tobytes()
+
+
+def test_conv_rows_are_refused_where_none_exist_or_the_shape_differs():
+    x = rng(41).uniform(size=(2, 6, 6, 2))
+    assert layers.conv_rows(x, (1, 1, 2, 3), 1) is None
+    with pytest.raises(ValueError, match="no rows"):
+        layers.conv_forward(x, np.ones((1, 1, 2, 3)), np.zeros(3), rows=np.empty((2, 36, 2)))
+    kernel = np.ones((3, 3, 2, 3))
+    with pytest.raises(ValueError, match="rows shape"):
+        layers.conv_backward(x, kernel, np.ones((2, 4, 4, 3)), rows=np.empty((2, 16, 9)))
+
+
 # ---------------------------------------------------------------- 1x1 conv
 
 def test_conv1x1_stream_dims():
@@ -169,6 +201,16 @@ def test_relu_backward_matches_finite_differences_away_from_kink():
 def test_relu_subgradient_zero_at_zero():
     g = layers.relu_backward(np.array([0.0]), np.array([5.0]))
     assert g[0] == 0.0
+
+
+def test_relu_backward_into_its_gradient_has_the_bits_of_a_new_array():
+    r = rng(42)
+    x = r.normal(size=(4, 27, 27, 50))
+    x[0, 0, 0, :5] = [0.0, -0.0, np.nan, np.inf, -np.inf]
+    g = r.normal(size=x.shape)
+    want = layers.relu_backward(x, g)
+    assert layers.relu_backward(x, g, out=g) is g
+    assert g.tobytes() == want.tobytes()
 
 
 # ---------------------------------------------------------------- maxpool
@@ -333,6 +375,21 @@ def test_lrn_backward_matches_finite_differences():
     grad = layers.lrn_backward(x, probe, **p)
     numeric = fd_grad(lambda v: float((layers.lrn_forward(v, **p) * probe).sum()), x.copy())
     assert max_rel_err(grad, numeric) < 1e-6
+
+
+@pytest.mark.parametrize("shape, p", [
+    ((4, 7, 7, 16), dict(size=5, k=2.0, alpha=1e-4, beta=0.75)),
+    ((2, 5, 5, 6), dict(size=4, k=1.5, alpha=0.3, beta=0.6)),
+], ids=["desk", "even-size"])
+def test_lrn_backward_with_the_forward_base_has_the_bits_of_recomputing_it(shape, p):
+    r = rng(43)
+    x = r.normal(size=shape) * 3.0
+    base = np.full(shape, np.nan)
+    out = layers.lrn_forward(x, **p, base=base)
+    assert out.tobytes() == layers.lrn_forward(x, **p).tobytes()
+    grad_out = r.normal(size=shape)
+    want = layers.lrn_backward(x, grad_out, **p)
+    assert layers.lrn_backward(x, grad_out, **p, base=base).tobytes() == want.tobytes()
 
 
 # ---------------------------------------------------------------- concat / split

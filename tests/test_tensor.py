@@ -80,3 +80,25 @@ def test_col2im_is_adjoint_of_im2col():
     lhs = float((cols * c).sum())
     rhs = float((x * tensor.col2im(c, x.shape, 3, 2, stride=1)).sum())
     assert abs(lhs - rhs) < 1e-9 * max(1.0, abs(lhs))
+
+
+@pytest.mark.parametrize("shape, kh, kw, stride", [
+    ((3, 67, 67, 1), 11, 11, 4), ((2, 9, 8, 3), 3, 2, 2), ((2, 5, 5, 4), 1, 1, 1)])
+def test_im2col_into_out_has_the_bits_of_a_fresh_lowering(shape, kh, kw, stride):
+    x = np.random.default_rng(6).normal(size=shape)
+    want = tensor.im2col(x, kh, kw, stride)
+    out = np.full(want.shape, np.nan)
+    assert tensor.im2col(x, kh, kw, stride, out=out) is out
+    assert out.tobytes() == want.tobytes()
+    # one image at a time into rows of one batch buffer, as conv_forward lowers it
+    rows = np.empty_like(want)
+    for i in range(shape[0]):
+        tensor.im2col(x[i:i + 1], kh, kw, stride, out=rows[i:i + 1])
+    assert rows.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("out", [np.empty((2, 16, 8)), np.empty((2, 9, 16)).transpose(0, 2, 1)],
+                         ids=["shape", "strided"])
+def test_im2col_refuses_an_out_it_cannot_fill_in_place(out):
+    with pytest.raises(ValueError, match="im2col out"):
+        tensor.im2col(np.zeros((2, 6, 6, 1)), 3, 3, 1, out=out)

@@ -450,7 +450,7 @@ def test_grad_check_passes_with_fc6_written_in_row_blocks(monkeypatch):
 def test_grad_check_flags_corrupted_lrn_backward(monkeypatch):
     # drop the cross-channel terms of the normalization adjoint; the root conv
     # parameters (whose gradient path crosses the norm layer) must be flagged
-    def lopsided(x, grad_out, size, k, alpha, beta):
+    def lopsided(x, grad_out, size, k, alpha, beta, base=None):
         s = k + (alpha / size) * layers._window_sum_channels(x * x, size // 2)
         return grad_out * s ** (-beta)
 
