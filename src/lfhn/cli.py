@@ -45,21 +45,21 @@ def _refusing(code, prefix="", errors=(OSError, ValueError)):
         raise Refusal(f"{prefix}{err}", code) from err
 
 
-# config file keys that name files rather than model or training fields
-PATH_KEYS = ("log", "root_from")
+# {key: type} of the config file keys that cmd_train reads itself rather
+# than as model or training fields: two paths, and whether conv1 trains
+RUN_KEYS = {"log": str, "root_from": str, "freeze_root": bool}
 
 
 def _config_schema():
     """{key: type} of every key a run config file may contain.
 
-    The keys are the fields of LfhnConfig and TrainConfig plus PATH_KEYS.
+    The keys are the fields of LfhnConfig and TrainConfig plus RUN_KEYS.
     Building it imports numpy, so call it only after --threads took effect.
     """
     from .graph import LfhnConfig, field_types
     from .train import TrainConfig
 
-    return {**field_types(LfhnConfig), **field_types(TrainConfig),
-            **dict.fromkeys(PATH_KEYS, str)}
+    return {**field_types(LfhnConfig), **field_types(TrainConfig), **RUN_KEYS}
 
 
 def parse_config_file(path):
@@ -229,9 +229,10 @@ def cmd_train(args):
     # numpy: too many bytes, or too many elements
     with _refusing(EXIT_USAGE, f"cannot build the network for {classes}: ",
                    (MemoryError, ValueError)):
-        net = graph.build_lfhn(cfg, seed=tcfg.seed)
-    net.params.update(root)
-    if tcfg.freeze_root and not root:
+        params = graph.build_lfhn(cfg, seed=tcfg.seed).params | root
+    frozen = {"conv1"} if values.get("freeze_root") else set()
+    net = graph.NetworkGraph(cfg, params, frozen)
+    if frozen and not root:
         print("warning: freeze_root set without root_from; "
               "freezing the randomly initialized root layer", file=sys.stderr)
 

@@ -9,9 +9,10 @@ the hidden layer is followed by its ReLU, as in Network in Network (arXiv
 post-concat mixer gets the next free number), fc layers continue the numbering.
 
 The node list is derived from the config alone: a NetworkGraph is its
-config plus the parameter arrays. All per-kind code lives in one table, OPS:
-each node kind's forward and backward step. Nodes record their output shape
-and their parameters' full names and shapes when built.
+config, the parameter arrays and the fixed set of nodes that do not train.
+All per-kind code lives in one table, OPS: each node kind's forward and
+backward step. Nodes record their output shape and their parameters' full
+names and shapes when built.
 """
 
 from __future__ import annotations
@@ -217,25 +218,39 @@ def parameter_shapes(cfg: LfhnConfig):
 class NetworkGraph:
     """The config's node list (_architecture) plus the named parameter registry.
 
-    Parameters of node names listed in `frozen` receive no gradient entries
-    from backward(). grads holds {param name: gradient array}: backward
-    makes a parameter's entry the first time it computes that gradient and
-    writes every later one into the same array, so a net that has run
-    backward holds one gradient array per trainable parameter (fc6's is
-    1429 MiB at the paper's size), and one that never has, none.
+    frozen names the nodes whose parameters do not train; it is fixed when
+    the net is built, and a name that is not a node with parameters is
+    refused. backward() runs the steps of backward_steps only, and makes
+    no gradient entry for a frozen parameter. grads holds {param name:
+    gradient array}: backward makes a parameter's entry the first time it
+    computes that gradient and writes every later one into the same array,
+    so a net that has run backward holds one gradient array per trainable
+    parameter (fc6's is 1429 MiB at the paper's size), and one that never
+    has, none.
     """
 
     def __init__(self, config, params, frozen=()):
         self.config = config
         self.nodes = _architecture(config)
         self.params = dict(params)
-        self.frozen = set(frozen)
+        self.frozen = frozenset(frozen)
+        unknown = self.frozen - {node.name for node in self.nodes if node.param_shapes}
+        if unknown:
+            raise ValueError(f"frozen {sorted(unknown)} are not nodes with parameters")
         self.grads = {}
+        # backward_steps: the nodes whose backward step runs, those at or
+        # downstream of a trainable parameter. With only conv1 frozen,
+        # conv1, relu1, pool1 and norm1 are not among them.
+        steps = set()
         last_reader = {}
         for node in self.nodes:
+            if (node.param_shapes and node.name not in self.frozen
+                    or not steps.isdisjoint(node.inputs)):
+                steps.add(node.name)
             for dep in node.inputs:
                 last_reader[dep] = node.name
             last_reader[node.name] = node.name  # until a later node reads it
+        self.backward_steps = frozenset(steps)
         # dead_after[name]: the tensors no node after `name` reads, which an
         # inference forward frees once `name` has run; the output never dies
         self.dead_after = {node.name: [] for node in self.nodes}
@@ -372,25 +387,12 @@ OPS = {
 
 class TrainingCache(dict):
     """The cache a training forward returns: "input" and every node name
-    map to its tensor. saved maps each node whose backward step runs to the
-    dict its forward step filled, and frozen is net.frozen at the forward."""
+    map to its tensor, and saved maps each node of net.backward_steps to
+    the dict its forward step filled."""
 
-    def __init__(self, saved, frozen):
+    def __init__(self, saved):
         super().__init__()
         self.saved = saved
-        self.frozen = frozen
-
-
-def _backward_steps(net: NetworkGraph) -> set:
-    """Names of the nodes whose backward step runs: those at or downstream
-    of a trainable parameter. With only conv1 frozen, conv1, relu1, pool1
-    and norm1 are not among them."""
-    steps = set()
-    for node in net.nodes:
-        trainable = node.param_shapes and node.name not in net.frozen
-        if trainable or not steps.isdisjoint(node.inputs):
-            steps.add(node.name)
-    return steps
 
 
 def forward(net: NetworkGraph, batch, inference=False):
@@ -398,7 +400,7 @@ def forward(net: NetworkGraph, batch, inference=False):
 
     The cache (a TrainingCache) maps "input" and every node name to its
     tensor, and keeps what the forward step of each node whose backward
-    step will run saved for it (_backward_steps; none with all of them
+    step will run saved for it (net.backward_steps; none with all of them
     frozen): a lowered conv's rows (conv1's, 35 MiB at the paper's size
     and batch 4) and the LRN base. backward() needs the full cache and
     consumes it. With inference=True the cache is None and nothing is
@@ -418,8 +420,8 @@ def forward(net: NetworkGraph, batch, inference=False):
     if x.ndim != 4 or x.shape[1:] != expected:
         raise ValueError(f"batch shape {x.shape} does not match input "
                          f"(n, {expected[0]}, {expected[1]}, {expected[2]})")
-    saved = {} if inference else {name: {} for name in _backward_steps(net)}
-    tensors = TrainingCache(saved, frozenset(net.frozen))
+    saved = {} if inference else {name: {} for name in net.backward_steps}
+    tensors = TrainingCache(saved)
     tensors["input"] = x
     for node in net.nodes[1:]:
         xs = [tensors[name] for name in node.inputs]
@@ -432,16 +434,17 @@ def forward(net: NetworkGraph, batch, inference=False):
 
 
 def backward(net: NetworkGraph, cache, grad_logits):
-    """Whole-graph adjoint: {param name: gradient} for every non-frozen parameter.
+    """Whole-graph adjoint: net.grads, {param name: gradient} for every
+    trainable parameter.
 
-    The arrays are the net's own (net.grads): the next backward on this net
-    writes its gradients into them, so a caller that needs a gradient past
-    that must copy it. Only the steps a trainable parameter needs run: a
+    The next backward on this net writes its gradients into the same
+    arrays, so a caller that needs a gradient past that must copy it. Only
+    the steps a trainable parameter needs run (net.backward_steps): a
     node's step runs if a trainable parameter lies at or upstream of its
     output, and asks for an input's gradient only if one lies at or upstream
-    of that input (never the batch's). forward worked these steps out
-    (_backward_steps), and each step takes what its forward step saved:
-    conv1 multiplies the rows forward lowered, and LRN reuses its base. With
+    of that input (never the batch's). Each step takes what its forward
+    step saved: conv1 multiplies the rows forward lowered, and LRN reuses
+    its base. A cache whose forward saved for other steps is refused. With
     only conv1 frozen, conv1, relu1, pool1 and norm1 run no step. Consumes
     the cache: every node's output and saved arrays are dropped on its
     turn, and only "input", the caller's batch, is left.
@@ -454,18 +457,14 @@ def backward(net: NetworkGraph, cache, grad_logits):
         raise ValueError("the activation cache was consumed by an earlier backward; "
                          "run forward again")
     if (not isinstance(cache, TrainingCache) or "input" not in cache
-            or net.output_name not in cache):
+            or net.output_name not in cache or cache.saved.keys() != net.backward_steps):
         raise ValueError("cache does not come from a matching forward pass")
-    if cache.frozen != net.frozen:
-        raise ValueError(f"net.frozen is {sorted(net.frozen)} but was "
-                         f"{sorted(cache.frozen)} at the forward; run forward again")
     grad_logits = np.asarray(grad_logits, dtype=DTYPE)
     if grad_logits.shape != cache[net.output_name].shape:
         raise ValueError(f"grad_logits shape {grad_logits.shape} does not match "
                          f"logits {cache[net.output_name].shape}")
     steps = cache.saved  # {node whose step runs: what its forward step saved}
     node_grads = {net.output_name: grad_logits}
-    param_grads = {}
     for node in reversed(net.nodes[1:]):
         y = cache.pop(node.name)
         saved = steps.pop(node.name, None)
@@ -479,15 +478,14 @@ def backward(net: NetworkGraph, cache, grad_logits):
                 if name not in net.grads:
                     net.grads[name] = np.empty(shape, dtype=DTYPE)
             gs = [net.grads[name] for name in node.param_shapes]
-            param_grads.update(zip(node.param_shapes, gs))
         xs = [cache[name] for name in node.inputs]
         ps = [net.params[name] for name in node.param_shapes]
-        need = [name in steps for name in node.inputs]
+        need = [name in net.backward_steps for name in node.inputs]
         grads = OPS[node.kind][1](xs, ps, gs, need, node.attrs, y, g, saved)
         for name, gi, wanted in zip(node.inputs, grads, need):
             if wanted:
                 node_grads[name] = node_grads[name] + gi if name in node_grads else gi
-    return param_grads
+    return net.grads
 
 
 @functools.cache
@@ -612,15 +610,14 @@ def load_checkpoint(path) -> NetworkGraph:
                                   f"(this build reads version {CHECKPOINT_VERSION})")
         config_len = int.from_bytes(fh.read(left(4, "config length")), "little")
         cfg, frozen = _config_from_block(fh.read(left(config_len, "config")))
+        try:  # the net refuses a frozen name that is not a node with parameters
+            net = NetworkGraph(cfg, {}, frozen)
+        except ValueError as err:
+            raise CheckpointError(f"invalid config block: {err}") from err
         expected = parameter_shapes(cfg)
-        unknown = frozen - {name.rpartition(".")[0] for name in expected}
-        if unknown:
-            raise CheckpointError(f"invalid config block: frozen {sorted(unknown)} "
-                                  "are not nodes with parameters")
         if fh.read(left(4, "parameter count")) != struct.pack("<I", len(expected)):
             raise CheckpointError(f"parameter count is not the {len(expected)} "
                                   "the config implies")
-        params = {}
         records = []  # (file offset, byte view of the array, name): read once all are known
         for name, shape in expected.items():
             header = _record_header(name, shape)
@@ -628,13 +625,13 @@ def load_checkpoint(path) -> NetworkGraph:
                 raise CheckpointError(f"record header is not that of {name} {shape}, "
                                       "which the config implies")
             nbytes = left(8 * math.prod(shape), name)
-            params[name] = np.empty(shape, dtype="<f8")
-            records.append((fh.tell(), memoryview(params[name]).cast("B"), name))
+            net.params[name] = np.empty(shape, dtype="<f8")
+            records.append((fh.tell(), memoryview(net.params[name]).cast("B"), name))
             fh.seek(nbytes, os.SEEK_CUR)
         if fh.read(1):
             raise CheckpointError("trailing bytes after the last parameter record")
         _read_records(fh.fileno(), records)
-    return NetworkGraph(cfg, params, frozen)
+    return net
 
 
 def _read_records(fd, records):

@@ -69,10 +69,9 @@ def conv_backward(x, kernel, grad_out, stride=1, need_input_grad=True, out=None,
                   rows=None):
     """Adjoint of conv_forward at its input x.
 
-    The weight gradient is rows.T @ grad_out over x's lowered rows: the
-    rows conv_forward wrote when they are given, else x lowered again here
-    in one batch (a reshape for a 1x1 kernel at stride 1, one im2col
-    otherwise); both hold the same values, so the bits agree. Returns
+    The weight gradient is rows.T @ grad_out over x's lowered rows: x
+    itself for a 1x1 kernel at stride 1, else the rows conv_forward wrote,
+    which must be given (ValueError if not). Returns
     (grad_input, grad_kernel, grad_bias); grad_input is None when
     need_input_grad is False, as graph.backward asks wherever no trainable
     parameter lies upstream of x (for conv1, which reads the batch,
@@ -91,7 +90,9 @@ def conv_backward(x, kernel, grad_out, stride=1, need_input_grad=True, out=None,
         )
     pointwise = (kh, kw, stride) == (1, 1, 1)
     if rows is None:
-        rows = x if pointwise else tensor.im2col(x, kh, kw, stride)
+        if not pointwise:
+            raise ValueError("a lowered conv's backward needs the rows its forward wrote")
+        rows = x
     elif rows.shape != (n, ho * wo, kh * kw * cin):
         raise ValueError(f"rows shape {rows.shape} is not that of the lowered input "
                          f"{(n, ho * wo, kh * kw * cin)}")
@@ -197,40 +198,35 @@ def _window_sum_channels(v, half, out=None):
     return np.subtract(cs[..., 2 * half + 1:], cs[..., :c], out=out)
 
 
-def _lrn_base(x, size, k, alpha, out=None):
-    """k + (alpha/size) * local channel energy, the base that lrn raises to -beta."""
-    s = _window_sum_channels(x * x, size // 2, out=out)
-    s *= alpha / size
-    s += k
-    return s
-
-
 def lrn_forward(x, size, k, alpha, beta, base=None) -> np.ndarray:
-    """Divide each value by (k + (alpha/size) * local channel energy) ** beta.
+    """Divide each value by base ** beta, base = k + (alpha/size) * local
+    channel energy.
 
     The local region spans size nearby channels, centered on each channel and
     truncated at the tensor edges. LfhnConfig checks the constants. base,
-    when given, is an array of x's shape that receives k + (alpha/size) *
-    energy, for lrn_backward to reuse.
+    when given, is an array of x's shape that receives the base, for
+    lrn_backward.
     """
-    return x / _lrn_base(x, size, k, alpha, out=base) ** beta
+    base = _window_sum_channels(x * x, size // 2, out=base)
+    base *= alpha / size
+    base += k
+    return x / base ** beta
 
 
 def lrn_backward(x, grad_out, size, k, alpha, beta, base=None) -> np.ndarray:
     """Exact derivative of lrn_forward including the shared-denominator terms.
 
-    base is the array lrn_forward(x, ..., base=) filled, or None to compute
-    it again from x; the two hold the same values.
+    base is the array lrn_forward(x, ..., base=) filled (ValueError if not given).
     """
     if grad_out.shape != x.shape:
         raise ValueError(f"grad_out shape {grad_out.shape} does not match input {x.shape}")
-    half = size // 2
-    s = _lrn_base(x, size, k, alpha) if base is None else base
-    # out_c = x_c * s_c**-beta, and channel j appears in the window of c iff
+    if base is None:
+        raise ValueError("lrn_backward needs the base its forward filled")
+    # out_c = x_c * base_c**-beta, and channel j appears in the window of c iff
     # c appears in the window of j, so the cross terms fold into one window sum
-    t = grad_out * x * s ** (-beta - 1.0)
-    cross = _window_sum_channels(t, half)
-    return grad_out * s ** (-beta) - (2.0 * alpha * beta / size) * x * cross
+    t = grad_out * x * base ** (-beta - 1.0)
+    cross = _window_sum_channels(t, size // 2)
+    return grad_out * base ** (-beta) - (2.0 * alpha * beta / size) * x * cross
 
 
 def concat_channels(inputs) -> np.ndarray:

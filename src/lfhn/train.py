@@ -21,7 +21,6 @@ class TrainConfig:
     batch_size: int = 32
     epochs: int = 10
     seed: int = 0
-    freeze_root: bool = False
     augment: bool = False
     lr_decay_every: int = 0      # 0 disables the step decay
     lr_decay_factor: float = 0.1
@@ -137,8 +136,6 @@ def train(net, samples, cfg: TrainConfig):
         raise ValueError(f"label {bad[0]} out of range [0, {k}) for {k} classes")
     images = [s.image for s in samples]
 
-    if cfg.freeze_root:
-        net.frozen.add("conv1")
     target_h, target_w = net.config.input_height, net.config.input_width
     rng = np.random.default_rng(cfg.seed)
     velocity = {}

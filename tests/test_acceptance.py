@@ -110,7 +110,7 @@ def test_criterion_2_gradient_correctness():
         x = r.normal(size=(2, 5, 5, 2))
         kernel, bias = r.normal(size=(3, 3, 2, 3)), r.normal(size=3)
         probe = r.normal(size=(2, 3, 3, 3))
-        gi, gk, gb = layers.conv_backward(x, kernel, probe)
+        gi, gk, gb = layers.conv_backward(x, kernel, probe, rows=tensor.im2col(x, 3, 3))
         assert max_rel_err(gi, fd_grad(
             lambda v: float((layers.conv_forward(v, kernel, bias) * probe).sum()),
             x.copy())) < 1e-6
@@ -140,8 +140,10 @@ def test_criterion_2_gradient_correctness():
         xl = r.normal(size=(1, 2, 2, 8))
         pl = dict(size=5, k=2.0, alpha=0.5, beta=0.75)
         probel = r.normal(size=xl.shape)
+        basel = np.empty_like(xl)
+        layers.lrn_forward(xl, **pl, base=basel)
         assert max_rel_err(
-            layers.lrn_backward(xl, probel, **pl),
+            layers.lrn_backward(xl, probel, **pl, base=basel),
             fd_grad(lambda v: float((layers.lrn_forward(v, **pl) * probel).sum()),
                     xl.copy())) < 1e-6
         # pool (random values keep windows clear of ties)
@@ -270,11 +272,10 @@ def test_criterion_7_frozen_root_contract(tmp_path):
                                root_kernel=11, root_channels=8, root_stride=4,
                                streams=((8, 8), (8,)), post_concat_channels=8,
                                fc_hidden=16, num_classes=2)
-        net = graph.build_lfhn(cfg, seed=1)
+        net = graph.NetworkGraph(cfg, graph.build_lfhn(cfg, seed=1).params, {"conv1"})
         train.randomize_biases(net, seed=1)
         before = {name: value.tobytes() for name, value in net.params.items()}
-        train.train(net, samples, TrainConfig(lr=0.02, momentum=0.9, epochs=50,
-                                              seed=2, freeze_root=True))
+        train.train(net, samples, TrainConfig(lr=0.02, momentum=0.9, epochs=50, seed=2))
         assert net.params["conv1.kernel"].tobytes() == before["conv1.kernel"]
         assert net.params["conv1.bias"].tobytes() == before["conv1.bias"]
         for name, blob in before.items():

@@ -432,14 +432,34 @@ def test_forward_saves_arrays_only_for_the_steps_backward_runs(monkeypatch, froz
     assert cache.keys() == {"input"} and cache.saved == {}
 
 
-def test_backward_refuses_a_frozen_set_changed_since_the_forward():
-    net = graph.build_lfhn(graph.tiny_config(), seed=43)
+@pytest.mark.parametrize("forward_frozen, backward_frozen", [
+    ((), ("conv1",)),
+    (("conv1",), ()),
+], ids=["none-then-conv1", "conv1-then-none"])
+def test_backward_refuses_a_cache_from_a_net_with_another_frozen_set(forward_frozen,
+                                                                    backward_frozen):
+    params = graph.build_lfhn(graph.tiny_config(), seed=43).params
     x = np.random.default_rng(44).uniform(size=(2, 8, 8, 3))
-    logits, cache = graph.forward(net, x)
-    net.frozen.add("conv1")
+    logits, cache = graph.forward(graph.NetworkGraph(graph.tiny_config(), params,
+                                                     forward_frozen), x)
+    net = graph.NetworkGraph(graph.tiny_config(), params, backward_frozen)
     _, grad_logits = layers.softmax_xent(logits, [0, 2])
-    with pytest.raises(ValueError, match="frozen"):
+    with pytest.raises(ValueError, match="does not come from a matching forward pass"):
         graph.backward(net, cache, grad_logits)
+    assert net.grads == {}
+
+
+@pytest.mark.parametrize("name", ["norm1", "conv99", "relu1", "flatten"])
+def test_network_refuses_a_frozen_name_that_is_not_a_node_with_parameters(name):
+    params = graph.build_lfhn(graph.tiny_config(), seed=45).params
+    with pytest.raises(ValueError, match=rf"frozen \['{name}'\] are not nodes with parameters"):
+        graph.NetworkGraph(graph.tiny_config(), params, {"conv1", name})
+
+
+def test_network_frozen_set_cannot_change_after_the_build():
+    net = graph.NetworkGraph(graph.tiny_config(),
+                             graph.build_lfhn(graph.tiny_config(), seed=46).params, ["conv1"])
+    assert net.frozen == {"conv1"} and not hasattr(net.frozen, "add")
 
 
 def test_only_the_backward_pass_selects_pool_winners(monkeypatch):
@@ -472,8 +492,8 @@ def test_backward_zero_grad_logits():
 
 
 def test_backward_frozen_root_has_no_conv1_entries():
-    net = graph.build_lfhn(graph.tiny_config(), seed=9)
-    net.frozen.add("conv1")
+    net = graph.NetworkGraph(graph.tiny_config(),
+                             graph.build_lfhn(graph.tiny_config(), seed=9).params, {"conv1"})
     x = np.random.default_rng(10).uniform(size=(1, 8, 8, 3))
     logits, cache = graph.forward(net, x)
     _, grad_logits = layers.softmax_xent(logits, [0])
@@ -558,10 +578,10 @@ def test_backward_runs_only_the_steps_a_trainable_parameter_needs(
 @pytest.mark.parametrize("frozen", [("conv1",), ("conv1", "conv2", "conv3", "conv4", "conv5")],
                          ids=["conv1", "every-conv"])
 def test_grad_check_of_a_frozen_net_checks_exactly_its_trainable_tensors(frozen):
-    net = graph.build_lfhn(graph.tiny_config(), seed=39)
+    net = graph.NetworkGraph(graph.tiny_config(),
+                             graph.build_lfhn(graph.tiny_config(), seed=39).params, frozen)
     train.randomize_biases(net, seed=39)
     assert {n.name for n in net.nodes if n.kind == "conv"} >= set(frozen)
-    net.frozen.update(frozen)
     rng = np.random.default_rng(40)
     x = rng.uniform(size=(2, 8, 8, 3))
     report = train.grad_check(net, x, rng.integers(0, 3, size=2), max_per_tensor=8, seed=40)
@@ -589,8 +609,7 @@ def test_backward_reuses_the_nets_gradient_arrays(config):
             assert _same_bits(grads[name], g), name
         returned.append(grads)
     first, second = returned
-    assert first is not second
-    assert all(first[name] is second[name] for name in first)
+    assert first is second is net.grads
 
 
 @pytest.mark.parametrize("config", ["tiny", "desk"])
@@ -802,11 +821,14 @@ def test_checkpoint_round_trip_bit_exact(tmp_path):
 
 
 def test_checkpoint_preserves_frozen_set(tmp_path):
-    net = graph.build_lfhn(graph.tiny_config(), seed=18)
-    net.frozen.add("conv1")
-    path = tmp_path / "model.lfhn"
-    graph.save_checkpoint(net, path)
-    assert graph.load_checkpoint(path).frozen == {"conv1"}
+    params = graph.build_lfhn(graph.tiny_config(), seed=18).params
+    path, resaved = tmp_path / "model.lfhn", tmp_path / "resaved.lfhn"
+    for frozen in [(), {"conv1"}, set(DESK_CONVS), {"fc6", "fc7"}]:
+        graph.save_checkpoint(graph.NetworkGraph(graph.tiny_config(), params, frozen), path)
+        loaded = graph.load_checkpoint(path)
+        assert loaded.frozen == set(frozen)
+        graph.save_checkpoint(loaded, resaved)
+        assert resaved.read_bytes() == path.read_bytes()
 
 
 def test_checkpoint_rejects_bad_magic(tmp_path):
@@ -903,8 +925,8 @@ MUTATION_VALUES = (0x00, 0x0B, 0x20, 0x2B, 0x30, 0x5F, 0xFF)
 def test_checkpoint_loads_only_the_bytes_its_save_writes(tmp_path):
     """Every one-byte change outside the float data, and every truncation
     at a header byte or a multiple of 7, is refused or re-saves to itself."""
-    net = graph.build_lfhn(graph.tiny_config(), seed=0)
-    net.frozen.add("conv1")
+    net = graph.NetworkGraph(graph.tiny_config(),
+                             graph.build_lfhn(graph.tiny_config(), seed=0).params, {"conv1"})
     path, resaved = tmp_path / "model.lfhn", tmp_path / "resaved.lfhn"
     graph.save_checkpoint(net, path)
     blob = path.read_bytes()

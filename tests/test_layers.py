@@ -63,7 +63,8 @@ def test_conv_backward_zero_grad():
     r = rng(4)
     x = r.normal(size=(1, 4, 4, 2))
     kernel = r.normal(size=(2, 2, 2, 3))
-    gi, gk, gb = layers.conv_backward(x, kernel, np.zeros((1, 3, 3, 3)))
+    gi, gk, gb = layers.conv_backward(x, kernel, np.zeros((1, 3, 3, 3)),
+                                      rows=tensor.im2col(x, 2, 2))
     assert not gi.any() and not gk.any() and not gb.any()
 
 
@@ -73,7 +74,7 @@ def test_conv_backward_one_hot_grad_copies_patch():
     kernel = r.normal(size=(2, 2, 2, 1))
     grad_out = np.zeros((1, 3, 3, 1))
     grad_out[0, 1, 2, 0] = 1.0
-    _, gk, gb = layers.conv_backward(x, kernel, grad_out)
+    _, gk, gb = layers.conv_backward(x, kernel, grad_out, rows=tensor.im2col(x, 2, 2))
     assert np.array_equal(gk[:, :, :, 0], x[0, 1:3, 2:4, :])
     assert gb[0] == 1.0
 
@@ -91,7 +92,8 @@ def test_conv_backward_matches_finite_differences():
                                           bias if b_ is None else b_, stride=2)
                       * probe).sum())
 
-    gi, gk, gb = layers.conv_backward(x, kernel, probe, stride=2)
+    gi, gk, gb = layers.conv_backward(x, kernel, probe, stride=2,
+                                      rows=tensor.im2col(x, 3, 3, 2))
     assert max_rel_err(gi, fd_grad(lambda v: loss_from(x_=v), x.copy())) < 1e-6
     assert max_rel_err(gk, fd_grad(lambda v: loss_from(k_=v), kernel.copy())) < 1e-6
     assert max_rel_err(gb, fd_grad(lambda v: loss_from(b_=v), bias.copy())) < 1e-6
@@ -119,7 +121,8 @@ def test_conv_backward_with_forward_rows_has_the_bits_of_lowering_again(
     assert out.tobytes() == layers.conv_forward(x, kernel, bias, stride).tobytes()
     assert rows.tobytes() == tensor.im2col(x, *kernel_shape[:2], stride).tobytes()
     grad_out = r.normal(size=out.shape)
-    want = layers.conv_backward(x, kernel, grad_out, stride)
+    lowered_again = tensor.im2col(x, *kernel_shape[:2], stride)
+    want = layers.conv_backward(x, kernel, grad_out, stride, rows=lowered_again)
     got = layers.conv_backward(x, kernel, grad_out, stride, rows=rows)
     for g, w in zip(got, want):
         assert g.tobytes() == w.tobytes()
@@ -133,6 +136,8 @@ def test_conv_rows_are_refused_where_none_exist_or_the_shape_differs():
     kernel = np.ones((3, 3, 2, 3))
     with pytest.raises(ValueError, match="rows shape"):
         layers.conv_backward(x, kernel, np.ones((2, 4, 4, 3)), rows=np.empty((2, 16, 9)))
+    with pytest.raises(ValueError, match="needs the rows its forward wrote"):
+        layers.conv_backward(x, kernel, np.ones((2, 4, 4, 3)))
 
 
 # ---------------------------------------------------------------- 1x1 conv
@@ -357,14 +362,21 @@ def test_lrn_never_amplifies_when_k_at_least_one():
 def test_lrn_backward_alpha_zero():
     x = rng(22).normal(size=(1, 2, 2, 5))
     g = rng(23).normal(size=x.shape)
-    out = layers.lrn_backward(x, g, size=3, k=2.0, alpha=0.0, beta=0.75)
+    base = np.empty_like(x)
+    layers.lrn_forward(x, size=3, k=2.0, alpha=0.0, beta=0.75, base=base)
+    out = layers.lrn_backward(x, g, size=3, k=2.0, alpha=0.0, beta=0.75, base=base)
     assert max_rel_err(out, g / 2.0 ** 0.75) < 1e-15
 
 
 def test_lrn_backward_zero_grad():
     x = rng(24).normal(size=(1, 2, 2, 5))
     g = np.zeros_like(x)
-    assert not layers.lrn_backward(x, g, size=5, k=2.0, alpha=1e-4, beta=0.75).any()
+    p = dict(size=5, k=2.0, alpha=1e-4, beta=0.75)
+    base = np.empty_like(x)
+    layers.lrn_forward(x, **p, base=base)
+    assert not layers.lrn_backward(x, g, **p, base=base).any()
+    with pytest.raises(ValueError, match="needs the base its forward filled"):
+        layers.lrn_backward(x, g, **p)
 
 
 def test_lrn_backward_matches_finite_differences():
@@ -372,7 +384,9 @@ def test_lrn_backward_matches_finite_differences():
     x = r.normal(size=(1, 2, 2, 8))
     probe = r.normal(size=x.shape)
     p = dict(size=5, k=2.0, alpha=0.5, beta=0.75)
-    grad = layers.lrn_backward(x, probe, **p)
+    base = np.empty_like(x)
+    layers.lrn_forward(x, **p, base=base)
+    grad = layers.lrn_backward(x, probe, **p, base=base)
     numeric = fd_grad(lambda v: float((layers.lrn_forward(v, **p) * probe).sum()), x.copy())
     assert max_rel_err(grad, numeric) < 1e-6
 
@@ -388,7 +402,9 @@ def test_lrn_backward_with_the_forward_base_has_the_bits_of_recomputing_it(shape
     out = layers.lrn_forward(x, **p, base=base)
     assert out.tobytes() == layers.lrn_forward(x, **p).tobytes()
     grad_out = r.normal(size=shape)
-    want = layers.lrn_backward(x, grad_out, **p)
+    again = np.empty(shape)
+    layers.lrn_forward(x, **p, base=again)
+    want = layers.lrn_backward(x, grad_out, **p, base=again)
     assert layers.lrn_backward(x, grad_out, **p, base=base).tobytes() == want.tobytes()
 
 

@@ -9,9 +9,11 @@ DESK_CFG = ("root_channels = 16\nstreams = 16,24|16\npost_concat_channels = 24\n
             "fc_hidden = 64\n")
 
 
-def _train_by_hand(tmp_path, samples, ids, epochs):
-    """train.train on desk_config(ids), saved and logged as train does."""
-    net = graph.build_lfhn(graph.desk_config(ids), 0)
+def _train_by_hand(tmp_path, samples, ids, epochs, frozen=()):
+    """train.train on desk_config(ids) with the frozen set, saved and logged
+    as train does."""
+    cfg = graph.desk_config(ids)
+    net = graph.NetworkGraph(cfg, graph.build_lfhn(cfg, 0).params, frozen)
     _, log = train.train(net, samples, TrainConfig(lr=0.02, epochs=epochs, seed=0))
     graph.save_checkpoint(net, tmp_path / "direct.lfhn")
     train.write_log(log, tmp_path / "direct.csv")
@@ -36,6 +38,30 @@ def test_capacity_recipe_trains_the_desk_config(tmp_path):
 
     _train_by_hand(tmp_path, data.load_corpus(corpus), 2, 2)
     _assert_same_run(tmp_path)
+
+
+def test_frozen_root_from_the_flag_or_the_run_config_trains_the_same_bytes(tmp_path, capsys):
+    # --freeze-root, and freeze_root = true in the run config with no flag,
+    # each write the bytes of train.train on a net built with conv1 frozen
+    corpus = tmp_path / "corpus"
+    (tmp_path / "run.cfg").write_text(DESK_CFG)
+    (tmp_path / "frozen.cfg").write_text(DESK_CFG + "freeze_root = true\n")
+    assert cli.main(["gen-data", "--ids", "2", "--seed", "0", "--out", str(corpus)]) == 0
+    common = ["train", "--data", str(corpus), "--epochs", "2", "--lr", "0.02", "--seed", "0"]
+    capsys.readouterr()
+    for out, run_cfg, flags in [("flag.lfhn", "run.cfg", ["--freeze-root"]),
+                                ("cli.lfhn", "frozen.cfg", [])]:
+        assert cli.main(common + flags + ["--config", str(tmp_path / run_cfg),
+                                          "--out", str(tmp_path / out)]) == 0
+        assert capsys.readouterr().err == ("warning: freeze_root set without root_from; "
+                                           "freezing the randomly initialized root layer\n")
+    assert (tmp_path / "cli.lfhn").read_bytes() == (tmp_path / "flag.lfhn").read_bytes()
+    assert (tmp_path / "cli.lfhn.log.csv").read_bytes() == \
+           (tmp_path / "flag.lfhn.log.csv").read_bytes()
+
+    _train_by_hand(tmp_path, data.load_corpus(corpus), 2, 2, frozen={"conv1"})
+    _assert_same_run(tmp_path)
+    assert graph.load_checkpoint(tmp_path / "cli.lfhn").frozen == {"conv1"}
 
 
 def test_invariance_recipe_trains_on_the_train_side_and_scores_the_held_out_one(

@@ -205,13 +205,13 @@ def test_desk_training_in_small_blocks_gives_the_bits_of_whole_blocks(monkeypatc
 
 def test_train_frozen_root_invariance():
     samples = _toy_samples(3, 3, seed=15)
-    net = graph.build_lfhn(graph.tiny_config(), seed=16)
+    net = graph.NetworkGraph(graph.tiny_config(),
+                             graph.build_lfhn(graph.tiny_config(), seed=16).params, {"conv1"})
     train.randomize_biases(net, seed=16)
     kernel = net.params["conv1.kernel"].copy()
     bias = net.params["conv1.bias"].copy()
     others = {k: v.copy() for k, v in net.params.items() if not k.startswith("conv1.")}
-    train.train(net, samples,
-                TrainConfig(lr=0.05, momentum=0.9, epochs=5, seed=17, freeze_root=True))
+    train.train(net, samples, TrainConfig(lr=0.05, momentum=0.9, epochs=5, seed=17))
     assert np.array_equal(net.params["conv1.kernel"], kernel)
     assert np.array_equal(net.params["conv1.bias"], bias)
     for name, value in others.items():
